@@ -207,6 +207,9 @@ def apply_overrides(
 
 
 def cmd_train(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     config = load_config(args.config)
     config = apply_overrides(config, args.seed, args.epochs, args.full_scale)
 

@@ -121,12 +121,18 @@ def reconstruction_log_prob(params: RbmParams, x: np.ndarray) -> float:
     return max(val, LOG_PROB_SENTINEL)
 
 
-def mean_reconstruction_log_prob(params: RbmParams, X: np.ndarray) -> tuple[float, int]:
+def mean_reconstruction_log_prob(
+    params: RbmParams, X: np.ndarray, h_mean: np.ndarray | None = None
+) -> tuple[float, int]:
     """Per-sample mean of reconstruction_log_prob over a batch.
 
+    ``h_mean`` is E[h|X] when the caller already has it (a Gibbs chain
+    started at X computes it in its first round); it is computed otherwise.
     Returns (mean, number of samples clamped to the sentinel).
     """
-    p = visible_conditional_mean(params, hidden_conditional_mean(params, X))
+    if h_mean is None:
+        h_mean = hidden_conditional_mean(params, X)
+    p = visible_conditional_mean(params, h_mean)
     vals = np.atleast_1d(bernoulli_log_prob(X, p))
     guarded = int(np.isneginf(vals).sum())
     vals = np.maximum(vals, LOG_PROB_SENTINEL)
@@ -145,7 +151,7 @@ def xi_probe(
     elif variant is XiVariant.COMPLEMENT_H1:
         h_s = 1.0 - chain.h1
     elif variant is XiVariant.COMPLEMENT_MEAN_H:
-        h_s = 1.0 - hidden_conditional_mean(params, chain.x1)
+        h_s = 1.0 - chain.h1_mean
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown probe variant {variant!r}")
     return XiProbe(variant=variant, y=visible_conditional_mean(params, h_s))

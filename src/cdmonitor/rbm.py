@@ -97,10 +97,12 @@ class GibbsChain:
 
     ``hiddens[k]`` and ``visibles[k]`` are the binary samples of round k+1;
     leading batch dimensions of ``x1`` are preserved, so ``hiddens`` has
-    shape (n, ..., H) and ``visibles`` shape (n, ..., V).
+    shape (n, ..., H) and ``visibles`` shape (n, ..., V).  ``h1_mean`` is
+    E[h|x1], the mean round 1 draws h_1 from, shape (..., H).
     """
 
     x1: np.ndarray
+    h1_mean: np.ndarray
     hiddens: np.ndarray
     visibles: np.ndarray
 
@@ -193,18 +195,23 @@ def run_gibbs_chain(
     Each round draws a binary h from P(h|x) and then a binary x from P(x|h);
     conditional means are never substituted for samples inside the chain.
     With a batched ``x1`` of shape (N, V) every round consumes the N*H hidden
-    uniforms first, then the N*V visible uniforms.
+    uniforms first, then the N*V visible uniforms.  Round 1's hidden mean is
+    kept as ``h1_mean``, so callers need not compute E[h|x1] again.
     """
     if n < 1:
         raise ValueError(f"chain length n must be >= 1, got {n}")
-    x = np.asarray(x1, dtype=np.float64)
-    _check_last_dim(x, params.num_visible, "x1")
-    batch = x.shape[:-1]
+    x1 = np.asarray(x1, dtype=np.float64)
+    _check_last_dim(x1, params.num_visible, "x1")
+    batch = x1.shape[:-1]
     hiddens = np.empty((n, *batch, params.num_hidden))
     visibles = np.empty((n, *batch, params.num_visible))
+    x = x1
     for k in range(n):
-        h = sample_bernoulli(hidden_conditional_mean(params, x), rng)
+        h_mean = hidden_conditional_mean(params, x)
+        if k == 0:
+            h1_mean = h_mean
+        h = sample_bernoulli(h_mean, rng)
         x = sample_bernoulli(visible_conditional_mean(params, h), rng)
         hiddens[k] = h
         visibles[k] = x
-    return GibbsChain(x1=np.asarray(x1, dtype=np.float64), hiddens=hiddens, visibles=visibles)
+    return GibbsChain(x1=x1, h1_mean=h1_mean, hiddens=hiddens, visibles=visibles)

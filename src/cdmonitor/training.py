@@ -72,15 +72,16 @@ def cd_gradient(
 ) -> tuple[GradientEstimate, GibbsChain]:
     """Per-sample CD-n gradient estimate for a single training vector.
 
-    Positive phase: hidden conditional mean at x1.  Negative phase: hidden
-    conditional mean at the chain's last visible sample x_{n+1}.  The chain
-    is returned so callers can reuse its first hidden sample.
+    Positive phase: hidden conditional mean at x1, which the chain's first
+    round already computed.  Negative phase: hidden conditional mean at the
+    chain's last visible sample x_{n+1}.  The chain is returned so callers
+    can reuse its first hidden sample.
     """
     x1 = np.asarray(x1, dtype=np.float64)
     if x1.ndim != 1:
         raise ValueError(f"x1 must be a single vector, got shape {x1.shape}")
     chain = run_gibbs_chain(params, x1, n, rng)
-    h_pos = hidden_conditional_mean(params, x1)
+    h_pos = chain.h1_mean
     x_neg = chain.x_last
     h_neg = hidden_conditional_mean(params, x_neg)
     grad = GradientEstimate(
@@ -128,14 +129,20 @@ def train_epoch(
     epoch, by apply_update, at its plain strength.
 
     The whole batch advances through one shared Gibbs schedule, drawing the
-    N*H hidden uniforms and then the N*V visible uniforms per round; this
-    matches running the per-sample estimator over the dataset in order.
+    N*H hidden uniforms and then the N*V visible uniforms per round.  The
+    per-sample estimator run over the dataset in order draws each sample's
+    H then V uniforms in turn instead, so the two give the same step in
+    distribution, and bit for bit only when N = 1.
+
+    The positive phase reuses the chain's E[h|X], so a CD-n epoch computes
+    n+1 hidden conditional means: one per Gibbs round and one for the
+    negative phase.
     """
     if len(data) == 0:
         raise ValueError("training dataset is empty")
     X = data.matrix()
     chain = run_gibbs_chain(params, X, config.n, rng)
-    h_pos = hidden_conditional_mean(params, X)
+    h_pos = chain.h1_mean
     x_neg = chain.x_last
     h_neg = hidden_conditional_mean(params, x_neg)
     grad = GradientEstimate(

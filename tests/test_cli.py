@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,25 @@ class TestDatasetCommand:
         with pytest.raises(SystemExit) as exc:
             main(["dataset", "foo", str(tmp_path / "x.txt")])
         assert exc.value.code == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = str(Path(cli.__file__).parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "bs.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cdmonitor", "dataset", "bs", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(read_dataset(out)) == 30
+        usage = subprocess.run(
+            [sys.executable, "-m", "cdmonitor"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert usage.returncode == 2
+        assert usage.stderr.startswith("usage: cdmonitor")
 
 
 class TestConfigLoading:
@@ -158,6 +180,15 @@ class TestTrainCommand:
     def test_invalid_config_exits_2(self, tmp_path):
         config = write_config(tmp_path, hidden=0)
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        config = write_config(tmp_path)
+        out = tmp_path / "o"
+        rc = main(["train", "--config", str(config), "--out", str(out), "--jobs", jobs])
+        assert rc == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
         rc = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])

@@ -18,7 +18,13 @@ from cdmonitor.criteria import (
     xi_probe,
 )
 from cdmonitor.datasets import Dataset, generate_bars_and_stripes, generate_labeled_shifter
-from cdmonitor.rbm import GibbsChain, RbmParams, visible_conditional_mean, zero_params
+from cdmonitor.rbm import (
+    GibbsChain,
+    RbmParams,
+    hidden_conditional_mean,
+    visible_conditional_mean,
+    zero_params,
+)
 
 import oracles
 
@@ -123,6 +129,7 @@ class TestXiProbe:
         p = tiny_params()
         chain = GibbsChain(
             x1=np.array([1.0, 0.0]),
+            h1_mean=hidden_conditional_mean(p, np.array([1.0, 0.0])),
             hiddens=np.array([[1.0, 1.0]]),
             visibles=np.array([[0.0, 0.0]]),
         )
@@ -134,7 +141,10 @@ class TestXiProbe:
     def test_all_zero_params_probe_is_half(self):
         p = zero_params(3, 2)
         chain = GibbsChain(
-            x1=np.zeros(3), hiddens=np.array([[1.0, 0.0]]), visibles=np.array([[0.0, 1.0, 0.0]])
+            x1=np.zeros(3),
+            h1_mean=np.full(2, 0.5),
+            hiddens=np.array([[1.0, 0.0]]),
+            visibles=np.array([[0.0, 1.0, 0.0]]),
         )
         for variant in XiVariant:
             probe = xi_probe(p, chain, variant, np.random.default_rng(1))
@@ -144,6 +154,7 @@ class TestXiProbe:
         p = tiny_params()
         chain = GibbsChain(
             x1=np.array([1.0, 0.0]),
+            h1_mean=hidden_conditional_mean(p, np.array([1.0, 0.0])),
             hiddens=np.array([[1.0, 0.0]]),
             visibles=np.array([[1.0, 1.0]]),
         )
@@ -158,6 +169,7 @@ class TestXiProbe:
         p = tiny_params()
         chain = GibbsChain(
             x1=np.array([1.0, 0.0]),
+            h1_mean=hidden_conditional_mean(p, np.array([1.0, 0.0])),
             hiddens=np.array([[0.0, 0.0]]),
             visibles=np.array([[0.0, 0.0]]),
         )
@@ -170,7 +182,12 @@ class TestXiProbe:
     def test_complement_mean_h(self):
         p = tiny_params()
         x1 = np.array([1.0, 0.0])
-        chain = GibbsChain(x1=x1, hiddens=np.array([[0.0, 0.0]]), visibles=np.array([[0.0, 0.0]]))
+        chain = GibbsChain(
+            x1=x1,
+            h1_mean=hidden_conditional_mean(p, x1),
+            hiddens=np.array([[0.0, 0.0]]),
+            visibles=np.array([[0.0, 0.0]]),
+        )
         probe = xi_probe(p, chain, XiVariant.COMPLEMENT_MEAN_H, np.random.default_rng(0))
         hbar = oracles.prob_h_given_x(oracles.TINY_W, oracles.TINY_B, oracles.TINY_C, list(x1))
         np.testing.assert_allclose(probe.y, visible_conditional_mean(p, 1.0 - hbar), rtol=1e-10)

@@ -24,7 +24,9 @@ from cdmonitor.experiment import (
     write_run_csv,
 )
 from cdmonitor.rbm import NonFiniteParameterError, RbmParams, zero_params
-from cdmonitor.training import TrainingConfig
+from cdmonitor.training import TrainingConfig, init_params
+
+from test_training import count_hidden_means
 
 
 def tiny_bs_config(**overrides):
@@ -152,6 +154,23 @@ class TestRunExperiment:
         assert result.series[0].log_likelihood == pytest.approx(
             30 * (-16 * np.log(2)), rel=1e-3
         )
+
+
+class TestMeasure:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_hidden_mean_computed_once_per_gibbs_round(self, monkeypatch, n):
+        # the complement_mean_h probe and the reconstruction monitor reuse
+        # the chain's E[h|X] instead of computing it again
+        calls = count_hidden_means(monkeypatch)
+        cfg = tiny_bs_config(
+            training=TrainingConfig(n=n, learning_rate=0.01, epochs=100, measure_every=50),
+            variants_enabled=tuple(XiVariant),
+        )
+        params = init_params(16, 8, np.random.default_rng(5), 0.01)
+        X = experiment.build_dataset(cfg).matrix()
+        record, _ = experiment._measure(params, X, cfg, np.random.default_rng(6), epoch=0)
+        assert record.log_xi_complement_mean_h is not None
+        assert len(calls) == n
 
 
 class TestTrainParamsToEpoch:

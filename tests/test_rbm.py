@@ -236,6 +236,17 @@ class TestGibbsChain:
             tv += abs(emp - prob)
         assert tv / 2 <= 0.02
 
+    def test_h1_mean_is_round_one_hidden_mean_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        p = RbmParams(*oracles.random_params(rng, 5, 3))
+        single = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+        batch = rng.integers(0, 2, size=(7, 5)).astype(np.float64)
+        for x1 in (single, batch):
+            chain = run_gibbs_chain(p, x1, 3, np.random.default_rng(9))
+            want = hidden_conditional_mean(p, x1)
+            assert chain.h1_mean.shape == want.shape == (*x1.shape[:-1], 3)
+            assert chain.h1_mean.tobytes() == want.tobytes()
+
     def test_identical_seeds_identical_chains(self):
         p = tiny_params()
         x1 = np.array([0.0, 1.0])

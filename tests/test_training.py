@@ -3,6 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import cdmonitor.criteria as criteria
+import cdmonitor.experiment as experiment
+import cdmonitor.rbm as rbm
+import cdmonitor.training as training
 from cdmonitor.criteria import exact_gradient
 from cdmonitor.datasets import Dataset, generate_bars_and_stripes
 from cdmonitor.rbm import NonFiniteParameterError, RbmParams, hidden_conditional_mean, zero_params
@@ -21,6 +25,24 @@ import oracles
 def make_dataset(rows):
     rows = np.asarray(rows, dtype=np.uint8)
     return Dataset(name="test", visible_len=rows.shape[1], samples=rows)
+
+
+def count_hidden_means(monkeypatch) -> list:
+    """Count hidden_conditional_mean calls made through any cdmonitor module.
+
+    Modules import the function by name, so it is replaced in each of them.
+    Returns the list that gains one entry, the input shape, per call.
+    """
+    calls = []
+    original = rbm.hidden_conditional_mean
+
+    def counted(params, x):
+        calls.append(np.shape(x))
+        return original(params, x)
+
+    for module in (rbm, training, criteria, experiment):
+        monkeypatch.setattr(module, "hidden_conditional_mean", counted)
+    return calls
 
 
 class TestTrainingConfig:
@@ -235,6 +257,15 @@ class TestTrainEpoch:
         )
         got = np.outer(hidden_conditional_mean(params, np.array(x)), np.array(x))
         np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_hidden_mean_computed_n_plus_one_times(self, monkeypatch, n):
+        # one per Gibbs round plus the negative phase; the positive phase
+        # reuses round 1's mean
+        calls = count_hidden_means(monkeypatch)
+        params = init_params(16, 8, np.random.default_rng(3), 0.01)
+        train_epoch(params, generate_bars_and_stripes(), TrainingConfig(n=n), np.random.default_rng(4))
+        assert len(calls) == n + 1
 
     def test_empty_dataset_rejected(self):
         data = Dataset(name="empty", visible_len=2, samples=np.zeros((0, 2), dtype=np.uint8))
