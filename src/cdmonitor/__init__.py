@@ -4,15 +4,9 @@ brute-force exact log-likelihood."""
 
 from .criteria import (
     MetricsRecord,
-    PartitionValue,
-    XiProbe,
     XiVariant,
-    exact_gradient,
     exact_log_likelihood,
     log_partition,
-    log_xi,
-    reconstruction_log_prob,
-    xi_probe,
 )
 from .datasets import (
     Dataset,
@@ -47,7 +41,6 @@ from .training import (
     GradientEstimate,
     TrainingConfig,
     apply_update,
-    cd_gradient,
     init_params,
     train_epoch,
 )

@@ -16,18 +16,20 @@ import dataclasses
 import json
 import logging
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from .criteria import XiVariant
-from .datasets import Dataset, generate_bars_and_stripes, generate_labeled_shifter, write_dataset
+from .datasets import Dataset, write_dataset
 from .experiment import (
     DATASET_LAYOUTS,
     FULL_SCALE_EPOCHS,
     ExperimentConfig,
     ParamsFormatError,
     average_runs,
+    build_dataset,
+    default_config,
     generate_samples,
     peak_report_text,
     read_params_file,
@@ -48,94 +50,53 @@ class ConfigError(ValueError):
     """The JSON config file is malformed or violates the schema."""
 
 
-_TRAINING_KEYS = {"n", "learning_rate", "weight_decay", "epochs", "measure_every"}
-_TOP_KEYS = {
-    "dataset",
-    "visible",
-    "hidden",
-    "training",
-    "num_runs",
-    "base_seed",
-    "variants_enabled",
-    "init_std",
-    "lse_shift",
-}
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
 
 
+# The JSON types each scalar field type accepts, and its name in messages.
+_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"), str: ((str,), "a string")}
+
+
+def _typed_fields(section: dict, cls, label: str, prefix: str) -> dict:
+    """The fields of dataclass ``cls`` that ``section`` sets, checked against
+    their types: int, str, float (any finite number), or a tuple of enum
+    members given as a list of their values; nested dataclasses are left to
+    the caller.  Unknown keys are rejected so typos cannot fall back to defaults."""
+    hints = typing.get_type_hints(cls)
+    unknown = set(section) - set(hints)
+    _require(not unknown, f"unknown {label} keys: {sorted(unknown)}")
+    out = {}
+    for key, value in section.items():
+        kind = hints[key]
+        if typing.get_origin(kind) is tuple:
+            by_value = {m.value: m for m in typing.get_args(kind)[0]}
+            ok = isinstance(value, list) and all(type(v) is str and v in by_value for v in value)
+            _require(ok, f"{prefix}{key} must be a list of {sorted(by_value)}, got {value!r}")
+            out[key] = tuple(by_value[v] for v in value)
+        elif kind in _SCALARS:
+            accepted, name = _SCALARS[kind]
+            # type() rather than isinstance(), so that booleans are rejected
+            ok = type(value) in accepted and (kind is not float or abs(value) <= sys.float_info.max)
+            _require(ok, f"{prefix}{key} must be {name}, got {value!r}")
+            out[key] = kind(value)
+    return out
+
+
 def resolve_config(doc: dict) -> ExperimentConfig:
-    """Validate a config document and fill in defaults for optional fields.
-
-    Unknown keys are rejected outright so typos cannot silently fall back
-    to defaults.
-    """
+    """Validate a config document against the ExperimentConfig and
+    TrainingConfig fields; unset fields keep the defaults of default_config."""
     _require(isinstance(doc, dict), "config root must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-    _require("dataset" in doc, "config must set 'dataset'")
-    dataset = doc["dataset"]
-    _require(
-        dataset in DATASET_LAYOUTS,
-        f"dataset must be one of {sorted(DATASET_LAYOUTS)}, got {dataset!r}",
-    )
-    def_visible, def_hidden, def_epochs = DATASET_LAYOUTS[dataset]
-
+    top = _typed_fields(doc, ExperimentConfig, "config", "")
+    _require("dataset" in top, "config must set 'dataset'")
     training_doc = doc.get("training", {})
     _require(isinstance(training_doc, dict), "'training' must be an object")
-    unknown = set(training_doc) - _TRAINING_KEYS
-    _require(not unknown, f"unknown training keys: {sorted(unknown)}")
-
-    def _num(section: dict, key: str, default, kind, what: str):
-        value = section.get(key, default)
-        if kind is int:
-            _require(
-                isinstance(value, int) and not isinstance(value, bool),
-                f"{what} must be an integer, got {value!r}",
-            )
-        else:
-            _require(
-                isinstance(value, (int, float)) and not isinstance(value, bool),
-                f"{what} must be a number, got {value!r}",
-            )
-        return kind(value)
-
-    variants_doc = doc.get("variants_enabled", [v.value for v in (XiVariant.RANDOM_HIDDEN, XiVariant.COMPLEMENT_H1)])
-    _require(
-        isinstance(variants_doc, list) and all(isinstance(v, str) for v in variants_doc),
-        "'variants_enabled' must be a list of strings",
-    )
-    by_value = {v.value: v for v in XiVariant}
-    variants = []
-    for name in variants_doc:
-        _require(name in by_value, f"unknown probe variant {name!r}, expected one of {sorted(by_value)}")
-        variants.append(by_value[name])
-
-    lse_shift = doc.get("lse_shift", "cyclic")
-    _require(isinstance(lse_shift, str), "'lse_shift' must be a string")
-
+    training = _typed_fields(training_doc, TrainingConfig, "training", "training.")
     try:
-        training = TrainingConfig(
-            n=_num(training_doc, "n", 1, int, "training.n"),
-            learning_rate=_num(training_doc, "learning_rate", 0.01, float, "training.learning_rate"),
-            weight_decay=_num(training_doc, "weight_decay", 0.0, float, "training.weight_decay"),
-            epochs=_num(training_doc, "epochs", def_epochs, int, "training.epochs"),
-            measure_every=_num(training_doc, "measure_every", 50, int, "training.measure_every"),
-        )
-        return ExperimentConfig(
-            dataset=dataset,
-            visible=_num(doc, "visible", def_visible, int, "visible"),
-            hidden=_num(doc, "hidden", def_hidden, int, "hidden"),
-            training=training,
-            num_runs=_num(doc, "num_runs", 10, int, "num_runs"),
-            base_seed=_num(doc, "base_seed", 20260401, int, "base_seed"),
-            variants_enabled=tuple(variants),
-            init_std=_num(doc, "init_std", 0.01, float, "init_std"),
-            lse_shift=lse_shift,
-        )
+        config = default_config(top.pop("dataset"))
+        training = dataclasses.replace(config.training, **training)
+        return dataclasses.replace(config, training=training, **top)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -153,41 +114,16 @@ def load_config(path) -> ExperimentConfig:
 
 def config_to_json(config: ExperimentConfig) -> str:
     """Resolved config as canonical JSON (echoed into the output directory)."""
-    doc = {
-        "dataset": config.dataset,
-        "visible": config.visible,
-        "hidden": config.hidden,
-        "training": {
-            "n": config.training.n,
-            "learning_rate": config.training.learning_rate,
-            "weight_decay": config.training.weight_decay,
-            "epochs": config.training.epochs,
-            "measure_every": config.training.measure_every,
-        },
-        "num_runs": config.num_runs,
-        "base_seed": config.base_seed,
-        "variants_enabled": [v.value for v in config.variants_enabled],
-        "init_std": config.init_std,
-        "lse_shift": config.lse_shift,
-    }
+    doc = dataclasses.asdict(config)
+    doc["variants_enabled"] = [v.value for v in config.variants_enabled]
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def cmd_dataset(args) -> int:
-    if args.name == "bs":
-        data = generate_bars_and_stripes()
-    else:
-        data = generate_labeled_shifter()
+    data = build_dataset(default_config(args.name))
     write_dataset(data, args.out)
     print(f"wrote {len(data)} samples of {data.visible_len} bits to {args.out}")
     return 0
-
-
-def _replace(obj, **kw):
-    try:
-        return dataclasses.replace(obj, **kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def apply_overrides(
@@ -198,11 +134,12 @@ def apply_overrides(
 ) -> ExperimentConfig:
     """Apply CLI-level overrides; an explicit --epochs beats --full-scale."""
     if seed is not None:
-        config = _replace(config, base_seed=seed)
-    if full_scale:
-        config = _replace(config, training=_replace(config.training, epochs=FULL_SCALE_EPOCHS))
+        config = dataclasses.replace(config, base_seed=seed)
+    if epochs is None and full_scale:
+        epochs = FULL_SCALE_EPOCHS
     if epochs is not None:
-        config = _replace(config, training=_replace(config.training, epochs=epochs))
+        training = dataclasses.replace(config.training, epochs=epochs)
+        config = dataclasses.replace(config, training=training)
     return config
 
 
@@ -212,6 +149,9 @@ def cmd_train(args) -> int:
         return 2
     config = load_config(args.config)
     config = apply_overrides(config, args.seed, args.epochs, args.full_scale)
+    epochs, every = config.training.epochs, config.training.measure_every
+    msg = f"epochs ({epochs}) below 2 * measure_every ({every}): a peak report needs 3 measurements"
+    _require(epochs >= 2 * every, msg)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -228,8 +168,8 @@ def cmd_train(args) -> int:
     if guarded:
         logger.warning("%d reconstruction log-probabilities hit the -inf guard", guarded)
 
-    averaged = average_runs(results) if aborted < len(results) else None
-    if averaged is not None:
+    if aborted < len(results):
+        averaged = average_runs(results)
         write_averaged_csv(out_dir / "averaged.csv", averaged, n_runs=len(results) - aborted)
         (out_dir / "peaks.txt").write_text(peak_report_text(averaged), encoding="ascii")
 

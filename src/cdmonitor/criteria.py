@@ -15,9 +15,10 @@ differ from the ones the data activates: uniformly random, or the binary
 complement of the first hidden sample of the data point's Gibbs chain, or
 the complement of the data point's hidden conditional mean.
 
-Exact log-likelihood and the exact gradient enumerate the smaller layer
-outright; both exist to keep desk-scale models honest and to serve as
-test oracles, never as training signals.
+Exact log-likelihood enumerates the smaller layer outright; it exists to
+keep desk-scale models honest, never as a training signal.  The
+per-sample forms of these quantities and the exact gradient are test
+references and live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -30,14 +31,12 @@ from scipy.special import logsumexp
 
 from .datasets import Dataset
 from .rbm import (
-    GibbsChain,
     RbmParams,
     hidden_conditional_mean,
     log_unnormalized_marginal,
     softplus,
     visible_conditional_mean,
 )
-from .training import GradientEstimate
 
 # Replaces -inf per-sample reconstruction log-probabilities so that
 # aggregates stay finite; occurrences are counted and surfaced separately.
@@ -61,21 +60,6 @@ class XiVariant(enum.Enum):
 
 
 @dataclass
-class XiProbe:
-    """A probe reconstruction y = E[x|h_s] for one training sample."""
-
-    variant: XiVariant
-    y: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.y = np.asarray(self.y, dtype=np.float64)
-        if self.y.ndim != 1:
-            raise ValueError(f"probe y must be a vector, got shape {self.y.shape}")
-        if (self.y < 0).any() or (self.y > 1).any():
-            raise ValueError("probe components must lie in [0, 1]")
-
-
-@dataclass
 class MetricsRecord:
     """One measurement epoch's monitored values (all logs in nats).
 
@@ -94,11 +78,6 @@ class MetricsRecord:
     log_xi_complement_mean_h: float | None = None
 
 
-@dataclass
-class PartitionValue:
-    log_z: float
-
-
 def bernoulli_log_prob(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """log prod_i Bernoulli(x_i; p_i) over the last axis, -inf on impossible bits."""
     x = np.asarray(x, dtype=np.float64)
@@ -109,25 +88,17 @@ def bernoulli_log_prob(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.where(x > 0.5, log_p, log_q).sum(axis=-1)
 
 
-def reconstruction_log_prob(params: RbmParams, x: np.ndarray) -> float:
-    """log P(x | E[h|x]): the factorized Bernoulli probability of the data
-    vector under the visible conditional evaluated at the hidden mean.
-
-    A conditional mean saturated to exactly 0 or 1 against a mismatching bit
-    makes the true value -inf; it is clamped to LOG_PROB_SENTINEL.
-    """
-    p = visible_conditional_mean(params, hidden_conditional_mean(params, x))
-    val = float(bernoulli_log_prob(x, p))
-    return max(val, LOG_PROB_SENTINEL)
-
-
 def mean_reconstruction_log_prob(
     params: RbmParams, X: np.ndarray, h_mean: np.ndarray | None = None
 ) -> tuple[float, int]:
-    """Per-sample mean of reconstruction_log_prob over a batch.
+    """Per-sample mean over a batch of log P(x | E[h|x]): the factorized
+    Bernoulli probability of each data vector under the visible conditional
+    evaluated at its hidden mean.
 
     ``h_mean`` is E[h|X] when the caller already has it (a Gibbs chain
     started at X computes it in its first round); it is computed otherwise.
+    A conditional mean saturated to exactly 0 or 1 against a mismatching
+    bit makes a sample's value -inf; it is clamped to LOG_PROB_SENTINEL.
     Returns (mean, number of samples clamped to the sentinel).
     """
     if h_mean is None:
@@ -139,61 +110,13 @@ def mean_reconstruction_log_prob(
     return float(vals.mean()), guarded
 
 
-def xi_probe(
-    params: RbmParams,
-    chain: GibbsChain,
-    variant: XiVariant,
-    rng: np.random.Generator,
-) -> XiProbe:
-    """Build the probe reconstruction for the sample a chain was run on."""
-    if variant is XiVariant.RANDOM_HIDDEN:
-        h_s = rng.random(params.num_hidden)
-    elif variant is XiVariant.COMPLEMENT_H1:
-        h_s = 1.0 - chain.h1
-    elif variant is XiVariant.COMPLEMENT_MEAN_H:
-        h_s = 1.0 - chain.h1_mean
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown probe variant {variant!r}")
-    return XiProbe(variant=variant, y=visible_conditional_mean(params, h_s))
-
-
-def log_xi_from_matrices(params: RbmParams, X: np.ndarray, Y: np.ndarray) -> float:
-    """sum_i [log sum_h e^{-E(x_i,h)} - log sum_h e^{-E(y_i,h)}]."""
-    return float(
-        np.sum(log_unnormalized_marginal(params, X))
-        - np.sum(log_unnormalized_marginal(params, Y))
-    )
-
-
-def log_xi(params: RbmParams, data: Dataset, probes: list[XiProbe]) -> float:
-    """Log of the training-to-probe probability ratio, partition-free.
-
-    probes[k] must have been generated for data sample k.
-    """
-    if len(probes) != len(data):
-        raise ValueError(
-            f"need one probe per sample: {len(probes)} probes, {len(data)} samples"
-        )
-    Y = np.stack([p.y for p in probes])
-    return log_xi_from_matrices(params, data.matrix(), Y)
-
-
 def _binary_block(num_bits: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the full 2^num_bits enumeration; bit j is column j."""
     idx = np.arange(start, stop, dtype=np.uint64)[:, None]
     return ((idx >> np.arange(num_bits, dtype=np.uint64)) & 1).astype(np.float64)
 
 
-def enumerate_binary_vectors(num_bits: int) -> np.ndarray:
-    """All 2^num_bits binary vectors as a (2^num_bits, num_bits) matrix."""
-    if num_bits > 20:
-        raise EnumerationInfeasibleError(
-            f"refusing to materialize 2^{num_bits} binary vectors"
-        )
-    return _binary_block(num_bits, 0, 1 << num_bits)
-
-
-def log_partition(params: RbmParams, layer: str | None = None) -> PartitionValue:
+def log_partition(params: RbmParams, layer: str | None = None) -> float:
     """log Z by exhaustive enumeration over one layer.
 
     Summing over hidden vectors h, each term collapses the visible layer in
@@ -224,32 +147,10 @@ def log_partition(params: RbmParams, layer: str | None = None) -> PartitionValue
         states = _binary_block(bits, start, min(start + block, total))
         terms = states @ lin_w + softplus(states @ lin_m + lin_b).sum(axis=1)
         partials.append(logsumexp(terms))
-    return PartitionValue(log_z=float(logsumexp(partials)))
+    return float(logsumexp(partials))
 
 
 def exact_log_likelihood(params: RbmParams, data: Dataset) -> float:
     """Total data log-likelihood with the exact partition function."""
-    lz = log_partition(params).log_z
+    lz = log_partition(params)
     return float(np.sum(log_unnormalized_marginal(params, data.matrix())) - len(data) * lz)
-
-
-def exact_gradient(params: RbmParams, data: Dataset) -> GradientEstimate:
-    """Exact mean log-likelihood gradient by full visible enumeration.
-
-    Positive phase as in the CD estimator; negative phase weights every
-    visible state by its exact probability.  Test oracle for tiny models.
-    """
-    V = params.num_visible
-    X_all = enumerate_binary_vectors(V)
-    log_w = log_unnormalized_marginal(params, X_all)
-    prob = np.exp(log_w - logsumexp(log_w))
-    H_all = hidden_conditional_mean(params, X_all)
-
-    X = data.matrix()
-    H_data = hidden_conditional_mean(params, X)
-    count = X.shape[0]
-    return GradientEstimate(
-        dW=H_data.T @ X / count - (H_all * prob[:, None]).T @ X_all,
-        db=X.mean(axis=0) - prob @ X_all,
-        dc=H_data.mean(axis=0) - prob @ H_all,
-    )

@@ -11,7 +11,9 @@ across repeats and across worker counts.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -47,19 +49,6 @@ FULL_SCALE_EPOCHS = 50000
 SMOOTH_WINDOW = 5
 
 DEFAULT_VARIANTS = (XiVariant.RANDOM_HIDDEN, XiVariant.COMPLEMENT_H1)
-
-METRIC_NAMES = ("log_likelihood", "log_xi_random", "log_xi_complement", "log_recon_mean")
-
-RUN_CSV_COLUMNS = (
-    "epoch",
-    "seed",
-    "log_likelihood",
-    "log_xi_random",
-    "log_xi_complement",
-    "log_recon_mean",
-    "log_likelihood_mean",
-)
-MEAN_H_COLUMN = "log_xi_complement_mean_h"
 
 
 class ExperimentError(RuntimeError):
@@ -187,8 +176,7 @@ def _measure(
     if config.mean_h_enabled:
         log_xi_mean_h = probe_total(1.0 - chain.h1_mean)
 
-    log_z = log_partition(params).log_z
-    log_likelihood = float(log_um_x - count * log_z)
+    log_likelihood = float(log_um_x - count * log_partition(params))
     recon_mean, guarded = mean_reconstruction_log_prob(params, X, chain.h1_mean)
 
     record = MetricsRecord(
@@ -256,22 +244,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
         return list(pool.map(_run_single_packed, [(config, k) for k in indices]))
 
 
-def train_params_to_epoch(config: ExperimentConfig, run_index: int, epoch: int) -> RbmParams:
-    """Reproduce run ``run_index``'s parameters as of ``epoch``.
-
-    The training stream is independent of the measurement stream, so the
-    parameter trajectory of a shorter run is a prefix of the full run's.
-    """
-    if not 0 <= epoch <= config.training.epochs:
-        raise ValueError(f"epoch {epoch} outside [0, {config.training.epochs}]")
-    data = build_dataset(config)
-    init_rng, train_rng, _ = _run_rngs(config.base_seed, run_index)
-    params = init_params(config.visible, config.hidden, init_rng, config.init_std)
-    for _ in range(epoch):
-        params = train_epoch(params, data, config.training, train_rng)
-    return params
-
-
 def average_runs(results: list[RunResult]) -> list[MetricsRecord]:
     """Per-epoch arithmetic mean of each metric across completed runs."""
     completed = [r for r in results if not r.aborted]
@@ -286,28 +258,12 @@ def average_runs(results: list[RunResult]) -> list[MetricsRecord]:
         raise ExperimentError("runs have mismatched measurement epoch grids")
     epochs = grids.pop()
 
-    has_mean_h = all(
-        rec.log_xi_complement_mean_h is not None for r in completed for rec in r.series
-    )
+    names = _columns([rec for r in completed for rec in r.series])[1:]
     averaged = []
     for i, epoch in enumerate(epochs):
         rows = [r.series[i] for r in completed]
-        mean_h = (
-            float(np.mean([rec.log_xi_complement_mean_h for rec in rows]))
-            if has_mean_h
-            else None
-        )
-        averaged.append(
-            MetricsRecord(
-                epoch=epoch,
-                log_likelihood=float(np.mean([rec.log_likelihood for rec in rows])),
-                log_xi_random=float(np.mean([rec.log_xi_random for rec in rows])),
-                log_xi_complement=float(np.mean([rec.log_xi_complement for rec in rows])),
-                log_recon_mean=float(np.mean([rec.log_recon_mean for rec in rows])),
-                log_likelihood_mean=float(np.mean([rec.log_likelihood_mean for rec in rows])),
-                log_xi_complement_mean_h=mean_h,
-            )
-        )
+        means = {name: float(np.mean([getattr(rec, name) for rec in rows])) for name in names}
+        averaged.append(MetricsRecord(epoch=epoch, **means))
     return averaged
 
 
@@ -350,8 +306,9 @@ def generate_samples(
     """Draw ``count`` visible samples from one Gibbs chain.
 
     The chain starts from a uniformly random visible state, discards
-    ``burn_in`` rounds, then emits every ``thin``-th visible sample.
-    Returns a (count, V) binary matrix.
+    ``burn_in`` rounds, then emits every ``thin``-th visible sample.  It runs
+    in segments, one per sample, so at most ``burn_in + thin`` rounds are
+    held at a time.  Returns a (count, V) binary matrix.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -359,10 +316,14 @@ def generate_samples(
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     if thin < 1:
         raise ValueError(f"thin must be >= 1, got {thin}")
-    x0 = sample_bernoulli(np.full(params.num_visible, 0.5), rng)
-    chain = run_gibbs_chain(params, x0, burn_in + count * thin, rng)
-    idx = burn_in + thin * np.arange(1, count + 1) - 1
-    return chain.visibles[idx]
+    x = sample_bernoulli(np.full(params.num_visible, 0.5), rng)
+    samples = np.empty((count, params.num_visible))
+    rounds = burn_in + thin
+    for k in range(count):
+        x = run_gibbs_chain(params, x, rounds, rng).x_last
+        samples[k] = x
+        rounds = thin
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +332,7 @@ def generate_samples(
 
 
 def _fmt(x: float) -> str:
-    return format(x, ".17g")
+    return str(x) if isinstance(x, int) else format(x, ".17g")
 
 
 def _write_text(path, text: str) -> None:
@@ -379,136 +340,80 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def write_run_csv(path, result: RunResult) -> None:
-    """Per-run CSV, one row per measurement epoch, 17 significant digits."""
-    with_mean_h = bool(result.series) and all(
-        rec.log_xi_complement_mean_h is not None for rec in result.series
-    )
-    header = list(RUN_CSV_COLUMNS) + ([MEAN_H_COLUMN] if with_mean_h else [])
-    lines = [",".join(header)]
-    for rec in result.series:
-        row = [
-            str(rec.epoch),
-            str(result.seed),
-            _fmt(rec.log_likelihood),
-            _fmt(rec.log_xi_random),
-            _fmt(rec.log_xi_complement),
-            _fmt(rec.log_recon_mean),
-            _fmt(rec.log_likelihood_mean),
-        ]
-        if with_mean_h:
-            row.append(_fmt(rec.log_xi_complement_mean_h))
-        lines.append(",".join(row))
+# Column parsers in MetricsRecord field order: int for the epoch, else float.
+_FIELD_TYPES = {n: int if t is int else float for n, t in typing.get_type_hints(MetricsRecord).items()}
+
+
+def _columns(records: list[MetricsRecord]) -> list[str]:
+    """MetricsRecord fields in order; an optional field only when every record sets it."""
+    return [
+        f.name
+        for f in dataclasses.fields(MetricsRecord)
+        if f.default is dataclasses.MISSING
+        or (records and all(getattr(rec, f.name) is not None for rec in records))
+    ]
+
+
+def _splice(items: list, at: int, item) -> list:
+    """``items`` with ``item`` inserted at ``at``; -1 appends."""
+    return items[:at] + [item] + items[at:] if at >= 0 else items + [item]
+
+
+def _write_csv(path, records: list[MetricsRecord], key: str, value: int, at: int) -> None:
+    """One row per record, with the constant column ``key`` = ``value`` at ``at``."""
+    names = _columns(records)
+    lines = [",".join(_splice(names, at, key))]
+    for rec in records:
+        row = [_fmt(getattr(rec, n)) for n in names]
+        lines.append(",".join(_splice(row, at, str(value))))
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _parse_csv(
-    path, plain_header: list[str], mean_h_header: list[str]
-) -> tuple[list[list[str]], bool]:
+def _read_csv(path, key: str, at: int) -> tuple[list[MetricsRecord], int]:
+    """Inverse of _write_csv: the records and the constant column's value."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln for ln in fh.read().split("\n") if ln]
     if not lines:
         raise ExperimentError(f"{path}: empty CSV")
     header = lines[0].split(",")
-    if header == plain_header:
-        with_mean_h = False
-    elif header == mean_h_header:
-        with_mean_h = True
-    else:
+    names = list(_FIELD_TYPES)
+    if header not in (_splice(names[:-1], at, key), _splice(names, at, key)):
         raise ExperimentError(f"{path}: unexpected header {lines[0]!r}")
-    return [ln.split(",") for ln in lines[1:]], with_mean_h
+    names = names[: len(header) - 1]
+    records, values = [], set()
+    for ln in lines[1:]:
+        row = ln.split(",")
+        values.add(int(row.pop(at)))
+        records.append(MetricsRecord(**{n: _FIELD_TYPES[n](tok) for n, tok in zip(names, row)}))
+    if len(values) != 1:
+        raise ExperimentError(f"{path}: inconsistent {key} column {sorted(values)}")
+    return records, values.pop()
+
+
+def write_run_csv(path, result: RunResult) -> None:
+    """Per-run CSV, one row per measurement epoch, 17 significant digits."""
+    _write_csv(path, result.series, "seed", result.seed, at=1)
 
 
 def read_run_csv(path) -> tuple[list[MetricsRecord], int]:
     """Inverse of write_run_csv; returns (series, seed)."""
-    rows, with_mean_h = _parse_csv(
-        path, list(RUN_CSV_COLUMNS), list(RUN_CSV_COLUMNS) + [MEAN_H_COLUMN]
-    )
-    series = []
-    seeds = set()
-    for row in rows:
-        seeds.add(int(row[1]))
-        series.append(
-            MetricsRecord(
-                epoch=int(row[0]),
-                log_likelihood=float(row[2]),
-                log_xi_random=float(row[3]),
-                log_xi_complement=float(row[4]),
-                log_recon_mean=float(row[5]),
-                log_likelihood_mean=float(row[6]),
-                log_xi_complement_mean_h=float(row[7]) if with_mean_h else None,
-            )
-        )
-    if len(seeds) != 1:
-        raise ExperimentError(f"{path}: inconsistent seed column {sorted(seeds)}")
-    return series, seeds.pop()
-
-
-AVERAGED_CSV_COLUMNS = (
-    "epoch",
-    "log_likelihood",
-    "log_xi_random",
-    "log_xi_complement",
-    "log_recon_mean",
-    "log_likelihood_mean",
-    "n_runs",
-)
+    return _read_csv(path, "seed", at=1)
 
 
 def write_averaged_csv(path, records: list[MetricsRecord], n_runs: int) -> None:
     """Averaged CSV: run columns minus seed, plus the run count."""
-    with_mean_h = bool(records) and all(
-        rec.log_xi_complement_mean_h is not None for rec in records
-    )
-    header = list(AVERAGED_CSV_COLUMNS[:-1]) + ([MEAN_H_COLUMN] if with_mean_h else []) + ["n_runs"]
-    lines = [",".join(header)]
-    for rec in records:
-        row = [
-            str(rec.epoch),
-            _fmt(rec.log_likelihood),
-            _fmt(rec.log_xi_random),
-            _fmt(rec.log_xi_complement),
-            _fmt(rec.log_recon_mean),
-            _fmt(rec.log_likelihood_mean),
-        ]
-        if with_mean_h:
-            row.append(_fmt(rec.log_xi_complement_mean_h))
-        row.append(str(n_runs))
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, records, "n_runs", n_runs, at=-1)
 
 
 def read_averaged_csv(path) -> tuple[list[MetricsRecord], int]:
-    rows, with_mean_h = _parse_csv(
-        path,
-        list(AVERAGED_CSV_COLUMNS),
-        list(AVERAGED_CSV_COLUMNS[:-1]) + [MEAN_H_COLUMN, "n_runs"],
-    )
-    records = []
-    n_runs = set()
-    for row in rows:
-        records.append(
-            MetricsRecord(
-                epoch=int(row[0]),
-                log_likelihood=float(row[1]),
-                log_xi_random=float(row[2]),
-                log_xi_complement=float(row[3]),
-                log_recon_mean=float(row[4]),
-                log_likelihood_mean=float(row[5]),
-                log_xi_complement_mean_h=float(row[6]) if with_mean_h else None,
-            )
-        )
-        n_runs.add(int(row[-1]))
-    if len(n_runs) != 1:
-        raise ExperimentError(f"{path}: inconsistent n_runs column")
-    return records, n_runs.pop()
+    """Inverse of write_averaged_csv; returns (records, n_runs)."""
+    return _read_csv(path, "n_runs", at=-1)
 
 
 def peak_report_text(records: list[MetricsRecord], window: int = SMOOTH_WINDOW) -> str:
     """key=value blocks for every monitored metric: smoothed peak plus raw argmax."""
-    metrics = list(METRIC_NAMES)
-    if records and records[0].log_xi_complement_mean_h is not None:
-        metrics.append(MEAN_H_COLUMN)
+    # log_likelihood_mean is log_likelihood / N, so it peaks with it.
+    metrics = [m for m in _columns(records)[1:] if m != "log_likelihood_mean"]
     blocks = []
     for metric in metrics:
         smoothed = detect_peak(records, metric, window=window)

@@ -78,9 +78,6 @@ class RbmParams:
     def num_hidden(self) -> int:
         return self.c.size
 
-    def copy(self) -> "RbmParams":
-        return RbmParams(self.W.copy(), self.b.copy(), self.c.copy())
-
 
 def zero_params(num_visible: int, num_hidden: int) -> RbmParams:
     """All-zero parameters (the uniform model)."""

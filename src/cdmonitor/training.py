@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .rbm import (
-    GibbsChain,
-    NonFiniteParameterError,
-    RbmParams,
-    hidden_conditional_mean,
-    run_gibbs_chain,
-)
+from .rbm import NonFiniteParameterError, RbmParams, hidden_conditional_mean, run_gibbs_chain
 
 
 @dataclass
@@ -60,36 +54,11 @@ def init_params(
     num_visible: int,
     num_hidden: int,
     rng: np.random.Generator,
-    weight_std: float = 0.01,
+    weight_std: float,
 ) -> RbmParams:
     """Gaussian weights (mean 0, given std), zero biases."""
     W = rng.normal(0.0, weight_std, size=(num_hidden, num_visible))
     return RbmParams(W, np.zeros(num_visible), np.zeros(num_hidden))
-
-
-def cd_gradient(
-    params: RbmParams, x1: np.ndarray, n: int, rng: np.random.Generator
-) -> tuple[GradientEstimate, GibbsChain]:
-    """Per-sample CD-n gradient estimate for a single training vector.
-
-    Positive phase: hidden conditional mean at x1, which the chain's first
-    round already computed.  Negative phase: hidden conditional mean at the
-    chain's last visible sample x_{n+1}.  The chain is returned so callers
-    can reuse its first hidden sample.
-    """
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x1.ndim != 1:
-        raise ValueError(f"x1 must be a single vector, got shape {x1.shape}")
-    chain = run_gibbs_chain(params, x1, n, rng)
-    h_pos = chain.h1_mean
-    x_neg = chain.x_last
-    h_neg = hidden_conditional_mean(params, x_neg)
-    grad = GradientEstimate(
-        dW=np.outer(h_pos, x1) - np.outer(h_neg, x_neg),
-        db=x1 - x_neg,
-        dc=h_pos - h_neg,
-    )
-    return grad, chain
 
 
 def apply_update(

@@ -1,0 +1,161 @@
+"""Per-sample and replay forms of quantities the package computes in batch.
+
+The package computes every monitored quantity for a whole dataset at once.
+The functions here state the same quantities one training vector, or one
+run, at a time, on top of the package's own primitives, and the tests
+compare the two.  Unlike ``oracles.py`` they share code with the package:
+agreement shows that the batched paths combine the primitives correctly,
+not that the primitives themselves are right.
+"""
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+from scipy.special import logsumexp
+
+from cdmonitor.criteria import (
+    LOG_PROB_SENTINEL,
+    EnumerationInfeasibleError,
+    XiVariant,
+    _binary_block,
+    bernoulli_log_prob,
+)
+from cdmonitor.datasets import Dataset
+from cdmonitor.experiment import ExperimentConfig, ExperimentError, run_single
+from cdmonitor.rbm import (
+    GibbsChain,
+    RbmParams,
+    hidden_conditional_mean,
+    log_unnormalized_marginal,
+    run_gibbs_chain,
+    visible_conditional_mean,
+)
+from cdmonitor.training import GradientEstimate
+
+
+@dataclass
+class XiProbe:
+    """A probe reconstruction y = E[x|h_s] for one training sample."""
+
+    variant: XiVariant
+    y: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.y = np.asarray(self.y, dtype=np.float64)
+        if self.y.ndim != 1:
+            raise ValueError(f"probe y must be a vector, got shape {self.y.shape}")
+        if (self.y < 0).any() or (self.y > 1).any():
+            raise ValueError("probe components must lie in [0, 1]")
+
+
+def reconstruction_log_prob(params: RbmParams, x: np.ndarray) -> float:
+    """log P(x | E[h|x]) for one data vector, clamped to LOG_PROB_SENTINEL."""
+    p = visible_conditional_mean(params, hidden_conditional_mean(params, x))
+    val = float(bernoulli_log_prob(x, p))
+    return max(val, LOG_PROB_SENTINEL)
+
+
+def xi_probe(
+    params: RbmParams,
+    chain: GibbsChain,
+    variant: XiVariant,
+    rng: np.random.Generator,
+) -> XiProbe:
+    """Build the probe reconstruction for the sample a chain was run on."""
+    if variant is XiVariant.RANDOM_HIDDEN:
+        h_s = rng.random(params.num_hidden)
+    elif variant is XiVariant.COMPLEMENT_H1:
+        h_s = 1.0 - chain.h1
+    elif variant is XiVariant.COMPLEMENT_MEAN_H:
+        h_s = 1.0 - chain.h1_mean
+    else:  # pragma: no cover - exhaustive enum
+        raise ValueError(f"unknown probe variant {variant!r}")
+    return XiProbe(variant=variant, y=visible_conditional_mean(params, h_s))
+
+
+def log_xi(params: RbmParams, data: Dataset, probes: list[XiProbe]) -> float:
+    """Log of the training-to-probe probability ratio, partition-free:
+    sum_i [log sum_h e^{-E(x_i,h)} - log sum_h e^{-E(y_i,h)}].
+
+    probes[k] must have been generated for data sample k.
+    """
+    if len(probes) != len(data):
+        raise ValueError(
+            f"need one probe per sample: {len(probes)} probes, {len(data)} samples"
+        )
+    Y = np.stack([p.y for p in probes])
+    return float(
+        np.sum(log_unnormalized_marginal(params, data.matrix()))
+        - np.sum(log_unnormalized_marginal(params, Y))
+    )
+
+
+def enumerate_binary_vectors(num_bits: int) -> np.ndarray:
+    """All 2^num_bits binary vectors as a (2^num_bits, num_bits) matrix."""
+    if num_bits > 20:
+        raise EnumerationInfeasibleError(
+            f"refusing to materialize 2^{num_bits} binary vectors"
+        )
+    return _binary_block(num_bits, 0, 1 << num_bits)
+
+
+def exact_gradient(params: RbmParams, data: Dataset) -> GradientEstimate:
+    """Exact mean log-likelihood gradient by full visible enumeration.
+
+    Positive phase as in the CD estimator; negative phase weights every
+    visible state by its exact probability.
+    """
+    X_all = enumerate_binary_vectors(params.num_visible)
+    log_w = log_unnormalized_marginal(params, X_all)
+    prob = np.exp(log_w - logsumexp(log_w))
+    H_all = hidden_conditional_mean(params, X_all)
+
+    X = data.matrix()
+    H_data = hidden_conditional_mean(params, X)
+    count = X.shape[0]
+    return GradientEstimate(
+        dW=H_data.T @ X / count - (H_all * prob[:, None]).T @ X_all,
+        db=X.mean(axis=0) - prob @ X_all,
+        dc=H_data.mean(axis=0) - prob @ H_all,
+    )
+
+
+def cd_gradient(
+    params: RbmParams, x1: np.ndarray, n: int, rng: np.random.Generator
+) -> tuple[GradientEstimate, GibbsChain]:
+    """Per-sample CD-n gradient estimate for a single training vector.
+
+    Positive phase: hidden conditional mean at x1, which the chain's first
+    round already computed.  Negative phase: hidden conditional mean at the
+    chain's last visible sample x_{n+1}.  The chain is returned so callers
+    can reuse its first hidden sample.
+    """
+    x1 = np.asarray(x1, dtype=np.float64)
+    if x1.ndim != 1:
+        raise ValueError(f"x1 must be a single vector, got shape {x1.shape}")
+    chain = run_gibbs_chain(params, x1, n, rng)
+    h_pos = chain.h1_mean
+    x_neg = chain.x_last
+    h_neg = hidden_conditional_mean(params, x_neg)
+    grad = GradientEstimate(
+        dW=np.outer(h_pos, x1) - np.outer(h_neg, x_neg),
+        db=x1 - x_neg,
+        dc=h_pos - h_neg,
+    )
+    return grad, chain
+
+
+def train_params_to_epoch(config: ExperimentConfig, run_index: int, epoch: int) -> RbmParams:
+    """Run ``run_index``'s parameters as of ``epoch``, from ``run_single`` on
+    the same config cut to that horizon.
+
+    The training stream is independent of the measurement stream, so the
+    parameter trajectory of a shorter run is a prefix of the full run's.
+    """
+    if epoch > config.training.epochs:
+        raise ValueError(f"epoch {epoch} beyond the horizon {config.training.epochs}")
+    training = replace(config.training, epochs=epoch, measure_every=epoch)
+    result = run_single(replace(config, training=training), run_index)
+    if result.aborted:
+        raise ExperimentError(f"run {run_index} aborted: {result.abort_reason}")
+    return result.final_params

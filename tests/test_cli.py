@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 import cdmonitor.cli as cli
-from cdmonitor.cli import ConfigError, apply_overrides, load_config, main, resolve_config
+from cdmonitor.cli import (
+    ConfigError,
+    apply_overrides,
+    config_to_json,
+    load_config,
+    main,
+    resolve_config,
+)
 from cdmonitor.datasets import read_dataset
 from cdmonitor.experiment import RunResult
 
@@ -123,6 +130,29 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="flip_all"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(dataset=["bs"]), "dataset must be a string"),
+            (dict(init_std=float("nan")), "init_std must be a finite number"),
+            (dict(training={"learning_rate": float("inf")}), "training.learning_rate must be a finite number"),
+            (dict(init_std=10**400), "init_std must be a finite number"),
+        ],
+    )
+    def test_non_string_dataset_and_non_finite_numbers_exit_2(self, tmp_path, capsys, overrides, message):
+        # json.dumps writes NaN and Infinity, and json.load reads them back
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_example_is_the_resolved_default(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config files", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(example) == json.loads(config_to_json(resolve_config({"dataset": "bs"})))
+
     def test_overrides(self, tmp_path):
         config = load_config(write_config(tmp_path))
         assert apply_overrides(config, seed=7).base_seed == 7
@@ -171,11 +201,13 @@ class TestTrainCommand:
         assert first_row.split(",")[1] == "4242"
 
     def test_epochs_override_shortens_series(self, tmp_path):
-        config = write_config(tmp_path)
+        config = write_config(
+            tmp_path, training={"n": 1, "learning_rate": 0.01, "epochs": 200, "measure_every": 50}
+        )
         out = tmp_path / "out"
-        main(["train", "--config", str(config), "--out", str(out), "--epochs", "50"])
+        assert main(["train", "--config", str(config), "--out", str(out), "--epochs", "100"]) == 0
         rows = (out / "run_00.csv").read_text().splitlines()
-        assert len(rows) == 3  # header + epochs 0, 50
+        assert len(rows) == 4  # header + epochs 0, 50, 100
 
     def test_invalid_config_exits_2(self, tmp_path):
         config = write_config(tmp_path, hidden=0)
@@ -188,6 +220,14 @@ class TestTrainCommand:
         rc = main(["train", "--config", str(config), "--out", str(out), "--jobs", jobs])
         assert rc == 2
         assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_horizon_short_of_three_snapshots_exits_2_before_writing(self, tmp_path, capsys):
+        config = write_config(tmp_path)  # measure_every 50
+        out = tmp_path / "o"
+        rc = main(["train", "--config", str(config), "--out", str(out), "--epochs", "99"])
+        assert rc == 2
+        assert "a peak report needs 3 measurements" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):

@@ -18,14 +18,20 @@ from cdmonitor.experiment import (
     read_run_csv,
     run_experiment,
     smooth_series,
-    train_params_to_epoch,
     write_averaged_csv,
     write_params_file,
     write_run_csv,
 )
-from cdmonitor.rbm import NonFiniteParameterError, RbmParams, zero_params
+from cdmonitor.rbm import (
+    NonFiniteParameterError,
+    RbmParams,
+    run_gibbs_chain,
+    sample_bernoulli,
+    zero_params,
+)
 from cdmonitor.training import TrainingConfig, init_params
 
+from reference import train_params_to_epoch
 from test_training import count_hidden_means
 
 
@@ -320,6 +326,21 @@ class TestGenerateSamples:
         a = generate_samples(zero_params(8, 4), 5, 10, 3, np.random.default_rng(9))
         b = generate_samples(zero_params(8, 4), 5, 10, 3, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("burn_in", [0, 7])
+    @pytest.mark.parametrize("thin", [1, 3])
+    @pytest.mark.parametrize("count", [1, 2, 25])
+    def test_equals_indexing_one_full_chain(self, burn_in, thin, count):
+        # the segmented chain draws the same uniforms in the same order as
+        # one chain of burn_in + count * thin rounds
+        rng = np.random.default_rng(12)
+        params = RbmParams(rng.normal(size=(8, 16)), rng.normal(size=16), rng.normal(size=8))
+        got = generate_samples(params, count, burn_in, thin, np.random.default_rng(3))
+        full_rng = np.random.default_rng(3)
+        x0 = sample_bernoulli(np.full(16, 0.5), full_rng)
+        chain = run_gibbs_chain(params, x0, burn_in + count * thin, full_rng)
+        want = chain.visibles[[burn_in + thin * k - 1 for k in range(1, count + 1)]]
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("kw", [dict(count=0), dict(burn_in=-1), dict(thin=0)])
     def test_validation(self, kw):

@@ -7,19 +7,18 @@ import cdmonitor.criteria as criteria
 import cdmonitor.experiment as experiment
 import cdmonitor.rbm as rbm
 import cdmonitor.training as training
-from cdmonitor.criteria import exact_gradient
 from cdmonitor.datasets import Dataset, generate_bars_and_stripes
 from cdmonitor.rbm import NonFiniteParameterError, RbmParams, hidden_conditional_mean, zero_params
 from cdmonitor.training import (
     GradientEstimate,
     TrainingConfig,
     apply_update,
-    cd_gradient,
     init_params,
     train_epoch,
 )
 
 import oracles
+from reference import cd_gradient, exact_gradient
 
 
 def make_dataset(rows):
