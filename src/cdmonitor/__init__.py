@@ -17,7 +17,6 @@ from .datasets import (
 )
 from .experiment import (
     ExperimentConfig,
-    PeakReport,
     RunResult,
     average_runs,
     default_config,
@@ -28,14 +27,11 @@ from .experiment import (
 from .rbm import (
     GibbsChain,
     RbmParams,
-    energy,
     hidden_conditional_mean,
     log_unnormalized_marginal,
     run_gibbs_chain,
     sample_bernoulli,
-    unnormalized_marginal,
     visible_conditional_mean,
-    zero_params,
 )
 from .training import (
     GradientEstimate,

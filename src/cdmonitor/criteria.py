@@ -24,10 +24,10 @@ references and live in ``tests/reference.py``.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .datasets import Dataset
 from .rbm import (
@@ -101,9 +101,10 @@ def mean_reconstruction_log_prob(
     bit makes a sample's value -inf; it is clamped to LOG_PROB_SENTINEL.
     Returns (mean, number of samples clamped to the sentinel).
     """
-    if h_mean is None:
-        h_mean = hidden_conditional_mean(params, X)
-    p = visible_conditional_mean(params, h_mean)
+    with np.errstate(over="ignore"):
+        if h_mean is None:
+            h_mean = hidden_conditional_mean(params, X)
+        p = visible_conditional_mean(params, h_mean)
     vals = np.atleast_1d(bernoulli_log_prob(X, p))
     guarded = int(np.isneginf(vals).sum())
     vals = np.maximum(vals, LOG_PROB_SENTINEL)
@@ -116,6 +117,22 @@ def _binary_block(num_bits: int, start: int, stop: int) -> np.ndarray:
     return ((idx >> np.arange(num_bits, dtype=np.uint64)) & 1).astype(np.float64)
 
 
+@functools.lru_cache(maxsize=1)
+def _all_states(num_bits: int) -> np.ndarray:
+    """The whole 2^num_bits enumeration as one read-only block, kept for the
+    next call.  Only enumerations of one block (at most _CHUNK_BITS bits) are
+    cached, so the cache holds at most 2^16 rows."""
+    states = _binary_block(num_bits, 0, 1 << num_bits)
+    states.setflags(write=False)
+    return states
+
+
+def _logsumexp(v: np.ndarray) -> float:
+    """log sum exp(v) of finite values, shifted by the maximum."""
+    m = v.max()
+    return float(m + np.log(np.exp(v - m).sum()))
+
+
 def log_partition(params: RbmParams, layer: str | None = None) -> float:
     """log Z by exhaustive enumeration over one layer.
 
@@ -123,7 +140,8 @@ def log_partition(params: RbmParams, layer: str | None = None) -> float:
     closed form: c.h + sum_i softplus(b_i + (W^T h)_i); the visible-side
     route is symmetric.  ``layer`` forces "hidden" or "visible"; by default
     the smaller layer is enumerated.  Enumeration runs in fixed-order blocks
-    so the reduction is bit-reproducible.
+    so the reduction is bit-reproducible; a layer that fits one block reuses
+    its state matrix from the previous call.
     """
     V, H = params.num_visible, params.num_hidden
     if layer is None:
@@ -144,10 +162,15 @@ def log_partition(params: RbmParams, layer: str | None = None) -> float:
     block = 1 << min(bits, _CHUNK_BITS)
     partials = []
     for start in range(0, total, block):
-        states = _binary_block(bits, start, min(start + block, total))
-        terms = states @ lin_w + softplus(states @ lin_m + lin_b).sum(axis=1)
-        partials.append(logsumexp(terms))
-    return float(logsumexp(partials))
+        if block == total:
+            states = _all_states(bits)
+        else:
+            states = _binary_block(bits, start, start + block)
+        pre = states @ lin_m
+        pre += lin_b
+        terms = states @ lin_w + softplus(pre).sum(axis=1)
+        partials.append(_logsumexp(terms))
+    return _logsumexp(np.array(partials))
 
 
 def exact_log_likelihood(params: RbmParams, data: Dataset) -> float:

@@ -121,11 +121,14 @@ def write_dataset(dataset: Dataset, path) -> None:
     """Write a dataset in the text format; exact bytes are deterministic."""
     if any(ch.isspace() for ch in dataset.name):
         raise ValueError(f"dataset name may not contain whitespace: {dataset.name!r}")
-    lines = [f"# name={dataset.name} visible={dataset.visible_len} n={len(dataset)}"]
-    for row in dataset.samples:
-        lines.append("".join("1" if v else "0" for v in row))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = f"# name={dataset.name} visible={dataset.visible_len} n={len(dataset)}\n"
+    # One '0'/'1' byte per entry and a newline byte per row, built as one array.
+    body = np.empty((len(dataset), dataset.visible_len + 1), dtype=np.uint8)
+    body[:, :-1] = dataset.samples + ord("0")
+    body[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(body.tobytes())
 
 
 def read_dataset(path) -> Dataset:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +166,8 @@ def _measure(
     log_um_x = np.sum(log_unnormalized_marginal(params, X))
 
     def probe_total(h_s: np.ndarray) -> float:
-        Y = visible_conditional_mean(params, h_s)
+        with np.errstate(over="ignore"):
+            Y = visible_conditional_mean(params, h_s)
         return float(log_um_x - np.sum(log_unnormalized_marginal(params, Y)))
 
     log_xi_random = probe_total(h_random)
@@ -240,6 +240,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     indices = list(range(config.num_runs))
     if jobs <= 1 or config.num_runs == 1:
         return [run_single(config, k) for k in indices]
+    from concurrent.futures import ProcessPoolExecutor  # costly to import; only sweeps use it
+
     with ProcessPoolExecutor(max_workers=min(jobs, config.num_runs)) as pool:
         return list(pool.map(_run_single_packed, [(config, k) for k in indices]))
 
@@ -372,17 +374,19 @@ def _write_csv(path, records: list[MetricsRecord], key: str, value: int, at: int
 def _read_csv(path, key: str, at: int) -> tuple[list[MetricsRecord], int]:
     """Inverse of _write_csv: the records and the constant column's value."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
+        lines = [(i, ln) for i, ln in enumerate(fh.read().split("\n"), start=1) if ln]
     if not lines:
         raise ExperimentError(f"{path}: empty CSV")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     names = list(_FIELD_TYPES)
     if header not in (_splice(names[:-1], at, key), _splice(names, at, key)):
-        raise ExperimentError(f"{path}: unexpected header {lines[0]!r}")
+        raise ExperimentError(f"{path}: unexpected header {lines[0][1]!r}")
     names = names[: len(header) - 1]
     records, values = [], set()
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         row = ln.split(",")
+        if len(row) != len(header):
+            raise ExperimentError(f"{path}: line {lineno}: {len(row)} cells, header has {len(header)}")
         values.add(int(row.pop(at)))
         records.append(MetricsRecord(**{n: _FIELD_TYPES[n](tok) for n, tok in zip(names, row)}))
     if len(values) != 1:

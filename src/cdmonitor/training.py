@@ -113,7 +113,8 @@ def train_epoch(
     chain = run_gibbs_chain(params, X, config.n, rng)
     h_pos = chain.h1_mean
     x_neg = chain.x_last
-    h_neg = hidden_conditional_mean(params, x_neg)
+    with np.errstate(over="ignore"):
+        h_neg = hidden_conditional_mean(params, x_neg)
     grad = GradientEstimate(
         dW=h_pos.T @ X - h_neg.T @ x_neg,
         db=(X - x_neg).sum(axis=0),

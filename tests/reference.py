@@ -5,7 +5,12 @@ The functions here state the same quantities one training vector, or one
 run, at a time, on top of the package's own primitives, and the tests
 compare the two.  Unlike ``oracles.py`` they share code with the package:
 agreement shows that the batched paths combine the primitives correctly,
-not that the primitives themselves are right.
+not that the primitives themselves are right.  The energy, the plain
+marginal and the all-zero model are here too, because only tests use them.
+
+Where these functions call the conditional means directly, they silence
+the overflow of saturated sigmoids with ``np.errstate`` as the package's
+batch operations do.
 """
 
 from dataclasses import dataclass, replace
@@ -25,12 +30,41 @@ from cdmonitor.experiment import ExperimentConfig, ExperimentError, run_single
 from cdmonitor.rbm import (
     GibbsChain,
     RbmParams,
+    _check_last_dim,
     hidden_conditional_mean,
     log_unnormalized_marginal,
     run_gibbs_chain,
     visible_conditional_mean,
 )
 from cdmonitor.training import GradientEstimate
+
+
+def zero_params(num_visible: int, num_hidden: int) -> RbmParams:
+    """All-zero parameters (the uniform model)."""
+    return RbmParams(
+        np.zeros((num_hidden, num_visible)),
+        np.zeros(num_visible),
+        np.zeros(num_hidden),
+    )
+
+
+def energy(params: RbmParams, x: np.ndarray, h: np.ndarray):
+    """E(x, h) = -b.x - c.h - h.W.x.
+
+    Returns a float for single vectors, an array for batched inputs.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    _check_last_dim(x, params.num_visible, "x")
+    _check_last_dim(h, params.num_hidden, "h")
+    interaction = np.einsum("...j,ji,...i->...", h, params.W, x)
+    val = -(x @ params.b) - (h @ params.c) - interaction
+    return float(val) if np.ndim(val) == 0 else val
+
+
+def unnormalized_marginal(params: RbmParams, x: np.ndarray):
+    """sum_h e^{-E(x, h)}; exponentiation of the canonical log form."""
+    return np.exp(log_unnormalized_marginal(params, x))
 
 
 @dataclass
@@ -50,7 +84,8 @@ class XiProbe:
 
 def reconstruction_log_prob(params: RbmParams, x: np.ndarray) -> float:
     """log P(x | E[h|x]) for one data vector, clamped to LOG_PROB_SENTINEL."""
-    p = visible_conditional_mean(params, hidden_conditional_mean(params, x))
+    with np.errstate(over="ignore"):
+        p = visible_conditional_mean(params, hidden_conditional_mean(params, x))
     val = float(bernoulli_log_prob(x, p))
     return max(val, LOG_PROB_SENTINEL)
 
@@ -70,7 +105,9 @@ def xi_probe(
         h_s = 1.0 - chain.h1_mean
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown probe variant {variant!r}")
-    return XiProbe(variant=variant, y=visible_conditional_mean(params, h_s))
+    with np.errstate(over="ignore"):
+        y = visible_conditional_mean(params, h_s)
+    return XiProbe(variant=variant, y=y)
 
 
 def log_xi(params: RbmParams, data: Dataset, probes: list[XiProbe]) -> float:
@@ -108,10 +145,10 @@ def exact_gradient(params: RbmParams, data: Dataset) -> GradientEstimate:
     X_all = enumerate_binary_vectors(params.num_visible)
     log_w = log_unnormalized_marginal(params, X_all)
     prob = np.exp(log_w - logsumexp(log_w))
-    H_all = hidden_conditional_mean(params, X_all)
-
     X = data.matrix()
-    H_data = hidden_conditional_mean(params, X)
+    with np.errstate(over="ignore"):
+        H_all = hidden_conditional_mean(params, X_all)
+        H_data = hidden_conditional_mean(params, X)
     count = X.shape[0]
     return GradientEstimate(
         dW=H_data.T @ X / count - (H_all * prob[:, None]).T @ X_all,
@@ -136,7 +173,8 @@ def cd_gradient(
     chain = run_gibbs_chain(params, x1, n, rng)
     h_pos = chain.h1_mean
     x_neg = chain.x_last
-    h_neg = hidden_conditional_mean(params, x_neg)
+    with np.errstate(over="ignore"):
+        h_neg = hidden_conditional_mean(params, x_neg)
     grad = GradientEstimate(
         dW=np.outer(h_pos, x1) - np.outer(h_neg, x_neg),
         db=x1 - x_neg,

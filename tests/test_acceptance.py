@@ -2,9 +2,10 @@
 one PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 The desk-scale sweeps are computed once per session and shared across
-criteria.  They take a few minutes on one core.  The oracle checks at the
-end recompute what criteria 7 and 8 judge on the trained models with the
-independent code in ``oracles.py``.
+criteria, each over two worker processes; criterion 9 asserts that the
+worker count does not change a byte.  They take about a minute and a half
+on two cores.  The oracle checks at the end recompute what criteria 7 and
+8 judge on the trained models with the independent code in ``oracles.py``.
 """
 
 import math
@@ -24,11 +25,11 @@ from cdmonitor.experiment import (
     generate_samples,
     run_experiment,
 )
-from cdmonitor.rbm import RbmParams, log_unnormalized_marginal, unnormalized_marginal
+from cdmonitor.rbm import RbmParams, log_unnormalized_marginal
 from cdmonitor.training import TrainingConfig
 
 import oracles
-from reference import XiProbe, exact_gradient, log_xi, train_params_to_epoch
+from reference import XiProbe, exact_gradient, log_xi, train_params_to_epoch, unnormalized_marginal
 from test_criteria import finite_difference_gradient
 
 BASE_SEED = 20260401
@@ -50,7 +51,7 @@ def desk_sweep(dataset, lr, wd, epochs, n=1):
         base_seed=BASE_SEED,
     )
     t0 = time.time()
-    results = run_experiment(config)
+    results = run_experiment(config, jobs=2)
     averaged = average_runs(results)
     print(f"  [sweep {dataset} lr={lr} wd={wd} x{epochs}: {time.time() - t0:.0f}s]")
     return config, results, averaged

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -47,6 +48,15 @@ class TestDatasetCommand:
         data = read_dataset(out)
         assert len(data) == 768
         assert data.visible_len == 19
+
+    @pytest.mark.parametrize("name, digest", [
+        ("bs", "e1514cd75f1aefb342d81939c63430b2eb2d0bbaa14bdb1ba65a4ce04dfeee54"),
+        ("lse", "c15cb284fa920438f556a2af00de64efe097f16c6765bb5e1093623cfd3224c8"),
+    ])
+    def test_file_bytes_are_pinned(self, tmp_path, name, digest):
+        out = tmp_path / f"{name}.txt"
+        assert main(["dataset", name, str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_unknown_name_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

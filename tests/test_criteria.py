@@ -17,7 +17,6 @@ from cdmonitor.rbm import (
     RbmParams,
     hidden_conditional_mean,
     visible_conditional_mean,
-    zero_params,
 )
 
 import oracles
@@ -28,6 +27,7 @@ from reference import (
     log_xi,
     reconstruction_log_prob,
     xi_probe,
+    zero_params,
 )
 
 

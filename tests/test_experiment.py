@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -27,11 +29,10 @@ from cdmonitor.rbm import (
     RbmParams,
     run_gibbs_chain,
     sample_bernoulli,
-    zero_params,
 )
 from cdmonitor.training import TrainingConfig, init_params
 
-from reference import train_params_to_epoch
+from reference import train_params_to_epoch, zero_params
 from test_training import count_hidden_means
 
 
@@ -403,6 +404,20 @@ class TestCsvRoundTrip:
         path.write_text("epoch,foo\n0,1\n")
         with pytest.raises(ExperimentError):
             read_run_csv(path)
+
+    @pytest.mark.parametrize("edit", [lambda row: row[: row.rindex(",")], lambda row: row + ",0.5"])
+    @pytest.mark.parametrize("averaged", [False, True])
+    def test_row_with_wrong_cell_count_names_file_and_line(self, tmp_path, edit, averaged):
+        path = tmp_path / "bad.csv"
+        if averaged:
+            write_averaged_csv(path, self.sample_series(), n_runs=3)
+        else:
+            write_run_csv(path, RunResult(seed=5, series=self.sample_series(), final_params=None))
+        lines = path.read_text().split("\n")
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines))
+        with pytest.raises(ExperimentError, match=re.escape(f"{path}: line 3: ")):
+            (read_averaged_csv if averaged else read_run_csv)(path)
 
 
 class TestPeakReportText:

@@ -7,9 +7,13 @@ labeled-shifter CD-2 config with all three probe variants enabled, so the
 
 A change to any digest means the program's output bytes changed.  That is
 allowed only as a deliberate re-baseline, with the reason recorded in
-CHANGES.md.  The digests were taken with numpy 2.4.6, scipy 1.17.1 and
-OpenBLAS 0.3.31 (scipy-openblas, x86_64); another BLAS build may round a
-matrix product differently in the last bit and so change them.
+CHANGES.md.  The digests were taken with numpy 2.4.6 and OpenBLAS 0.3.31
+(scipy-openblas, x86_64); another BLAS build may round a matrix product
+differently in the last bit and so change them.  The sigmoid and softplus
+use numpy's exp and log1p, whose SIMD code numpy picks at run time from
+the CPU: ``numpy.show_runtime()`` found X86_V3, X86_V4, AVX512_ICL and
+AVX512_SPR here.  On a CPU with other extensions these may differ in the
+last bit too.
 """
 
 import hashlib

@@ -8,7 +8,7 @@ import cdmonitor.experiment as experiment
 import cdmonitor.rbm as rbm
 import cdmonitor.training as training
 from cdmonitor.datasets import Dataset, generate_bars_and_stripes
-from cdmonitor.rbm import NonFiniteParameterError, RbmParams, hidden_conditional_mean, zero_params
+from cdmonitor.rbm import NonFiniteParameterError, RbmParams, hidden_conditional_mean
 from cdmonitor.training import (
     GradientEstimate,
     TrainingConfig,
@@ -18,7 +18,7 @@ from cdmonitor.training import (
 )
 
 import oracles
-from reference import cd_gradient, exact_gradient
+from reference import cd_gradient, exact_gradient, zero_params
 
 
 def make_dataset(rows):
