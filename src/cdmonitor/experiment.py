@@ -386,7 +386,9 @@ def _read_csv(path, key: str, at: int) -> tuple[list[MetricsRecord], int]:
     for lineno, ln in lines[1:]:
         row = ln.split(",")
         if len(row) != len(header):
-            raise ExperimentError(f"{path}: line {lineno}: {len(row)} cells, header has {len(header)}")
+            raise ExperimentError(
+                f"{path}: line {lineno}: {len(row)} cells, header has {len(header)}"
+            )
         values.add(int(row.pop(at)))
         records.append(MetricsRecord(**{n: _FIELD_TYPES[n](tok) for n, tok in zip(names, row)}))
     if len(values) != 1:
