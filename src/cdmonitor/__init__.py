@@ -34,7 +34,7 @@ from .rbm import (
     visible_conditional_mean,
 )
 from .training import (
-    GradientEstimate,
+    RunBatch,
     TrainingConfig,
     apply_update,
     init_params,

@@ -32,6 +32,7 @@ import numpy as np
 from .datasets import Dataset
 from .rbm import (
     RbmParams,
+    fresh,
     hidden_conditional_mean,
     log_unnormalized_marginal,
     softplus,
@@ -78,18 +79,27 @@ class MetricsRecord:
     log_xi_complement_mean_h: float | None = None
 
 
-def bernoulli_log_prob(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """log prod_i Bernoulli(x_i; p_i) over the last axis, -inf on impossible bits."""
+def bernoulli_log_prob(x: np.ndarray, p: np.ndarray, work=fresh) -> np.ndarray:
+    """log prod_i Bernoulli(x_i; p_i) over the last axis, -inf on impossible bits.
+
+    ``work`` is a ``Workspace`` to take the temporaries and the returned
+    array from.
+    """
     x = np.asarray(x, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
+    log_p = work("blp.log_p", p.shape)
+    log_q = work("blp.log_q", p.shape)
     with np.errstate(divide="ignore"):
-        log_p = np.log(p)
-        log_q = np.log1p(-p)
-    return np.where(x > 0.5, log_p, log_q).sum(axis=-1)
+        np.log(p, out=log_p)
+        np.log1p(np.negative(p, out=log_q), out=log_q)
+    # log_p where the bit is on, log_q elsewhere: selected in place, which
+    # takes about the time of np.where without allocating its result.
+    np.putmask(log_q, np.greater(x, 0.5, out=work("blp.on", x.shape, bool)), log_p)
+    return np.sum(log_q, axis=-1, out=work("blp.sum", p.shape[:-1]))
 
 
 def mean_reconstruction_log_prob(
-    params: RbmParams, X: np.ndarray, h_mean: np.ndarray | None = None
+    params: RbmParams, X: np.ndarray, h_mean: np.ndarray | None = None, work=fresh
 ) -> tuple[float, int]:
     """Per-sample mean over a batch of log P(x | E[h|x]): the factorized
     Bernoulli probability of each data vector under the visible conditional
@@ -99,15 +109,17 @@ def mean_reconstruction_log_prob(
     started at X computes it in its first round); it is computed otherwise.
     A conditional mean saturated to exactly 0 or 1 against a mismatching
     bit makes a sample's value -inf; it is clamped to LOG_PROB_SENTINEL.
-    Returns (mean, number of samples clamped to the sentinel).
+    ``work`` is a ``Workspace`` for the temporaries.  Returns (mean, number
+    of samples clamped to the sentinel).
     """
+    X = np.asarray(X, dtype=np.float64)
     with np.errstate(over="ignore"):
         if h_mean is None:
             h_mean = hidden_conditional_mean(params, X)
-        p = visible_conditional_mean(params, h_mean)
-    vals = np.atleast_1d(bernoulli_log_prob(X, p))
-    guarded = int(np.isneginf(vals).sum())
-    vals = np.maximum(vals, LOG_PROB_SENTINEL)
+        p = visible_conditional_mean(params, h_mean, out=work("recon.p", X.shape))
+    vals = np.atleast_1d(bernoulli_log_prob(X, p, work))
+    guarded = int(np.count_nonzero(np.isneginf(vals, out=work("recon.neginf", vals.shape, bool))))
+    np.maximum(vals, LOG_PROB_SENTINEL, out=vals)
     return float(vals.mean()), guarded
 
 
@@ -128,12 +140,13 @@ def _all_states(num_bits: int) -> np.ndarray:
 
 
 def _logsumexp(v: np.ndarray) -> float:
-    """log sum exp(v) of finite values, shifted by the maximum."""
+    """log sum exp(v) of finite values, shifted by the maximum; v is overwritten."""
     m = v.max()
-    return float(m + np.log(np.exp(v - m).sum()))
+    np.subtract(v, m, out=v)
+    return float(m + np.log(np.exp(v, out=v).sum()))
 
 
-def log_partition(params: RbmParams, layer: str | None = None) -> float:
+def log_partition(params: RbmParams, layer: str | None = None, work=fresh) -> float:
     """log Z by exhaustive enumeration over one layer.
 
     Summing over hidden vectors h, each term collapses the visible layer in
@@ -141,7 +154,8 @@ def log_partition(params: RbmParams, layer: str | None = None) -> float:
     route is symmetric.  ``layer`` forces "hidden" or "visible"; by default
     the smaller layer is enumerated.  Enumeration runs in fixed-order blocks
     so the reduction is bit-reproducible; a layer that fits one block reuses
-    its state matrix from the previous call.
+    its state matrix from the previous call.  ``work`` is a ``Workspace``
+    for the per-block temporaries.
     """
     V, H = params.num_visible, params.num_hidden
     if layer is None:
@@ -166,10 +180,12 @@ def log_partition(params: RbmParams, layer: str | None = None) -> float:
             states = _all_states(bits)
         else:
             states = _binary_block(bits, start, start + block)
-        pre = states @ lin_m
+        pre = np.matmul(states, lin_m, out=work("lz.pre", (block, lin_m.shape[1])))
         pre += lin_b
-        terms = states @ lin_w + softplus(pre).sum(axis=1)
-        partials.append(_logsumexp(terms))
+        terms = softplus(pre, out=work("lz.softplus", pre.shape))
+        total_terms = np.matmul(states, lin_w, out=work("lz.terms", (block,)))
+        total_terms += np.sum(terms, axis=1, out=work("lz.sum", (block,)))
+        partials.append(_logsumexp(total_terms))
     return _logsumexp(np.array(partials))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import typing
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +30,14 @@ from .datasets import Dataset, generate_bars_and_stripes, generate_labeled_shift
 from .rbm import (
     NonFiniteParameterError,
     RbmParams,
-    hidden_conditional_mean,  # noqa: F401  unused here; bench/selftest.py checks tracing wraps it
+    Workspace,
+    fresh,
+    hidden_conditional_mean,
     run_gibbs_chain,
     sample_bernoulli,
     visible_conditional_mean,
 )
-from .training import TrainingConfig, init_params, train_epoch
+from .training import RunBatch, TrainingConfig, init_params, train_epoch
 
 logger = logging.getLogger(__name__)
 
@@ -151,33 +154,46 @@ def _measure(
     config: ExperimentConfig,
     rng: np.random.Generator,
     epoch: int,
+    work=fresh,
 ) -> tuple[MetricsRecord, int]:
     """Snapshot all monitored quantities at the current parameters.
 
-    Probes are rebuilt from fresh Gibbs chains every time: the diagnostic is
-    a function of the evolving model, so nothing is cached across epochs.
-    Draw order per snapshot is fixed (chain rounds, then the random-hidden
-    uniforms) to keep the measurement stream reproducible.
+    Probes are rebuilt from a fresh Gibbs chain every time: the diagnostic
+    is a function of the evolving model, so nothing is cached across
+    epochs.  Each snapshot draws a CD-n chain from X and then the
+    random-hidden uniforms, in that order, to keep the measurement stream
+    reproducible.  Of the chain only round 1 is read (its hidden mean and
+    hidden sample), so only that much is computed: after round 1's N*H
+    hidden uniforms, ``rng.bit_generator.advance`` skips the N*V visible
+    uniforms of round 1 and the N*(H+V) of each later round, which leaves
+    ``rng`` where drawing the whole chain would (this needs a bit generator
+    with ``advance``, such as numpy's default PCG64).  ``work`` is a
+    ``Workspace`` for every temporary, so a run's snapshots after its
+    first allocate nothing.
     """
-    count = X.shape[0]
-    chain = run_gibbs_chain(params, X, config.training.n, rng)
-    h_random = rng.random((count, params.num_hidden))
+    count, num_visible = X.shape
+    num_hidden = params.num_hidden
+    with np.errstate(over="ignore"):
+        h1_mean = hidden_conditional_mean(params, X, out=work("measure.h1_mean", (count, num_hidden)))
+        h1 = sample_bernoulli(h1_mean, rng, out=work("measure.h1", h1_mean.shape))
+    rng.bit_generator.advance(count * num_visible + (config.training.n - 1) * count * (num_hidden + num_visible))
+    h_probe = rng.random(out=work("measure.h_probe", h1_mean.shape))
 
-    log_um_x = np.sum(log_unnormalized_marginal(params, X))
+    log_um_x = np.sum(log_unnormalized_marginal(params, X, work))
 
     def probe_total(h_s: np.ndarray) -> float:
         with np.errstate(over="ignore"):
-            Y = visible_conditional_mean(params, h_s)
-        return float(log_um_x - np.sum(log_unnormalized_marginal(params, Y)))
+            Y = visible_conditional_mean(params, h_s, out=work("measure.y", X.shape))
+        return float(log_um_x - np.sum(log_unnormalized_marginal(params, Y, work)))
 
-    log_xi_random = probe_total(h_random)
-    log_xi_complement = probe_total(1.0 - chain.h1)
+    log_xi_random = probe_total(h_probe)
+    log_xi_complement = probe_total(np.subtract(1.0, h1, out=h_probe))
     log_xi_mean_h = None
     if config.mean_h_enabled:
-        log_xi_mean_h = probe_total(1.0 - chain.h1_mean)
+        log_xi_mean_h = probe_total(np.subtract(1.0, h1_mean, out=h_probe))
 
-    log_likelihood = float(log_um_x - count * log_partition(params))
-    recon_mean, guarded = mean_reconstruction_log_prob(params, X, chain.h1_mean)
+    log_likelihood = float(log_um_x - count * log_partition(params, work=work))
+    recon_mean, guarded = mean_reconstruction_log_prob(params, X, h1_mean, work)
 
     record = MetricsRecord(
         epoch=epoch,
@@ -191,59 +207,95 @@ def _measure(
     return record, guarded
 
 
-def run_single(config: ExperimentConfig, run_index: int) -> RunResult:
-    """One seeded run: init, train, snapshot at epoch 0 and every
-    measure_every epochs (after the update)."""
-    seed = config.base_seed + run_index
-    data = build_dataset(config)
-    X = data.matrix()
-    init_rng, train_rng, measure_rng = _run_rngs(config.base_seed, run_index)
-    params = init_params(config.visible, config.hidden, init_rng, config.init_std)
+def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarray) -> list[RunResult]:
+    """Runs ``run_indices`` of a sweep, trained together as one RunBatch on
+    the training matrix X of ``config``'s dataset: init, train, snapshot at
+    epoch 0 and every measure_every epochs (after the update).  Returns
+    their results in the order given.
 
-    series: list[MetricsRecord] = []
-    guarded = 0
-    record, g = _measure(params, X, config, measure_rng, epoch=0)
-    series.append(record)
-    guarded += g
-
+    Each run's result is the one it has trained alone.  Runs share only
+    the snapshot workspace, one after another.  A run whose update goes
+    non-finite aborts at that epoch and leaves the batch; the others go
+    on.  (The name predates batching; the benchmark's trace reads it.)
+    """
     tc = config.training
-    try:
-        for epoch in range(1, tc.epochs + 1):
-            params = train_epoch(params, data, tc, train_rng)
-            if epoch % tc.measure_every == 0:
-                record, g = _measure(params, X, config, measure_rng, epoch=epoch)
-                series.append(record)
-                guarded += g
-    except NonFiniteParameterError as exc:
-        logger.warning("run %d (seed %d) aborted at epoch %d: %s", run_index, seed, epoch, exc)
-        return RunResult(
-            seed=seed,
-            series=series,
-            final_params=None,
-            aborted=True,
-            abort_reason=f"epoch {epoch}: {exc}",
-            n_recon_guarded=guarded,
-        )
-    return RunResult(seed=seed, series=series, final_params=params, n_recon_guarded=guarded)
+    streams = [_run_rngs(config.base_seed, k) for k in run_indices]
+    batch = RunBatch(
+        [init_params(config.visible, config.hidden, init, config.init_std) for init, _, _ in streams],
+        X,
+        [train for _, train, _ in streams],
+    )
+    results = [RunResult(seed=config.base_seed + k, series=[], final_params=None) for k in run_indices]
+    live = list(range(len(run_indices)))  # the batch's runs, as positions in run_indices
+    work = Workspace()
+
+    def snapshot(epoch: int) -> None:
+        for r, i in enumerate(live):
+            record, guarded = _measure(batch.params(r), X, config, streams[i][2], epoch, work)
+            results[i].series.append(record)
+            results[i].n_recon_guarded += guarded
+
+    snapshot(0)
+    for epoch in range(1, tc.epochs + 1):
+        try:
+            train_epoch(batch, tc)
+        except NonFiniteParameterError as exc:
+            for r in exc.runs:
+                result = results[live[r]]
+                logger.warning(
+                    "run %d (seed %d) aborted at epoch %d: %s", run_indices[live[r]], result.seed, epoch, exc
+                )
+                result.aborted, result.abort_reason = True, f"epoch {epoch}: {exc}"
+            keep = [r for r in range(len(live)) if r not in exc.runs]
+            live = [live[r] for r in keep]
+            if not live:
+                break
+            batch = batch.select(keep)
+        if epoch % tc.measure_every == 0:
+            snapshot(epoch)
+    for r, i in enumerate(live):
+        results[i].final_params = batch.params(r)
+    return results
 
 
-def _run_single_packed(args) -> RunResult:
-    return run_single(*args)
+# Per-run training memory one RunBatch may hold, about one core's L2
+# cache: a batch of bs runs (30 samples) stacks up to 15 runs, while one
+# lse run (768 samples) alone exceeds it and trains unstacked, since
+# stacking its larger arrays gained nothing.
+BATCH_BYTES = 1 << 18
+
+
+def _run_group(config: ExperimentConfig, run_indices: list[int]) -> list[RunResult]:
+    """One worker's runs, in batches of at most BATCH_BYTES of training memory."""
+    X = build_dataset(config).matrix()
+    size = max(1, BATCH_BYTES // RunBatch.bytes_per_run(*X.shape, config.hidden))
+    return [
+        result
+        for start in range(0, len(run_indices), size)
+        for result in run_single(config, run_indices[start : start + size], X)
+    ]
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     """Execute all runs of a sweep; results are ordered by run index.
 
-    Runs are independent, so ``jobs > 1`` distributes them over processes
-    without changing any output.
+    With ``jobs`` > 1 the runs are split into that many contiguous groups,
+    one per worker process; each worker trains its group in RunBatches of
+    at most BATCH_BYTES of training memory (``run_single``), so on bs a
+    worker stacks its whole group and on lse it trains one run at a time.
+    The pool stays for both: it still about halves bs time on two cores,
+    and it is lse's only parallelism.  A run's result does not depend on
+    its batch or worker, so ``jobs`` changes no output.
     """
     indices = list(range(config.num_runs))
-    if jobs <= 1 or config.num_runs == 1:
-        return [run_single(config, k) for k in indices]
+    workers = min(jobs, config.num_runs)
+    if workers <= 1:
+        return _run_group(config, indices)
     from concurrent.futures import ProcessPoolExecutor  # costly to import; only sweeps use it
 
-    with ProcessPoolExecutor(max_workers=min(jobs, config.num_runs)) as pool:
-        return list(pool.map(_run_single_packed, [(config, k) for k in indices]))
+    groups = [indices[w * len(indices) // workers : (w + 1) * len(indices) // workers] for w in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [r for part in pool.map(_run_group, [config] * workers, groups) for r in part]
 
 
 def average_runs(results: list[RunResult]) -> list[MetricsRecord]:
@@ -389,8 +441,11 @@ def _read_csv(path, key: str, at: int) -> tuple[list[MetricsRecord], int]:
             raise ExperimentError(
                 f"{path}: line {lineno}: {len(row)} cells, header has {len(header)}"
             )
-        values.add(int(row.pop(at)))
-        records.append(MetricsRecord(**{n: _FIELD_TYPES[n](tok) for n, tok in zip(names, row)}))
+        try:
+            values.add(int(row.pop(at)))
+            records.append(MetricsRecord(**{n: _FIELD_TYPES[n](tok) for n, tok in zip(names, row)}))
+        except ValueError as exc:
+            raise ExperimentError(f"{path}: line {lineno}: {exc}") from None
     if len(values) != 1:
         raise ExperimentError(f"{path}: inconsistent {key} column {sorted(values)}")
     return records, values.pop()

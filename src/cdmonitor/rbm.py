@@ -12,7 +12,16 @@ P(h|x) and P(x|h) factorize into per-unit sigmoids, and the hidden layer can
 be summed out in closed form.
 
 All operations accept arbitrary leading batch dimensions: a (V,) vector and
-an (N, V) matrix of row vectors are both valid inputs.
+an (N, V) matrix of row vectors are both valid inputs.  The conditional
+means also accept a stack of R models in place of one (``W`` of shape
+(R, H, V), ``b`` (R, 1, V), ``c`` (R, 1, H), as ``training.RunBatch`` holds
+them), and then map (N, V) or (R, N, V) inputs to (R, N, ·) outputs.  numpy
+multiplies such stacks one (N, V) x (V, H) product per model, the same
+product an (N, V) input and one model make, so a stacked model computes
+the bits each of its models computes alone.  The kernels take an ``out``
+array and the composite quantities a ``Workspace``, so that a batch
+operation repeated on the same shapes allocates nothing after its first
+call.
 
 The conditional means evaluate the sigmoid as 1/(1 + e^{-z}).  For
 z < -709.78, e^{-z} overflows to inf and the mean is exactly 0: that is the
@@ -35,19 +44,57 @@ class DimensionMismatchError(ValueError):
 
 
 class NonFiniteParameterError(FloatingPointError):
-    """Model parameters contain NaN or Inf."""
+    """Model parameters contain NaN or Inf.
+
+    Raised by a batch update, ``runs`` holds the positions in the batch of
+    the runs whose parameters went non-finite; the other runs were updated
+    and stay valid.
+    """
+
+    def __init__(self, message: str, runs=()) -> None:
+        super().__init__(message)
+        self.runs = tuple(runs)
 
 
-def softplus(z: np.ndarray) -> np.ndarray:
+class Workspace:
+    """Scratch arrays kept between calls, one per name.
+
+    ``work(name, shape)`` returns the array last handed out under ``name``
+    when its shape and dtype still match, and a new one otherwise, so a
+    batch operation that runs many times on the same shapes (a metric
+    snapshot) allocates nothing after its first call.  Each call site uses
+    its own name.  An array a function returns from a workspace is valid
+    until that function's next call with the same workspace.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(shape, dtype)
+        return a
+
+
+def fresh(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """The workspace of callers that keep none: a new array on every call."""
+    return np.empty(shape, dtype)
+
+
+def softplus(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """log(1 + e^z) of a float array, as max(z, 0) + log1p(e^{-|z|}).
 
     The exponent is never positive, so nothing overflows at any finite z.
+    Given ``out`` (of z's shape), the result is written there and z is
+    overwritten as scratch; without it, z is left as it was.
     """
-    out = np.abs(z)
+    scratch = None if out is None else z
+    out = np.abs(z, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    out += np.maximum(z, 0.0)
+    out += np.maximum(z, 0.0, out=scratch)
     return out
 
 
@@ -150,48 +197,64 @@ def _check_last_dim(v: np.ndarray, size: int, what: str) -> None:
         )
 
 
-def log_unnormalized_marginal(params: RbmParams, x: np.ndarray):
+def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh):
     """log sum_h e^{-E(x, h)} = b.x + sum_j softplus(c_j + (Wx)_j).
 
     The hidden sum collapses into a product of per-unit factors
     (1 + e^{c_j + (Wx)_j}); accumulating their logs keeps the value finite
     for pre-activations of magnitude up to ~700.  ``x`` may be real-valued
     in [0, 1]: probe reconstructions are conditional means, and the formula
-    is evaluated verbatim on them.
+    is evaluated verbatim on them.  ``work`` is a ``Workspace`` to take
+    the temporaries and the returned array from.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_last_dim(x, params.num_visible, "x")
-    pre = x @ params.W.T + params.c
-    val = x @ params.b + softplus(pre).sum(axis=-1)
+    batch = x.shape[:-1]
+    pre = np.matmul(x, params.W.mT, out=work("lum.pre", (*batch, params.num_hidden)))
+    pre += params.c
+    terms = softplus(pre, out=work("lum.softplus", pre.shape))
+    val = np.matmul(x, params.b, out=work("lum.val", batch))
+    val += np.sum(terms, axis=-1, out=work("lum.sum", batch))
     return float(val) if np.ndim(val) == 0 else val
 
 
-def hidden_conditional_mean(params: RbmParams, x: np.ndarray) -> np.ndarray:
-    """E[h|x]: component j is sigmoid(c_j + (Wx)_j)."""
+def hidden_conditional_mean(params: RbmParams, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """E[h|x]: component j is sigmoid(c_j + (Wx)_j), written into ``out`` if given."""
     x = np.asarray(x, dtype=np.float64)
     _check_last_dim(x, params.num_visible, "x")
-    z = x @ params.W.T
+    z = np.matmul(x, params.W.mT, out=out)
     z += params.c
     return _sigmoid_inplace(z)
 
 
-def visible_conditional_mean(params: RbmParams, h: np.ndarray) -> np.ndarray:
-    """E[x|h]: component i is sigmoid(b_i + (W^T h)_i)."""
+def visible_conditional_mean(params: RbmParams, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """E[x|h]: component i is sigmoid(b_i + (W^T h)_i), written into ``out`` if given."""
     h = np.asarray(h, dtype=np.float64)
     _check_last_dim(h, params.num_hidden, "h")
-    z = h @ params.W
+    z = np.matmul(h, params.W, out=out)
     z += params.b
     return _sigmoid_inplace(z)
 
 
-def sample_bernoulli(mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sample_bernoulli(mean: np.ndarray, rng, out: np.ndarray | None = None) -> np.ndarray:
     """Independent Bernoulli draws, component i with success probability mean_i.
 
     Consumes exactly ``mean.size`` uniforms from ``rng`` in C order, so the
     draw sequence is reproducible for both single vectors and batches.
+    With ``out`` (mean's shape, not mean itself) the uniforms are drawn
+    into it and replaced by the draws, and nothing is allocated; ``rng``
+    may then also be a sequence of R generators for a stacked (R, ...)
+    ``mean``, slice r drawing its uniforms from ``rng[r]``.
     """
-    mean = np.asarray(mean, dtype=np.float64)
-    return (rng.random(mean.shape) < mean).astype(np.float64)
+    if out is None:
+        mean = np.asarray(mean, dtype=np.float64)
+        return (rng.random(mean.shape) < mean).astype(np.float64)
+    if isinstance(rng, np.random.Generator):
+        rng.random(out=out)
+    else:
+        for g, part in zip(rng, out, strict=True):
+            g.random(out=part)
+    return np.less(out, mean, out=out)
 
 
 def run_gibbs_chain(

@@ -1,9 +1,14 @@
 """Per-sample and replay forms of quantities the package computes in batch.
 
-The package computes every monitored quantity for a whole dataset at once.
-The functions here state the same quantities one training vector, or one
-run, at a time, on top of the package's own primitives, and the tests
-compare the two.  Unlike ``oracles.py`` they share code with the package:
+The package computes every monitored quantity for a whole dataset at once,
+and trains runs in stacked batches.  The functions here state the same
+quantities one training vector, or one run, at a time, on top of the
+package's own primitives, and the tests compare the two.  The one-run
+forms of an epoch and an update (``train_epoch_one``, ``apply_update_one``)
+map parameters to new parameters, as the package's functions did before
+they worked in place on a ``RunBatch``; ``measure_full_chain`` is the
+snapshot as it was before it stopped computing the chain rounds it does
+not read.  Unlike ``oracles.py`` they share code with the package:
 agreement shows that the batched paths combine the primitives correctly,
 not that the primitives themselves are right.  The energy, the plain
 marginal and the all-zero model are here too, because only tests use them.
@@ -21,12 +26,15 @@ from scipy.special import logsumexp
 from cdmonitor.criteria import (
     LOG_PROB_SENTINEL,
     EnumerationInfeasibleError,
+    MetricsRecord,
     XiVariant,
     _binary_block,
     bernoulli_log_prob,
+    log_partition,
+    mean_reconstruction_log_prob,
 )
 from cdmonitor.datasets import Dataset
-from cdmonitor.experiment import ExperimentConfig, ExperimentError, run_single
+from cdmonitor.experiment import ExperimentConfig, ExperimentError, build_dataset, run_single
 from cdmonitor.rbm import (
     GibbsChain,
     RbmParams,
@@ -36,7 +44,33 @@ from cdmonitor.rbm import (
     run_gibbs_chain,
     visible_conditional_mean,
 )
-from cdmonitor.training import GradientEstimate
+from cdmonitor.training import RunBatch, TrainingConfig, apply_update, train_epoch
+
+
+@dataclass
+class GradientEstimate:
+    """Ascent direction for the data log-likelihood (positive minus negative phase)."""
+
+    dW: np.ndarray
+    db: np.ndarray
+    dc: np.ndarray
+
+
+def apply_update_one(params: RbmParams, grad: GradientEstimate, config: TrainingConfig) -> RbmParams:
+    """``apply_update`` on a one-run batch: the parameters after one step along ``grad``."""
+    batch = RunBatch([params], np.zeros((1, params.num_visible)), [np.random.default_rng(0)])
+    batch.dW[0], batch.db[0, 0], batch.dc[0, 0] = grad.dW, grad.db, grad.dc
+    apply_update(batch, config)
+    return batch.params(0)
+
+
+def train_epoch_one(
+    params: RbmParams, data: Dataset, config: TrainingConfig, rng: np.random.Generator
+) -> RbmParams:
+    """``train_epoch`` on a one-run batch: the parameters after one epoch."""
+    batch = RunBatch([params], data.matrix(), [rng])
+    train_epoch(batch, config)
+    return batch.params(0)
 
 
 def zero_params(num_visible: int, num_hidden: int) -> RbmParams:
@@ -192,8 +226,49 @@ def train_params_to_epoch(config: ExperimentConfig, run_index: int, epoch: int) 
     """
     if epoch > config.training.epochs:
         raise ValueError(f"epoch {epoch} beyond the horizon {config.training.epochs}")
-    training = replace(config.training, epochs=epoch, measure_every=epoch)
-    result = run_single(replace(config, training=training), run_index)
+    config = replace(config, training=replace(config.training, epochs=epoch, measure_every=epoch))
+    (result,) = run_single(config, [run_index], build_dataset(config).matrix())
     if result.aborted:
         raise ExperimentError(f"run {run_index} aborted: {result.abort_reason}")
     return result.final_params
+
+
+def measure_full_chain(
+    params: RbmParams,
+    X: np.ndarray,
+    config: ExperimentConfig,
+    rng: np.random.Generator,
+    epoch: int,
+) -> tuple[MetricsRecord, int]:
+    """The snapshot of ``experiment._measure``, computed from the whole
+    CD-n chain and with fresh arrays throughout."""
+    count = X.shape[0]
+    chain = run_gibbs_chain(params, X, config.training.n, rng)
+    h_random = rng.random((count, params.num_hidden))
+
+    log_um_x = np.sum(log_unnormalized_marginal(params, X))
+
+    def probe_total(h_s: np.ndarray) -> float:
+        with np.errstate(over="ignore"):
+            Y = visible_conditional_mean(params, h_s)
+        return float(log_um_x - np.sum(log_unnormalized_marginal(params, Y)))
+
+    log_xi_random = probe_total(h_random)
+    log_xi_complement = probe_total(1.0 - chain.h1)
+    log_xi_mean_h = None
+    if config.mean_h_enabled:
+        log_xi_mean_h = probe_total(1.0 - chain.h1_mean)
+
+    log_likelihood = float(log_um_x - count * log_partition(params))
+    recon_mean, guarded = mean_reconstruction_log_prob(params, X, chain.h1_mean)
+
+    record = MetricsRecord(
+        epoch=epoch,
+        log_likelihood=log_likelihood,
+        log_xi_random=log_xi_random,
+        log_xi_complement=log_xi_complement,
+        log_recon_mean=recon_mean,
+        log_likelihood_mean=log_likelihood / count,
+        log_xi_complement_mean_h=log_xi_mean_h,
+    )
+    return record, guarded

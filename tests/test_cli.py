@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -297,3 +298,45 @@ class TestSampleCommand:
         rc = main(["sample", "--params", str(bad), "--count", "3",
                    "--out", str(tmp_path / "s.txt")])
         assert rc == 2
+
+
+# Functions that bench/layers.py reads spans of, by "module.function".  Its
+# tracer wraps each one where it is defined and in every cdmonitor module
+# that imports it by name, so a function the commands stop calling that
+# way leaves a per-layer metric NaN, or a division by zero time.
+TRACED = [
+    "training.train_epoch",
+    "training.apply_update",
+    "rbm.hidden_conditional_mean",
+    "rbm.visible_conditional_mean",
+    "rbm.sample_bernoulli",
+    "rbm.run_gibbs_chain",
+    "rbm.log_unnormalized_marginal",
+    "criteria.log_partition",
+    "criteria.mean_reconstruction_log_prob",
+    "experiment.run_single",
+    "experiment._measure",
+    "experiment.generate_samples",
+]
+
+
+def test_train_and_sample_call_every_traced_function_by_name(tmp_path, monkeypatch):
+    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "cdmonitor"]
+    calls = dict.fromkeys(TRACED, 0)
+    for qualified in TRACED:
+        layer, attr = qualified.split(".")
+        original = getattr(importlib.import_module(f"cdmonitor.{layer}"), attr)
+
+        def counted(*args, _name=qualified, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out), "--jobs", "1"]) == 0
+    sample_args = ["--count", "3", "--burn-in", "2", "--thin", "2", "--out", str(tmp_path / "s.txt")]
+    assert main(["sample", "--params", str(out / "params_run_00.txt"), *sample_args]) == 0
+    assert [name for name, n in calls.items() if n == 0] == []

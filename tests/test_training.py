@@ -9,16 +9,17 @@ import cdmonitor.rbm as rbm
 import cdmonitor.training as training
 from cdmonitor.datasets import Dataset, generate_bars_and_stripes
 from cdmonitor.rbm import NonFiniteParameterError, RbmParams, hidden_conditional_mean
-from cdmonitor.training import (
-    GradientEstimate,
-    TrainingConfig,
-    apply_update,
-    init_params,
-    train_epoch,
-)
+from cdmonitor.training import RunBatch, TrainingConfig, apply_update, init_params, train_epoch
 
 import oracles
-from reference import cd_gradient, exact_gradient, zero_params
+from reference import (
+    GradientEstimate,
+    apply_update_one,
+    cd_gradient,
+    exact_gradient,
+    train_epoch_one,
+    zero_params,
+)
 
 
 def make_dataset(rows):
@@ -35,9 +36,9 @@ def count_hidden_means(monkeypatch) -> list:
     calls = []
     original = rbm.hidden_conditional_mean
 
-    def counted(params, x):
+    def counted(params, x, **kwargs):
         calls.append(np.shape(x))
-        return original(params, x)
+        return original(params, x, **kwargs)
 
     for module in (rbm, training, criteria, experiment):
         monkeypatch.setattr(module, "hidden_conditional_mean", counted)
@@ -116,7 +117,7 @@ class TestApplyUpdate:
     def test_zero_gradient_no_decay_is_identity(self):
         params = RbmParams(np.array([[0.4, -0.2]]), np.array([0.1, 0.0]), np.array([-0.3]))
         zero = GradientEstimate(np.zeros((1, 2)), np.zeros(2), np.zeros(1))
-        out = apply_update(params, zero, TrainingConfig(weight_decay=0.0))
+        out = apply_update_one(params, zero, TrainingConfig(weight_decay=0.0))
         np.testing.assert_array_equal(out.W, params.W)
         np.testing.assert_array_equal(out.b, params.b)
         np.testing.assert_array_equal(out.c, params.c)
@@ -124,7 +125,7 @@ class TestApplyUpdate:
     def test_decay_only_step(self):
         params = RbmParams(np.array([[2.0, -3.0]]), np.array([0.5, 0.5]), np.array([1.0]))
         zero = GradientEstimate(np.zeros((1, 2)), np.zeros(2), np.zeros(1))
-        out = apply_update(
+        out = apply_update_one(
             params, zero, TrainingConfig(learning_rate=0.01, weight_decay=0.001)
         )
         np.testing.assert_allclose(out.W, params.W * (1 - 1e-5), rtol=1e-15)
@@ -134,14 +135,32 @@ class TestApplyUpdate:
     def test_unit_gradient_on_scalar_model(self):
         params = zero_params(1, 1)
         grad = GradientEstimate(np.ones((1, 1)), np.zeros(1), np.zeros(1))
-        out = apply_update(params, grad, TrainingConfig(learning_rate=0.01, weight_decay=0.0))
+        out = apply_update_one(params, grad, TrainingConfig(learning_rate=0.01, weight_decay=0.0))
         assert out.W[0, 0] == 0.01
 
     def test_non_finite_update_aborts(self):
         params = zero_params(2, 1)
         bad = GradientEstimate(np.array([[np.inf, 0.0]]), np.zeros(2), np.zeros(1))
         with pytest.raises(NonFiniteParameterError):
-            apply_update(params, bad, TrainingConfig())
+            apply_update_one(params, bad, TrainingConfig())
+
+    def test_non_finite_run_is_named_and_its_batch_mates_updated(self):
+        rng = np.random.default_rng(8)
+        params = [RbmParams(*oracles.random_params(rng, 3, 2)) for _ in range(3)]
+        grads = [GradientEstimate(*oracles.random_params(rng, 3, 2)) for _ in range(3)]
+        grads[1].dW[0, 2] = np.nan
+        config = TrainingConfig(learning_rate=0.1, weight_decay=0.01)
+        batch = RunBatch(params, np.zeros((1, 3)), [rng] * 3)
+        for r, g in enumerate(grads):
+            batch.dW[r], batch.db[r, 0], batch.dc[r, 0] = g.dW, g.db, g.dc
+        with pytest.raises(NonFiniteParameterError, match="update produced non-finite") as info:
+            apply_update(batch, config)
+        assert info.value.runs == (1,)
+        for r in (0, 2):
+            alone = apply_update_one(params[r], grads[r], config)
+            np.testing.assert_array_equal(batch.params(r).W, alone.W)
+            np.testing.assert_array_equal(batch.params(r).b, alone.b)
+            np.testing.assert_array_equal(batch.params(r).c, alone.c)
 
 
 def reference_epoch(params, X, config):
@@ -206,9 +225,9 @@ class TestTrainEpoch:
         data = make_dataset([[1, 0, 1]])
         config = TrainingConfig(n=2, learning_rate=0.05, weight_decay=0.001)
 
-        batched = train_epoch(params, data, config, np.random.default_rng(77))
+        batched = train_epoch_one(params, data, config, np.random.default_rng(77))
         grad, _ = cd_gradient(params, data.matrix()[0], config.n, np.random.default_rng(77))
-        manual = apply_update(params, grad, config)
+        manual = apply_update_one(params, grad, config)
         np.testing.assert_array_equal(batched.W, manual.W)
         np.testing.assert_array_equal(batched.b, manual.b)
         np.testing.assert_array_equal(batched.c, manual.c)
@@ -222,8 +241,8 @@ class TestTrainEpoch:
             np.zeros((2, 2)), np.array([500.0, -500.0]), np.array([500.0, -500.0])
         )
         config = TrainingConfig(learning_rate=0.01)
-        single = train_epoch(params, make_dataset(x), config, np.random.default_rng(1))
-        double = train_epoch(
+        single = train_epoch_one(params, make_dataset(x), config, np.random.default_rng(1))
+        double = train_epoch_one(
             params, make_dataset(np.vstack([x, x])), config, np.random.default_rng(1)
         )
         np.testing.assert_allclose(
@@ -239,7 +258,7 @@ class TestTrainEpoch:
         data = generate_bars_and_stripes()
         params = zero_params(16, 8)
         config = TrainingConfig(n=1, learning_rate=0.01, weight_decay=0.0)
-        got = train_epoch(params, data, config, np.random.default_rng(9001))
+        got = train_epoch_one(params, data, config, np.random.default_rng(9001))
         ref = reference_epoch(params, data.matrix(), config)
         np.testing.assert_array_equal(got.W, ref.W)
         np.testing.assert_array_equal(got.b, ref.b)
@@ -263,13 +282,13 @@ class TestTrainEpoch:
         # reuses round 1's mean
         calls = count_hidden_means(monkeypatch)
         params = init_params(16, 8, np.random.default_rng(3), 0.01)
-        train_epoch(params, generate_bars_and_stripes(), TrainingConfig(n=n), np.random.default_rng(4))
+        train_epoch_one(params, generate_bars_and_stripes(), TrainingConfig(n=n), np.random.default_rng(4))
         assert len(calls) == n + 1
 
     def test_empty_dataset_rejected(self):
         data = Dataset(name="empty", visible_len=2, samples=np.zeros((0, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
-            train_epoch(zero_params(2, 1), data, TrainingConfig(), np.random.default_rng(0))
+            train_epoch_one(zero_params(2, 1), data, TrainingConfig(), np.random.default_rng(0))
 
     def test_training_is_seed_deterministic(self):
         data = generate_bars_and_stripes()
@@ -279,13 +298,55 @@ class TestTrainEpoch:
             rng = np.random.default_rng(321)
             params = init_params(16, 8, np.random.default_rng(7), 0.01)
             for _ in range(20):
-                params = train_epoch(params, data, config, rng)
+                params = train_epoch_one(params, data, config, rng)
             return params
 
         a, b = run(), run()
         np.testing.assert_array_equal(a.W, b.W)
         np.testing.assert_array_equal(a.b, b.b)
         np.testing.assert_array_equal(a.c, b.c)
+
+
+class TestRunBatch:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_stacked_runs_match_runs_trained_alone_bit_for_bit(self, n):
+        # each run draws from its own generator and numpy multiplies a
+        # stack one run's matrix at a time, so stacking changes no bit
+        data = generate_bars_and_stripes()
+        config = TrainingConfig(n=n, learning_rate=0.05, weight_decay=0.001)
+        params = [init_params(16, 8, np.random.default_rng(s), 0.3) for s in range(3)]
+        batch = RunBatch(params, data.matrix(), [np.random.default_rng(100 + s) for s in range(3)])
+        alone = list(params)
+        rngs = [np.random.default_rng(100 + s) for s in range(3)]
+        for _ in range(5):
+            train_epoch(batch, config)
+            alone = [train_epoch_one(p, data, config, g) for p, g in zip(alone, rngs)]
+        for r in range(3):
+            np.testing.assert_array_equal(batch.params(r).W, alone[r].W)
+            np.testing.assert_array_equal(batch.params(r).b, alone[r].b)
+            np.testing.assert_array_equal(batch.params(r).c, alone[r].c)
+            assert batch.rngs[r].bit_generator.state == rngs[r].bit_generator.state
+
+    def test_select_keeps_the_chosen_runs_and_generators(self):
+        params = [init_params(4, 2, np.random.default_rng(s), 0.1) for s in range(3)]
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        batch = RunBatch(params, np.zeros((2, 4)), rngs).select([0, 2])
+        assert batch.rngs == [rngs[0], rngs[2]]
+        np.testing.assert_array_equal(batch.params(1).W, params[2].W)
+
+    def test_parameters_are_views_of_one_row_per_run(self):
+        batch = RunBatch([zero_params(4, 2)] * 2, np.zeros((1, 4)), [None, None])
+        batch.theta[1] = np.arange(batch.theta.shape[1])
+        np.testing.assert_array_equal(batch.W[1].ravel(), np.arange(8))
+        np.testing.assert_array_equal(batch.b[1, 0], [8, 9, 10, 11])
+        np.testing.assert_array_equal(batch.c[1, 0], [12, 13])
+        assert not batch.W[0].any()
+
+    def test_rejects_mismatched_inputs(self):
+        with pytest.raises(ValueError):
+            RunBatch([zero_params(4, 2)], np.zeros((1, 4)), [])
+        with pytest.raises(ValueError):
+            RunBatch([zero_params(4, 2), zero_params(3, 2)], np.zeros((1, 4)), [None, None])
 
 
 class TestInitParams:
