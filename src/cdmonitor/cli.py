@@ -184,6 +184,9 @@ def cmd_sample(args) -> int:
     if args.count < 1:
         print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     try:
         params = read_params_file(args.params)
     except ParamsFormatError as exc:

@@ -32,6 +32,8 @@ import numpy as np
 from .datasets import Dataset
 from .rbm import (
     RbmParams,
+    _bias_product,
+    _item,
     fresh,
     hidden_conditional_mean,
     log_unnormalized_marginal,
@@ -46,6 +48,9 @@ LOG_PROB_SENTINEL = -1e300
 # Enumeration beyond this many bits in the smaller layer is refused.
 ENUMERATION_LIMIT_BITS = 25
 _CHUNK_BITS = 16
+# Elements (2 MB) a per-block temporary of log_partition may hold for a
+# stack of models, unless one model's block alone is larger.
+_STACK_ELEMENTS = 1 << 18
 
 
 class EnumerationInfeasibleError(ValueError):
@@ -82,8 +87,9 @@ class MetricsRecord:
 def bernoulli_log_prob(x: np.ndarray, p: np.ndarray, work=fresh) -> np.ndarray:
     """log prod_i Bernoulli(x_i; p_i) over the last axis, -inf on impossible bits.
 
-    ``work`` is a ``Workspace`` to take the temporaries and the returned
-    array from.
+    ``x`` broadcasts against ``p``, so one (N, V) data matrix serves a
+    stacked (R, N, V) ``p``.  ``work`` is a ``Workspace`` to take the
+    temporaries and the returned array from.
     """
     x = np.asarray(x, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
@@ -94,7 +100,7 @@ def bernoulli_log_prob(x: np.ndarray, p: np.ndarray, work=fresh) -> np.ndarray:
         np.log1p(np.negative(p, out=log_q), out=log_q)
     # log_p where the bit is on, log_q elsewhere: selected in place, which
     # takes about the time of np.where without allocating its result.
-    np.putmask(log_q, np.greater(x, 0.5, out=work("blp.on", x.shape, bool)), log_p)
+    np.putmask(log_q, np.greater(x, 0.5, out=work("blp.on", p.shape, bool)), log_p)
     return np.sum(log_q, axis=-1, out=work("blp.sum", p.shape[:-1]))
 
 
@@ -110,17 +116,20 @@ def mean_reconstruction_log_prob(
     A conditional mean saturated to exactly 0 or 1 against a mismatching
     bit makes a sample's value -inf; it is clamped to LOG_PROB_SENTINEL.
     ``work`` is a ``Workspace`` for the temporaries.  Returns (mean, number
-    of samples clamped to the sentinel).
+    of samples clamped to the sentinel); a stack of models gives an (R,)
+    array of each.
     """
     X = np.asarray(X, dtype=np.float64)
     with np.errstate(over="ignore"):
         if h_mean is None:
             h_mean = hidden_conditional_mean(params, X)
-        p = visible_conditional_mean(params, h_mean, out=work("recon.p", X.shape))
+        p = visible_conditional_mean(params, h_mean, out=work("recon.p", (*h_mean.shape[:-1], params.num_visible)))
     vals = np.atleast_1d(bernoulli_log_prob(X, p, work))
-    guarded = int(np.count_nonzero(np.isneginf(vals, out=work("recon.neginf", vals.shape, bool))))
+    guarded = np.add.reduce(np.isneginf(vals, out=work("recon.neginf", vals.shape, bool)), axis=-1)
     np.maximum(vals, LOG_PROB_SENTINEL, out=vals)
-    return float(vals.mean()), guarded
+    # the sum over N divided by N, as vals.mean(axis=-1) computes it, in
+    # half its time
+    return _item(np.add.reduce(vals, axis=-1) / vals.shape[-1]), _item(guarded)
 
 
 def _binary_block(num_bits: int, start: int, stop: int) -> np.ndarray:
@@ -139,14 +148,15 @@ def _all_states(num_bits: int) -> np.ndarray:
     return states
 
 
-def _logsumexp(v: np.ndarray) -> float:
-    """log sum exp(v) of finite values, shifted by the maximum; v is overwritten."""
-    m = v.max()
+def _logsumexp(v: np.ndarray) -> np.ndarray:
+    """log sum exp(v) of finite values along the last axis, shifted by the
+    maximum; v is overwritten."""
+    m = v.max(axis=-1, keepdims=True)
     np.subtract(v, m, out=v)
-    return float(m + np.log(np.exp(v, out=v).sum()))
+    return m[..., 0] + np.log(np.exp(v, out=v).sum(axis=-1))
 
 
-def log_partition(params: RbmParams, layer: str | None = None, work=fresh) -> float:
+def log_partition(params: RbmParams, layer: str | None = None, work=fresh):
     """log Z by exhaustive enumeration over one layer.
 
     Summing over hidden vectors h, each term collapses the visible layer in
@@ -154,8 +164,12 @@ def log_partition(params: RbmParams, layer: str | None = None, work=fresh) -> fl
     route is symmetric.  ``layer`` forces "hidden" or "visible"; by default
     the smaller layer is enumerated.  Enumeration runs in fixed-order blocks
     so the reduction is bit-reproducible; a layer that fits one block reuses
-    its state matrix from the previous call.  ``work`` is a ``Workspace``
-    for the per-block temporaries.
+    its state matrix from the previous call.  A stack of R models gives an
+    (R,) array, each model's blocks reduced along the last axis as one
+    model's are; the models go through in groups small enough that a
+    block's temporaries hold at most _STACK_ELEMENTS values, or one
+    model's block.  ``work`` is a ``Workspace`` for the per-block
+    temporaries.
     """
     V, H = params.num_visible, params.num_hidden
     if layer is None:
@@ -171,22 +185,35 @@ def log_partition(params: RbmParams, layer: str | None = None, work=fresh) -> fl
     if layer == "hidden":
         lin_w, lin_m, lin_b = params.c, params.W, params.b
     else:
-        lin_w, lin_m, lin_b = params.b, params.W.T, params.c
+        lin_w, lin_m, lin_b = params.b, params.W.mT, params.c
     total = 1 << bits
     block = 1 << min(bits, _CHUNK_BITS)
-    partials = []
-    for start in range(0, total, block):
-        if block == total:
-            states = _all_states(bits)
-        else:
-            states = _binary_block(bits, start, start + block)
-        pre = np.matmul(states, lin_m, out=work("lz.pre", (block, lin_m.shape[1])))
-        pre += lin_b
-        terms = softplus(pre, out=work("lz.softplus", pre.shape))
-        total_terms = np.matmul(states, lin_w, out=work("lz.terms", (block,)))
-        total_terms += np.sum(terms, axis=1, out=work("lz.sum", (block,)))
-        partials.append(_logsumexp(total_terms))
-    return _logsumexp(np.array(partials))
+
+    def enumerate_blocks(lin_w, lin_m, lin_b):
+        stack = lin_m.shape[:-2]
+        partials = work("lz.partials", (*stack, total // block))
+        for i, start in enumerate(range(0, total, block)):
+            if block == total:
+                states = _all_states(bits)
+            else:
+                states = _binary_block(bits, start, start + block)
+            pre = np.matmul(states, lin_m, out=work("lz.pre", (*stack, block, lin_m.shape[-1])))
+            pre += lin_b
+            terms = softplus(pre, out=work("lz.softplus", pre.shape))
+            total_terms = _bias_product(states, lin_w, work("lz.terms", (*stack, block)))
+            total_terms += np.sum(terms, axis=-1, out=work("lz.sum", (*stack, block)))
+            partials[..., i] = _logsumexp(total_terms)
+        # one block's partial is already log Z: log-sum-exp of one value returns it
+        return partials[..., 0] if i == 0 else _logsumexp(partials)
+
+    group = max(1, _STACK_ELEMENTS // (block * lin_m.shape[-1]))
+    if lin_m.ndim == 2 or len(lin_m) <= group:
+        return _item(enumerate_blocks(lin_w, lin_m, lin_b))
+    lz = np.empty(len(lin_m))
+    for g in range(0, len(lin_m), group):
+        runs = slice(g, g + group)
+        lz[runs] = enumerate_blocks(lin_w[runs], lin_m[runs], lin_b[runs])
+    return lz
 
 
 def exact_log_likelihood(params: RbmParams, data: Dataset) -> float:

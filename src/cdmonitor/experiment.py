@@ -149,14 +149,16 @@ def _run_rngs(base_seed: int, run_index: int):
 
 
 def _measure(
-    params: RbmParams,
+    batch: RunBatch,
     X: np.ndarray,
     config: ExperimentConfig,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     epoch: int,
     work=fresh,
-) -> tuple[MetricsRecord, int]:
-    """Snapshot all monitored quantities at the current parameters.
+) -> list[tuple[MetricsRecord, int]]:
+    """Snapshot all monitored quantities of every run in ``batch`` at its
+    current parameters; run r draws its probes from ``rngs[r]``.  Returns
+    each run's (record, number of reconstruction guards fired).
 
     Probes are rebuilt from a fresh Gibbs chain every time: the diagnostic
     is a function of the evolving model, so nothing is cached across
@@ -164,47 +166,49 @@ def _measure(
     random-hidden uniforms, in that order, to keep the measurement stream
     reproducible.  Of the chain only round 1 is read (its hidden mean and
     hidden sample), so only that much is computed: after round 1's N*H
-    hidden uniforms, ``rng.bit_generator.advance`` skips the N*V visible
+    hidden uniforms, ``bit_generator.advance`` skips the N*V visible
     uniforms of round 1 and the N*(H+V) of each later round, which leaves
-    ``rng`` where drawing the whole chain would (this needs a bit generator
-    with ``advance``, such as numpy's default PCG64).  ``work`` is a
-    ``Workspace`` for every temporary, so a run's snapshots after its
+    each generator where drawing the whole chain would (this needs a bit
+    generator with ``advance``, such as numpy's default PCG64).
+
+    The runs are measured as one stacked program on (R, N, ·) arrays, read
+    from the batch's parameters in place; every per-run value has the bits
+    the run's snapshot has alone (see ``rbm``).  ``work`` is a
+    ``Workspace`` for every temporary, so a batch's snapshots after its
     first allocate nothing.
     """
     count, num_visible = X.shape
-    num_hidden = params.num_hidden
+    num_hidden = batch.num_hidden
+    shape = (len(rngs), count, num_hidden)
     with np.errstate(over="ignore"):
-        h1_mean = hidden_conditional_mean(params, X, out=work("measure.h1_mean", (count, num_hidden)))
-        h1 = sample_bernoulli(h1_mean, rng, out=work("measure.h1", h1_mean.shape))
-    rng.bit_generator.advance(count * num_visible + (config.training.n - 1) * count * (num_hidden + num_visible))
-    h_probe = rng.random(out=work("measure.h_probe", h1_mean.shape))
+        h1_mean = hidden_conditional_mean(batch, X, out=work("measure.h1_mean", shape))
+        h1 = sample_bernoulli(h1_mean, rngs, out=work("measure.h1", shape))
+    h_probe = work("measure.h_probe", shape)
+    for rng, part in zip(rngs, h_probe, strict=True):
+        rng.bit_generator.advance(count * num_visible + (config.training.n - 1) * count * (num_hidden + num_visible))
+        rng.random(out=part)
 
-    log_um_x = np.sum(log_unnormalized_marginal(params, X, work))
+    log_um_x = np.sum(log_unnormalized_marginal(batch, X, work), axis=-1, out=work("measure.log_um_x", shape[:1]))
 
-    def probe_total(h_s: np.ndarray) -> float:
+    def probe_total(h_s: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            Y = visible_conditional_mean(params, h_s, out=work("measure.y", X.shape))
-        return float(log_um_x - np.sum(log_unnormalized_marginal(params, Y, work)))
+            Y = visible_conditional_mean(batch, h_s, out=work("measure.y", (*shape[:2], num_visible)))
+        return log_um_x - np.sum(log_unnormalized_marginal(batch, Y, work), axis=-1)
 
-    log_xi_random = probe_total(h_probe)
-    log_xi_complement = probe_total(np.subtract(1.0, h1, out=h_probe))
-    log_xi_mean_h = None
+    log_likelihood = log_um_x - count * log_partition(batch, work=work)
+    recon_mean, guarded = mean_reconstruction_log_prob(batch, X, h1_mean, work)
+    columns = {
+        "log_likelihood": log_likelihood,
+        "log_xi_random": probe_total(h_probe),
+        "log_xi_complement": probe_total(np.subtract(1.0, h1, out=h_probe)),
+        "log_recon_mean": recon_mean,
+        "log_likelihood_mean": log_likelihood / count,
+    }
     if config.mean_h_enabled:
-        log_xi_mean_h = probe_total(np.subtract(1.0, h1_mean, out=h_probe))
-
-    log_likelihood = float(log_um_x - count * log_partition(params, work=work))
-    recon_mean, guarded = mean_reconstruction_log_prob(params, X, h1_mean, work)
-
-    record = MetricsRecord(
-        epoch=epoch,
-        log_likelihood=log_likelihood,
-        log_xi_random=log_xi_random,
-        log_xi_complement=log_xi_complement,
-        log_recon_mean=recon_mean,
-        log_likelihood_mean=log_likelihood / count,
-        log_xi_complement_mean_h=log_xi_mean_h,
-    )
-    return record, guarded
+        columns["log_xi_complement_mean_h"] = probe_total(np.subtract(1.0, h1_mean, out=h_probe))
+    rows = zip(*(values.tolist() for values in columns.values()))
+    records = [MetricsRecord(epoch=epoch, **dict(zip(columns, row))) for row in rows]
+    return list(zip(records, guarded.tolist()))
 
 
 def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarray) -> list[RunResult]:
@@ -213,8 +217,8 @@ def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarr
     epoch 0 and every measure_every epochs (after the update).  Returns
     their results in the order given.
 
-    Each run's result is the one it has trained alone.  Runs share only
-    the snapshot workspace, one after another.  A run whose update goes
+    Each run's result is the one it has trained alone: the batch trains
+    and snapshots its runs as one stacked program.  A run whose update goes
     non-finite aborts at that epoch and leaves the batch; the others go
     on.  (The name predates batching; the benchmark's trace reads it.)
     """
@@ -230,8 +234,8 @@ def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarr
     work = Workspace()
 
     def snapshot(epoch: int) -> None:
-        for r, i in enumerate(live):
-            record, guarded = _measure(batch.params(r), X, config, streams[i][2], epoch, work)
+        measured = _measure(batch, X, config, [streams[i][2] for i in live], epoch, work)
+        for i, (record, guarded) in zip(live, measured):
             results[i].series.append(record)
             results[i].n_recon_guarded += guarded
 
@@ -504,8 +508,13 @@ def write_params_file(path, params: RbmParams) -> None:
 
 
 def read_params_file(path) -> RbmParams:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln.strip()]
+    """Inverse of write_params_file; a file that cannot be read, breaks the
+    format or holds a non-finite number raises ParamsFormatError naming it."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln for ln in fh.read().split("\n") if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParamsFormatError(f"cannot read params file {path}: {exc}") from None
     if not lines:
         raise ParamsFormatError(f"{path}: empty params file")
     head = lines[0].split()
@@ -531,4 +540,7 @@ def read_params_file(path) -> RbmParams:
     b, c = rows[hidden], rows[hidden + 1]
     if any(len(r) != visible for r in W) or len(b) != visible or len(c) != hidden:
         raise ParamsFormatError(f"{path}: row lengths inconsistent with header {visible} {hidden}")
-    return RbmParams(np.array(W), np.array(b), np.array(c))
+    try:
+        return RbmParams(np.array(W), np.array(b), np.array(c))
+    except NonFiniteParameterError as exc:
+        raise ParamsFormatError(f"{path}: {exc}") from None

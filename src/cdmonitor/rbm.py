@@ -12,16 +12,18 @@ P(h|x) and P(x|h) factorize into per-unit sigmoids, and the hidden layer can
 be summed out in closed form.
 
 All operations accept arbitrary leading batch dimensions: a (V,) vector and
-an (N, V) matrix of row vectors are both valid inputs.  The conditional
-means also accept a stack of R models in place of one (``W`` of shape
-(R, H, V), ``b`` (R, 1, V), ``c`` (R, 1, H), as ``training.RunBatch`` holds
-them), and then map (N, V) or (R, N, V) inputs to (R, N, ·) outputs.  numpy
-multiplies such stacks one (N, V) x (V, H) product per model, the same
-product an (N, V) input and one model make, so a stacked model computes
-the bits each of its models computes alone.  The kernels take an ``out``
-array and the composite quantities a ``Workspace``, so that a batch
-operation repeated on the same shapes allocates nothing after its first
-call.
+an (N, V) matrix of row vectors are both valid inputs.  They also accept a
+stack of R models in place of one (``W`` of shape (R, H, V), ``b``
+(R, 1, V), ``c`` (R, 1, H), as ``training.RunBatch`` holds them), and then
+map (N, V) or (R, N, V) inputs to (R, N, ·) outputs; a single
+``RbmParams`` is the case without R.  numpy multiplies such stacks one
+(N, V) x (V, H) product per model, and a bias product (x.b) one
+matrix-vector product per model, the products an (N, V) input and one
+model make, and every per-sample reduction runs along the contiguous last
+axis, so a stacked model computes the bits each of its models computes
+alone.  The kernels take an ``out`` array and the composite quantities a
+``Workspace``, so that a batch operation repeated on the same shapes
+allocates nothing after its first call.
 
 The conditional means evaluate the sigmoid as 1/(1 + e^{-z}).  For
 z < -709.78, e^{-z} overflows to inf and the mean is exactly 0: that is the
@@ -197,6 +199,23 @@ def _check_last_dim(v: np.ndarray, size: int, what: str) -> None:
         )
 
 
+def _item(v):
+    """A 0-d result as a Python scalar, any other as the array it is."""
+    return v.item() if np.ndim(v) == 0 else v
+
+
+def _bias_product(x: np.ndarray, bias: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x.bias over the last axis, one matrix-vector product per stacked model.
+
+    ``bias`` is a (K,) vector or a stacked (R, 1, K) one, taken as the
+    (K, 1) or (R, K, 1) column it holds; ``out`` has x's batch shape and
+    is returned.
+    """
+    column = bias.reshape(*bias.shape[:-2], -1, 1)
+    np.matmul(x, column, out=out[..., None])
+    return out
+
+
 def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh):
     """log sum_h e^{-E(x, h)} = b.x + sum_j softplus(c_j + (Wx)_j).
 
@@ -204,18 +223,24 @@ def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh):
     (1 + e^{c_j + (Wx)_j}); accumulating their logs keeps the value finite
     for pre-activations of magnitude up to ~700.  ``x`` may be real-valued
     in [0, 1]: probe reconstructions are conditional means, and the formula
-    is evaluated verbatim on them.  ``work`` is a ``Workspace`` to take
+    is evaluated verbatim on them.  A stack of models gives each model's
+    values along the leading axis.  ``work`` is a ``Workspace`` to take
     the temporaries and the returned array from.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_last_dim(x, params.num_visible, "x")
-    batch = x.shape[:-1]
+    # matmul's output rows: the model stack broadcast against x's, then x's
+    # rows (np.broadcast_shapes costs microseconds, so only when needed)
+    stack = params.W.shape[:-2]
+    if x.ndim > 2 and x.shape[:-2] != stack:
+        stack = np.broadcast_shapes(stack, x.shape[:-2])
+    batch = (*stack, *x.shape[-2:-1])
     pre = np.matmul(x, params.W.mT, out=work("lum.pre", (*batch, params.num_hidden)))
     pre += params.c
     terms = softplus(pre, out=work("lum.softplus", pre.shape))
-    val = np.matmul(x, params.b, out=work("lum.val", batch))
+    val = _bias_product(x, params.b, work("lum.val", batch))
     val += np.sum(terms, axis=-1, out=work("lum.sum", batch))
-    return float(val) if np.ndim(val) == 0 else val
+    return _item(val)
 
 
 def hidden_conditional_mean(params: RbmParams, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -266,8 +291,10 @@ def run_gibbs_chain(
     conditional means are never substituted for samples inside the chain.
     With a batched ``x1`` of shape (N, V) every round consumes the N*H hidden
     uniforms first, then the N*V visible uniforms.  Round 1's hidden mean is
-    kept as ``h1_mean``, so callers need not compute E[h|x1] again.  The
-    overflow of saturated sigmoids is silenced once around all rounds.
+    kept as ``h1_mean``, so callers need not compute E[h|x1] again.  Every
+    array is allocated once per call: each draw is written straight into
+    ``hiddens`` and ``visibles``.  The overflow of saturated sigmoids is
+    silenced once around all rounds.
     """
     if n < 1:
         raise ValueError(f"chain length n must be >= 1, got {n}")
@@ -276,14 +303,13 @@ def run_gibbs_chain(
     batch = x1.shape[:-1]
     hiddens = np.empty((n, *batch, params.num_hidden))
     visibles = np.empty((n, *batch, params.num_visible))
+    h1_mean = np.empty(hiddens.shape[1:])
+    h_later = np.empty(hiddens.shape[1:]) if n > 1 else None  # rounds 2..n's E[h|x]
+    x_mean = np.empty(visibles.shape[1:])
     x = x1
     with np.errstate(over="ignore"):
         for k in range(n):
-            h_mean = hidden_conditional_mean(params, x)
-            if k == 0:
-                h1_mean = h_mean
-            h = sample_bernoulli(h_mean, rng)
-            x = sample_bernoulli(visible_conditional_mean(params, h), rng)
-            hiddens[k] = h
-            visibles[k] = x
+            h_mean = hidden_conditional_mean(params, x, out=h_later if k else h1_mean)
+            h = sample_bernoulli(h_mean, rng, out=hiddens[k])
+            x = sample_bernoulli(visible_conditional_mean(params, h, out=x_mean), rng, out=visibles[k])
     return GibbsChain(x1=x1, h1_mean=h1_mean, hiddens=hiddens, visibles=visibles)

@@ -6,9 +6,11 @@ quantities one training vector, or one run, at a time, on top of the
 package's own primitives, and the tests compare the two.  The one-run
 forms of an epoch and an update (``train_epoch_one``, ``apply_update_one``)
 map parameters to new parameters, as the package's functions did before
-they worked in place on a ``RunBatch``; ``measure_full_chain`` is the
-snapshot as it was before it stopped computing the chain rounds it does
-not read.  Unlike ``oracles.py`` they share code with the package:
+they worked in place on a ``RunBatch``, and ``measure_one`` snapshots one
+run's parameters as ``experiment._measure`` did before it measured a
+whole batch; ``measure_full_chain`` is the snapshot as it was before it
+stopped computing the chain rounds it does not read.  Unlike
+``oracles.py`` they share code with the package:
 agreement shows that the batched paths combine the primitives correctly,
 not that the primitives themselves are right.  The energy, the plain
 marginal and the all-zero model are here too, because only tests use them.
@@ -34,11 +36,12 @@ from cdmonitor.criteria import (
     mean_reconstruction_log_prob,
 )
 from cdmonitor.datasets import Dataset
-from cdmonitor.experiment import ExperimentConfig, ExperimentError, build_dataset, run_single
+from cdmonitor.experiment import ExperimentConfig, ExperimentError, _measure, build_dataset, run_single
 from cdmonitor.rbm import (
     GibbsChain,
     RbmParams,
     _check_last_dim,
+    fresh,
     hidden_conditional_mean,
     log_unnormalized_marginal,
     run_gibbs_chain,
@@ -71,6 +74,20 @@ def train_epoch_one(
     batch = RunBatch([params], data.matrix(), [rng])
     train_epoch(batch, config)
     return batch.params(0)
+
+
+def measure_one(
+    params: RbmParams,
+    X: np.ndarray,
+    config: ExperimentConfig,
+    rng: np.random.Generator,
+    epoch: int,
+    work=fresh,
+) -> tuple[MetricsRecord, int]:
+    """``_measure`` on a one-run batch: the run's (record, guards fired)."""
+    batch = RunBatch([params], X, [np.random.default_rng(0)])
+    (result,) = _measure(batch, X, config, [rng], epoch, work)
+    return result
 
 
 def zero_params(num_visible: int, num_hidden: int) -> RbmParams:

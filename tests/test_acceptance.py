@@ -32,6 +32,9 @@ import oracles
 from reference import XiProbe, exact_gradient, log_xi, train_params_to_epoch, unnormalized_marginal
 from test_criteria import finite_difference_gradient
 
+# `pytest -m "not acceptance"` leaves these sweeps out of a quick run.
+pytestmark = pytest.mark.acceptance
+
 BASE_SEED = 20260401
 SMOOTH = 5
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cdmonitor.cli as cli
@@ -18,7 +19,8 @@ from cdmonitor.cli import (
     resolve_config,
 )
 from cdmonitor.datasets import read_dataset
-from cdmonitor.experiment import RunResult
+from cdmonitor.experiment import DATASET_LAYOUTS, RunResult, write_params_file
+from cdmonitor.training import init_params
 
 
 def write_config(tmp_path, **overrides):
@@ -298,6 +300,46 @@ class TestSampleCommand:
         rc = main(["sample", "--params", str(bad), "--count", "3",
                    "--out", str(tmp_path / "s.txt")])
         assert rc == 2
+
+    def test_missing_params_file_exits_2_naming_it(self, tmp_path, capsys):
+        missing, out = tmp_path / "nope.txt", tmp_path / "s.txt"
+        rc = main(["sample", "--params", str(missing), "--count", "3", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read params file") and str(missing) in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["nan", "1e999"])
+    def test_non_finite_params_exit_2_naming_the_file(self, tmp_path, capsys, token):
+        bad, out = tmp_path / "bad.txt", tmp_path / "s.txt"
+        bad.write_text(f"2 1\n0.5 {token}\n0.0 0.0\n0.0\n")
+        rc = main(["sample", "--params", str(bad), "--count", "3", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: parameters contain NaN or Inf\n"
+        assert not out.exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys, params_file):
+        out = tmp_path / "s.txt"
+        rc = main(["sample", "--params", str(params_file), "--count", "3", "--out", str(out), "--seed", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dataset, digest", [
+        ("bs", "35d569044188be47e52c1c7738e89ba933b84728f160c4ab55baf974d05c53a9"),
+        ("lse", "d33291973a296d09c0df2a389b02fbeba5aaa5668191a79d568e9185703217d1"),
+    ])
+    def test_file_bytes_are_pinned(self, tmp_path, dataset, digest):
+        # weights of std 1 keep the chain mixing over many states
+        params, out = tmp_path / "params.txt", tmp_path / "s.txt"
+        visible, hidden, _ = DATASET_LAYOUTS[dataset]
+        write_params_file(params, init_params(visible, hidden, np.random.default_rng(3), 1.0))
+        rc = main(["sample", "--params", str(params), "--count", "200", "--burn-in", "50",
+                   "--thin", "3", "--seed", "5", "--out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # Functions that bench/layers.py reads spans of, by "module.function".  Its

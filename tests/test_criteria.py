@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cdmonitor.criteria import (
+    _STACK_ELEMENTS,
     LOG_PROB_SENTINEL,
     EnumerationInfeasibleError,
     XiVariant,
@@ -15,9 +16,12 @@ from cdmonitor.datasets import Dataset, generate_bars_and_stripes, generate_labe
 from cdmonitor.rbm import (
     GibbsChain,
     RbmParams,
+    Workspace,
     hidden_conditional_mean,
+    log_unnormalized_marginal,
     visible_conditional_mean,
 )
+from cdmonitor.training import RunBatch
 
 import oracles
 from reference import (
@@ -350,3 +354,65 @@ class TestExactGradient:
         p = zero_params(22, 2)
         with pytest.raises(EnumerationInfeasibleError):
             exact_gradient(p, make_dataset(np.zeros((1, 22), dtype=int)))
+
+
+def model_stack(V, H, R=3, seed=9):
+    """R models with different random weights and biases, and their RunBatch stack."""
+    rng = np.random.default_rng(seed)
+    models = [RbmParams(*oracles.random_params(rng, V, H)) for _ in range(R)]
+    return models, RunBatch(models, np.zeros((1, V)), [rng] * R)
+
+
+class TestStackedForms:
+    """A stack of R models gives each model's values, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "V, H, layer",
+        [(16, 8, None), (6, 9, None), (17, 2, "visible")],
+        ids=["hidden-enumeration", "visible-enumeration", "17-bit-multi-block"],
+    )
+    def test_log_partition(self, V, H, layer):
+        models, batch = model_stack(V, H)
+        got = log_partition(batch, layer)
+        assert got.shape == (3,)
+        assert got.tolist() == [log_partition(p, layer) for p in models]
+
+    def test_log_partition_takes_a_large_stack_in_groups(self):
+        # 3 models of 2^17 states x 2 units exceed _STACK_ELEMENTS together,
+        # so their blocks' temporaries are sized for groups of 2 runs
+        sizes = []
+
+        class RecordingWorkspace(Workspace):
+            def __call__(self, name, shape, dtype=np.float64):
+                sizes.append(math.prod(shape))
+                return super().__call__(name, shape, dtype)
+
+        models, batch = model_stack(17, 2)
+        got = log_partition(batch, "visible", work=RecordingWorkspace())
+        assert got.tolist() == [log_partition(p, "visible") for p in models]
+        assert max(sizes) == _STACK_ELEMENTS == 2 * 2**16 * 2
+
+    @pytest.mark.parametrize("shared_rows", [True, False])
+    def test_marginal_and_reconstruction(self, shared_rows):
+        models, _ = model_stack(16, 8)
+        # the middle model saturates, so only its reconstruction guards fire
+        models[1] = RbmParams(100 * models[1].W, 100 * models[1].b, 100 * models[1].c)
+        batch = RunBatch(models, np.zeros((1, 16)), [np.random.default_rng(0)] * 3)
+        rng = np.random.default_rng(10)
+        X = (rng.random((5, 16)) < 0.5).astype(np.float64)
+        Y = X if shared_rows else rng.random((3, 5, 16))
+        got = log_unnormalized_marginal(batch, Y)
+        assert got.shape == (3, 5)
+        for r, p in enumerate(models):
+            np.testing.assert_array_equal(got[r], log_unnormalized_marginal(p, Y if shared_rows else Y[r]))
+        means, guarded = mean_reconstruction_log_prob(batch, X)
+        alone = [mean_reconstruction_log_prob(p, X) for p in models]
+        assert means.tolist() == [mean for mean, _ in alone]
+        assert guarded.tolist() == [n for _, n in alone]
+        assert guarded[0] == guarded[2] == 0 < guarded[1]
+
+    def test_single_model_gives_scalars(self):
+        models, _ = model_stack(4, 3, R=1)
+        mean, guarded = mean_reconstruction_log_prob(models[0], np.ones(4))
+        assert type(log_partition(models[0])) is float
+        assert type(mean) is float and type(guarded) is int

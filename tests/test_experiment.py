@@ -31,9 +31,9 @@ from cdmonitor.rbm import (
     run_gibbs_chain,
     sample_bernoulli,
 )
-from cdmonitor.training import TrainingConfig, init_params
+from cdmonitor.training import RunBatch, TrainingConfig, init_params
 
-from reference import measure_full_chain, train_params_to_epoch, zero_params
+from reference import measure_full_chain, measure_one, train_params_to_epoch, zero_params
 from test_training import count_hidden_means
 
 
@@ -205,7 +205,7 @@ class TestMeasure:
         )
         params = init_params(16, 8, np.random.default_rng(5), 0.01)
         X = experiment.build_dataset(cfg).matrix()
-        record, _ = experiment._measure(params, X, cfg, np.random.default_rng(6), epoch=0)
+        record, _ = measure_one(params, X, cfg, np.random.default_rng(6), epoch=0)
         assert record.log_xi_complement_mean_h is not None
         assert len(calls) == 1
 
@@ -225,10 +225,35 @@ class TestMeasure:
         work = Workspace()
         for epoch, std in ((0, 0.01), (50, 1.5)):
             params = init_params(V, H, np.random.default_rng(epoch), std)
-            got = experiment._measure(params, X, cfg, rng, epoch, work)
+            got = measure_one(params, X, cfg, rng, epoch, work)
             twin.random(n * N * (H + V) + N * H)
             assert rng.bit_generator.state == twin.bit_generator.state
             assert got == measure_full_chain(params, X, cfg, oracle_rng, epoch)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("dataset", ["bs", "lse"])
+    def test_stacked_snapshot_is_each_run_s_full_chain_snapshot(self, n, dataset):
+        # three runs with different parameters, measured together twice
+        # through one workspace: each run's record has the bits of its
+        # full-chain snapshot alone, and each generator ends where drawing
+        # that run's whole chain and probe uniforms leaves it
+        cfg = default_config(
+            dataset,
+            training=TrainingConfig(n=n, epochs=100, measure_every=50),
+            variants_enabled=tuple(XiVariant),
+        )
+        X = experiment.build_dataset(cfg).matrix()
+        N, V, H = *X.shape, cfg.hidden
+        params = [init_params(V, H, np.random.default_rng(r), std) for r, std in enumerate((0.01, 1.0, 2.5))]
+        batch = RunBatch(params, X, [np.random.default_rng(0) for _ in params])
+        rngs, twins, oracle_rngs = ([np.random.default_rng(30 + r) for r in range(3)] for _ in range(3))
+        work = Workspace()
+        for epoch in (0, 50):
+            got = experiment._measure(batch, X, cfg, rngs, epoch, work)
+            assert got == [measure_full_chain(p, X, cfg, g, epoch) for p, g in zip(params, oracle_rngs)]
+            for rng, twin in zip(rngs, twins):
+                twin.random(n * N * (H + V) + N * H)
+                assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestTrainParamsToEpoch:

@@ -21,8 +21,8 @@ from cdmonitor.rbm import (
     softplus,
     visible_conditional_mean,
 )
-from cdmonitor.training import TrainingConfig
-from reference import train_epoch_one, zero_params
+from cdmonitor.training import RunBatch, TrainingConfig
+from reference import measure_one, train_epoch_one, zero_params
 
 
 def saturated_params(V=4, H=3, bias=800.0):
@@ -76,9 +76,15 @@ class TestNoOverflowWarnings:
     def test_measure(self):
         config = default_config("bs", variants_enabled=tuple(cdmonitor.XiVariant))
         params, X = saturated_params(16, 8), binary_rows(30, 16)
-        record, guarded = _measure(params, X, config, np.random.default_rng(2), epoch=0)
+        record, guarded = measure_one(params, X, config, np.random.default_rng(2), epoch=0)
         assert guarded > 0
         assert np.isfinite(record.log_likelihood)
+        # a stack of saturated models, biases of both signs, in one snapshot
+        stack = [saturated_params(16, 8, bias) for bias in (800.0, -800.0, 800.0)]
+        batch = RunBatch(stack, X, [np.random.default_rng(3) for _ in stack])
+        rngs = [np.random.default_rng(4 + r) for r in range(len(stack))]
+        measured = _measure(batch, X, config, rngs, epoch=0)
+        assert all(guarded > 0 and np.isfinite(record.log_likelihood) for record, guarded in measured)
 
     def test_mean_reconstruction_log_prob(self):
         mean, guarded = mean_reconstruction_log_prob(saturated_params(), binary_rows(6, 4))
