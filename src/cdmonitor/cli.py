@@ -6,7 +6,8 @@ Subcommands:
     sample   draw visible samples from a saved parameter file
 
 Exit codes: 0 success, 1 run-level failure (too many aborted runs),
-2 usage or config error.
+2 usage or config error, including an output path that cannot be written
+(checked before any work).
 """
 
 from __future__ import annotations
@@ -119,7 +120,27 @@ def config_to_json(config: ExperimentConfig) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _check_output_file(path) -> None:
+    """Reject an output file whose directory does not exist, or that is a
+    directory, before any work is done."""
+    out = Path(path)
+    if not out.parent.is_dir():
+        raise ValueError(f"cannot write {out}: directory {out.parent} does not exist")
+    if out.is_dir():
+        raise ValueError(f"cannot write {out}: it is a directory")
+
+
+def _check_output_dir(path) -> None:
+    """Reject an output directory that cannot be created because it, or
+    one of its parents, exists and is not a directory."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"cannot create output directory {out}: {existing} is not a directory")
+
+
 def cmd_dataset(args) -> int:
+    _check_output_file(args.out)
     data = build_dataset(default_config(args.name))
     write_dataset(data, args.out)
     print(f"wrote {len(data)} samples of {data.visible_len} bits to {args.out}")
@@ -152,6 +173,7 @@ def cmd_train(args) -> int:
     epochs, every = config.training.epochs, config.training.measure_every
     msg = f"epochs ({epochs}) below 2 * measure_every ({every}): a peak report needs 3 measurements"
     _require(epochs >= 2 * every, msg)
+    _check_output_dir(args.out)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -192,6 +214,7 @@ def cmd_sample(args) -> int:
     except ParamsFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _check_output_file(args.out)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     samples = generate_samples(params, args.count, args.burn_in, args.thin, rng)
     write_dataset(

@@ -228,6 +228,7 @@ def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarr
         [init_params(config.visible, config.hidden, init, config.init_std) for init, _, _ in streams],
         X,
         [train for _, train, _ in streams],
+        tc.n,
     )
     results = [RunResult(seed=config.base_seed + k, series=[], final_params=None) for k in run_indices]
     live = list(range(len(run_indices)))  # the batch's runs, as positions in run_indices
@@ -263,7 +264,8 @@ def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarr
 
 
 # Per-run training memory one RunBatch may hold, about one core's L2
-# cache: a batch of bs runs (30 samples) stacks up to 15 runs, while one
+# cache: a batch of bs CD-1 runs (30 samples) stacks up to 15 runs, fewer
+# at higher CD orders, whose epochs hold every round's draws, while one
 # lse run (768 samples) alone exceeds it and trains unstacked, since
 # stacking its larger arrays gained nothing.
 BATCH_BYTES = 1 << 18
@@ -272,7 +274,7 @@ BATCH_BYTES = 1 << 18
 def _run_group(config: ExperimentConfig, run_indices: list[int]) -> list[RunResult]:
     """One worker's runs, in batches of at most BATCH_BYTES of training memory."""
     X = build_dataset(config).matrix()
-    size = max(1, BATCH_BYTES // RunBatch.bytes_per_run(*X.shape, config.hidden))
+    size = max(1, BATCH_BYTES // RunBatch.bytes_per_run(*X.shape, config.hidden, config.training.n))
     return [
         result
         for start in range(0, len(run_indices), size)
@@ -354,6 +356,11 @@ def detect_peak(series: list[MetricsRecord], metric: str, window: int = 1) -> Pe
     )
 
 
+# Rounds of the sampler's chain run per run_gibbs_chain call: its uniforms
+# and draws for a bs or lse model take about 50 KB.
+_SEGMENT_ROUNDS = 256
+
+
 def generate_samples(
     params: RbmParams,
     count: int,
@@ -365,8 +372,11 @@ def generate_samples(
 
     The chain starts from a uniformly random visible state, discards
     ``burn_in`` rounds, then emits every ``thin``-th visible sample.  It runs
-    in segments, one per sample, so at most ``burn_in + thin`` rounds are
-    held at a time.  Returns a (count, V) binary matrix.
+    in segments of ``_SEGMENT_ROUNDS`` rounds, burn-in included, each one
+    ``run_gibbs_chain`` call that draws its rounds' uniforms at once.  The
+    samples are those of one long chain, bit for bit, while one segment is
+    held at a time, whatever the burn-in.  Returns a (count, V) binary
+    matrix.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -376,11 +386,18 @@ def generate_samples(
         raise ValueError(f"thin must be >= 1, got {thin}")
     x = sample_bernoulli(np.full(params.num_visible, 0.5), rng)
     samples = np.empty((count, params.num_visible))
-    rounds = burn_in + thin
-    for k in range(count):
-        x = run_gibbs_chain(params, x, rounds, rng).x_last
-        samples[k] = x
-        rounds = thin
+    total = burn_in + count * thin
+    done = emitted = 0  # rounds run and samples emitted so far
+    while done < total:
+        rounds = min(_SEGMENT_ROUNDS, total - done)
+        chain = run_gibbs_chain(params, x, rounds, rng)
+        # the next sample is the visible draw of round burn_in + (emitted + 1) * thin
+        picked = chain.visibles[burn_in + (emitted + 1) * thin - 1 - done :: thin]
+        samples[emitted : emitted + len(picked)] = picked
+        emitted += len(picked)
+        done += rounds
+        x = chain.x_last.copy()
+        del chain, picked  # free this segment before the next one is drawn
     return samples
 
 

@@ -36,6 +36,7 @@ enters it once around all of its calls instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,6 +271,13 @@ def sample_bernoulli(mean: np.ndarray, rng, out: np.ndarray | None = None) -> np
     into it and replaced by the draws, and nothing is allocated; ``rng``
     may then also be a sequence of R generators for a stacked (R, ...)
     ``mean``, slice r drawing its uniforms from ``rng[r]``.
+
+    A draw is a uniform u below its mean, u < mean_i.  The Gibbs chain and
+    the training epoch draw all of their rounds' uniforms in one generator
+    call and compare each round's slice in place instead of calling this,
+    since numpy's default generator gives the same doubles in one call as
+    in many; a snapshot's round-1 draw and a sampler's start state still
+    come from here.
     """
     if out is None:
         mean = np.asarray(mean, dtype=np.float64)
@@ -290,10 +298,14 @@ def run_gibbs_chain(
     Each round draws a binary h from P(h|x) and then a binary x from P(x|h);
     conditional means are never substituted for samples inside the chain.
     With a batched ``x1`` of shape (N, V) every round consumes the N*H hidden
-    uniforms first, then the N*V visible uniforms.  Round 1's hidden mean is
-    kept as ``h1_mean``, so callers need not compute E[h|x1] again.  Every
-    array is allocated once per call: each draw is written straight into
-    ``hiddens`` and ``visibles``.  The overflow of saturated sigmoids is
+    uniforms first, then the N*V visible uniforms.  All n rounds' uniforms
+    come from one ``rng.random`` call, which with numpy's default PCG64
+    generator gives the doubles that one call per draw gives, in the same
+    order: they fill one (n, N*(H+V)) array, of which ``hiddens`` and
+    ``visibles`` are views, and each round compares its own slice with its
+    conditional mean in place.  Round 1's hidden mean is kept as
+    ``h1_mean``, so callers need not compute E[h|x1] again.  Every array is
+    allocated once per call.  The overflow of saturated sigmoids is
     silenced once around all rounds.
     """
     if n < 1:
@@ -301,15 +313,16 @@ def run_gibbs_chain(
     x1 = np.asarray(x1, dtype=np.float64)
     _check_last_dim(x1, params.num_visible, "x1")
     batch = x1.shape[:-1]
-    hiddens = np.empty((n, *batch, params.num_hidden))
-    visibles = np.empty((n, *batch, params.num_visible))
+    hidden_size = math.prod(batch) * params.num_hidden
+    draws = rng.random((n, hidden_size + x1.size))
+    hiddens = draws[:, :hidden_size].reshape(n, *batch, params.num_hidden)
+    visibles = draws[:, hidden_size:].reshape(n, *batch, params.num_visible)
     h1_mean = np.empty(hiddens.shape[1:])
     h_later = np.empty(hiddens.shape[1:]) if n > 1 else None  # rounds 2..n's E[h|x]
     x_mean = np.empty(visibles.shape[1:])
     x = x1
     with np.errstate(over="ignore"):
-        for k in range(n):
-            h_mean = hidden_conditional_mean(params, x, out=h_later if k else h1_mean)
-            h = sample_bernoulli(h_mean, rng, out=hiddens[k])
-            x = sample_bernoulli(visible_conditional_mean(params, h, out=x_mean), rng, out=visibles[k])
+        for k, (h, x_next) in enumerate(zip(hiddens, visibles)):
+            np.less(h, hidden_conditional_mean(params, x, out=h_later if k else h1_mean), out=h)
+            x = np.less(x_next, visible_conditional_mean(params, h, out=x_mean), out=x_next)
     return GibbsChain(x1=x1, h1_mean=h1_mean, hiddens=hiddens, visibles=visibles)

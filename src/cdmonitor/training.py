@@ -24,7 +24,6 @@ from .rbm import (
     NonFiniteParameterError,
     RbmParams,
     hidden_conditional_mean,
-    sample_bernoulli,
     visible_conditional_mean,
 )
 
@@ -72,10 +71,16 @@ class RunBatch:
     scan checks all of a run's parameters.  ``grad`` holds the epoch's
     ascent direction in the same layout, with views ``dW``, ``db`` and
     ``dc``.  Run r draws its chain from ``rngs[r]``.  The other arrays are
-    an epoch's workspace, allocated here once.
+    the workspace of a CD-``n`` epoch, allocated here once.  Among them,
+    ``draws`` holds each run's n*N*(H+V) chain uniforms as one row, in the
+    order the run draws them, and ``rounds`` gives round k's (R, N, H)
+    hidden and (R, N, V) visible slices of it, where the round's draws
+    replace its uniforms.
     """
 
-    def __init__(self, params: Sequence[RbmParams], X: np.ndarray, rngs: Sequence[np.random.Generator]) -> None:
+    def __init__(
+        self, params: Sequence[RbmParams], X: np.ndarray, rngs: Sequence[np.random.Generator], n: int = 1
+    ) -> None:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError(f"training matrix must be (N, V) with N >= 1, got shape {X.shape}")
@@ -97,17 +102,26 @@ class RunBatch:
             self.W[r], self.b[r, 0], self.c[r, 0] = p.W, p.b, p.c
         self.h_data = np.empty((R, N, H))  # E[h|X]: round 1's mean and the positive phase
         self.h_model = np.empty((R, N, H))  # later rounds' means, then the negative phase
-        self.h = np.empty((R, N, H))
         self.x_mean = np.empty((R, N, V))
-        self.x = np.empty((R, N, V))
+        self.draws = np.empty((R, n, N * (H + V)))
+        self.rounds = [
+            (d[:, : N * H].reshape(R, N, H), d[:, N * H :].reshape(R, N, V))
+            for d in self.draws.transpose(1, 0, 2)
+        ]
         self.decay = np.empty((R, H, V))
         self.finite = np.empty(self.theta.shape, dtype=bool)
 
+    @property
+    def n(self) -> int:
+        """The CD order the batch's epochs run."""
+        return len(self.rounds)
+
     @staticmethod
-    def bytes_per_run(N: int, V: int, H: int) -> int:
-        """Memory one run adds to a batch on an (N, V) training matrix with H hidden units."""
+    def bytes_per_run(N: int, V: int, H: int, n: int = 1) -> int:
+        """Memory one run adds to a batch of CD-n epochs on an (N, V)
+        training matrix with H hidden units."""
         P = H * V + V + H
-        return 8 * (3 * N * H + 2 * N * V + 2 * P + H * V) + P
+        return 8 * (2 * N * H + N * V + n * N * (H + V) + 2 * P + H * V) + P
 
     def params(self, r: int) -> RbmParams:
         """A copy of run r's parameters."""
@@ -115,7 +129,7 @@ class RunBatch:
 
     def select(self, runs: Sequence[int]) -> "RunBatch":
         """A new batch of the runs at positions ``runs``, with their generators."""
-        return RunBatch([self.params(r) for r in runs], self.X, [self.rngs[r] for r in runs])
+        return RunBatch([self.params(r) for r in runs], self.X, [self.rngs[r] for r in runs], self.n)
 
 
 def _views(theta: np.ndarray, H: int, V: int):
@@ -167,33 +181,39 @@ def train_epoch(batch: RunBatch, config: TrainingConfig) -> None:
     uniforms and then the N*V visible uniforms.  The per-sample estimator
     run over the dataset in order draws each sample's H then V uniforms in
     turn instead, so the two give the same step in distribution, and bit
-    for bit only when N = 1.
+    for bit only when N = 1.  A run's uniforms do not depend on the model,
+    so all n*N*(H+V) of its epoch come from one generator call into its
+    row of ``batch.draws``; numpy's default generator gives the same
+    doubles that way as one call per round, and each round compares its
+    slices with its conditional means in place.
 
-    The R runs are stacked: every conditional mean, draw and product is
-    one call on (R, N, ·) arrays, which numpy evaluates one run's matrix
+    The R runs are stacked: every conditional mean, comparison and product
+    is one call on (R, N, ·) arrays, which numpy evaluates one run's matrix
     at a time, so each run's step has the bits it has when the run is
     trained alone, in any batch.  The chain, the gradient and the step are
-    written into the batch's buffers.
+    written into the batch's buffers, which must be sized for
+    ``config.n``.
 
     The positive phase reuses round 1's E[h|X], so a CD-n epoch computes
     n+1 hidden conditional means: one per Gibbs round and one for the
     negative phase.
     """
-    X, rngs = batch.X, batch.rngs
+    if batch.n != config.n:
+        raise ValueError(f"batch holds buffers for CD-{batch.n}, config asks for CD-{config.n}")
+    X = batch.X
+    for rng, row in zip(batch.rngs, batch.draws, strict=True):
+        rng.random(out=row)
+    x = X
     with np.errstate(over="ignore"):
-        h_mean = hidden_conditional_mean(batch, X, out=batch.h_data)
-        for k in range(config.n):
-            if k:
-                h_mean = hidden_conditional_mean(batch, batch.x, out=batch.h_model)
-            h = sample_bernoulli(h_mean, rngs, out=batch.h)
-            x_mean = visible_conditional_mean(batch, h, out=batch.x_mean)
-            sample_bernoulli(x_mean, rngs, out=batch.x)
-        h_model = hidden_conditional_mean(batch, batch.x, out=batch.h_model)
+        for k, (h, x_next) in enumerate(batch.rounds):
+            np.less(h, hidden_conditional_mean(batch, x, out=batch.h_model if k else batch.h_data), out=h)
+            x = np.less(x_next, visible_conditional_mean(batch, h, out=batch.x_mean), out=x_next)
+        h_model = hidden_conditional_mean(batch, x, out=batch.h_model)
     # dW = h_data^T X - h_model^T x, db = sum_n (X - x), dc = sum_n (h_data - h_model).
     # db counts bits, exactly in any order, so it is X's counts minus x's,
     # x's taken as a product with ones; dc keeps the row-by-row sum.
     np.matmul(batch.h_data.mT, X, out=batch.dW)
-    batch.dW -= np.matmul(h_model.mT, batch.x, out=batch.decay)
-    np.subtract(batch.X_count, np.matmul(batch.ones, batch.x, out=batch.db), out=batch.db)
+    batch.dW -= np.matmul(h_model.mT, x, out=batch.decay)
+    np.subtract(batch.X_count, np.matmul(batch.ones, x, out=batch.db), out=batch.db)
     np.add.reduce(np.subtract(batch.h_data, h_model, out=batch.h_data), axis=1, keepdims=True, out=batch.dc)
     apply_update(batch, config)

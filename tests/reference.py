@@ -9,7 +9,12 @@ map parameters to new parameters, as the package's functions did before
 they worked in place on a ``RunBatch``, and ``measure_one`` snapshots one
 run's parameters as ``experiment._measure`` did before it measured a
 whole batch; ``measure_full_chain`` is the snapshot as it was before it
-stopped computing the chain rounds it does not read.  Unlike
+stopped computing the chain rounds it does not read.  The per-round forms
+of the Gibbs chain, the sampler and an epoch's draws
+(``run_gibbs_chain_per_round``, ``generate_samples_per_sample``,
+``train_epoch_per_round``) draw every round's samples with
+``sample_bernoulli``, one generator call per draw, as the package did
+before it drew all of a chain's uniforms in one call.  Unlike
 ``oracles.py`` they share code with the package:
 agreement shows that the batched paths combine the primitives correctly,
 not that the primitives themselves are right.  The energy, the plain
@@ -45,6 +50,7 @@ from cdmonitor.rbm import (
     hidden_conditional_mean,
     log_unnormalized_marginal,
     run_gibbs_chain,
+    sample_bernoulli,
     visible_conditional_mean,
 )
 from cdmonitor.training import RunBatch, TrainingConfig, apply_update, train_epoch
@@ -71,9 +77,62 @@ def train_epoch_one(
     params: RbmParams, data: Dataset, config: TrainingConfig, rng: np.random.Generator
 ) -> RbmParams:
     """``train_epoch`` on a one-run batch: the parameters after one epoch."""
-    batch = RunBatch([params], data.matrix(), [rng])
+    batch = RunBatch([params], data.matrix(), [rng], config.n)
     train_epoch(batch, config)
     return batch.params(0)
+
+
+def train_epoch_per_round(batch: RunBatch, config: TrainingConfig) -> None:
+    """``train_epoch`` with each round's draws taken by ``sample_bernoulli``
+    from every run's generator, hidden then visible, into arrays of its own."""
+    X, rngs = batch.X, batch.rngs
+    h = np.empty((len(rngs), X.shape[0], batch.num_hidden))
+    x = np.empty((len(rngs), X.shape[0], batch.num_visible))
+    with np.errstate(over="ignore"):
+        h_data = h_mean = hidden_conditional_mean(batch, X)
+        for k in range(config.n):
+            if k:
+                h_mean = hidden_conditional_mean(batch, x)
+            sample_bernoulli(h_mean, rngs, out=h)
+            sample_bernoulli(visible_conditional_mean(batch, h), rngs, out=x)
+        h_model = hidden_conditional_mean(batch, x)
+    np.matmul(h_data.mT, X, out=batch.dW)
+    batch.dW -= np.matmul(h_model.mT, x)
+    batch.db[...] = batch.X_count - np.matmul(batch.ones, x)
+    np.add.reduce(h_data - h_model, axis=1, keepdims=True, out=batch.dc)
+    apply_update(batch, config)
+
+
+def run_gibbs_chain_per_round(
+    params: RbmParams, x1: np.ndarray, n: int, rng: np.random.Generator
+) -> GibbsChain:
+    """``run_gibbs_chain`` with every round drawing its hidden and then its
+    visible sample by ``sample_bernoulli``, one generator call each."""
+    x = x1 = np.asarray(x1, dtype=np.float64)
+    hiddens, visibles = [], []
+    with np.errstate(over="ignore"):
+        for k in range(n):
+            h_mean = hidden_conditional_mean(params, x)
+            if k == 0:
+                h1_mean = h_mean
+            hiddens.append(sample_bernoulli(h_mean, rng))
+            x = sample_bernoulli(visible_conditional_mean(params, hiddens[-1]), rng)
+            visibles.append(x)
+    return GibbsChain(x1=x1, h1_mean=h1_mean, hiddens=np.stack(hiddens), visibles=np.stack(visibles))
+
+
+def generate_samples_per_sample(
+    params: RbmParams, count: int, burn_in: int, thin: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``experiment.generate_samples`` as one ``run_gibbs_chain_per_round``
+    segment per sample: burn_in + thin rounds for the first, thin after."""
+    x = sample_bernoulli(np.full(params.num_visible, 0.5), rng)
+    samples, rounds = [], burn_in + thin
+    for _ in range(count):
+        x = run_gibbs_chain_per_round(params, x, rounds, rng).x_last
+        samples.append(x)
+        rounds = thin
+    return np.stack(samples)
 
 
 def measure_one(

@@ -342,6 +342,49 @@ class TestSampleCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the command started its work before checking its output location")
+
+
+class TestOutputLocation:
+    """An output location that cannot be written exits 2 with one error
+    line naming it, before the command does any work."""
+
+    def assert_rejected(self, capsys, rc, path):
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1
+
+    def test_dataset_into_missing_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_dataset", _must_not_run)
+        out = tmp_path / "missing" / "bs.txt"
+        self.assert_rejected(capsys, main(["dataset", "bs", str(out)]), out.parent)
+        assert not out.parent.exists()
+
+    def test_dataset_onto_a_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_dataset", _must_not_run)
+        self.assert_rejected(capsys, main(["dataset", "bs", str(tmp_path)]), tmp_path)
+
+    def test_sample_into_missing_directory(self, tmp_path, capsys, monkeypatch):
+        params, out = tmp_path / "params.txt", tmp_path / "missing" / "s.txt"
+        write_params_file(params, init_params(16, 8, np.random.default_rng(3), 1.0))
+        monkeypatch.setattr(cli, "generate_samples", _must_not_run)
+        rc = main(["sample", "--params", str(params), "--count", "3", "--out", str(out)])
+        self.assert_rejected(capsys, rc, out.parent)
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_train_into_an_existing_file(self, tmp_path, capsys, monkeypatch, under_file):
+        monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+        config, blocker = write_config(tmp_path), tmp_path / "taken"
+        blocker.write_text("keep\n")
+        out = blocker / "sub" if under_file else blocker
+        rc = main(["train", "--config", str(config), "--out", str(out)])
+        self.assert_rejected(capsys, rc, blocker)
+        assert blocker.read_text() == "keep\n"
+
+
 # Functions that bench/layers.py reads spans of, by "module.function".  Its
 # tracer wraps each one where it is defined and in every cdmonitor module
 # that imports it by name, so a function the commands stop calling that

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +34,13 @@ from cdmonitor.rbm import (
 )
 from cdmonitor.training import RunBatch, TrainingConfig, init_params
 
-from reference import measure_full_chain, measure_one, train_params_to_epoch, zero_params
+from reference import (
+    generate_samples_per_sample,
+    measure_full_chain,
+    measure_one,
+    train_params_to_epoch,
+    zero_params,
+)
 from test_training import count_hidden_means
 
 
@@ -418,6 +425,34 @@ class TestGenerateSamples:
         chain = run_gibbs_chain(params, x0, burn_in + count * thin, full_rng)
         want = chain.visibles[[burn_in + thin * k - 1 for k in range(1, count + 1)]]
         np.testing.assert_array_equal(got, want)
+
+    SEGMENT = experiment._SEGMENT_ROUNDS
+
+    @pytest.mark.parametrize("burn_in", [0, 1, SEGMENT + 1])
+    @pytest.mark.parametrize("thin, count", [(1, 2 * SEGMENT + 5), (3, 700), (SEGMENT + 1, 3)])
+    def test_equals_per_sample_reference(self, burn_in, thin, count):
+        # the segments cross sample and burn-in boundaries; the reference
+        # runs one chain per sample, drawing round by round
+        rng = np.random.default_rng(12)
+        params = RbmParams(rng.normal(size=(8, 16)), rng.normal(size=16), rng.normal(size=8))
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = generate_samples(params, count, burn_in, thin, got_rng)
+        want = generate_samples_per_sample(params, count, burn_in, thin, want_rng)
+        assert got.shape == want.shape == (count, 16)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.random() == want_rng.random()
+
+    def test_memory_does_not_grow_with_burn_in(self):
+        # a chain held whole would take 200000 * (16 + 8) * 8 B, about 38 MB;
+        # the sampler holds one segment of its chain at a time, about 50 KB
+        params = init_params(16, 8, np.random.default_rng(4), 1.0)
+        tracemalloc.start()
+        try:
+            generate_samples(params, 10, 200000, 1, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("kw", [dict(count=0), dict(burn_in=-1), dict(thin=0)])
     def test_validation(self, kw):

@@ -14,7 +14,7 @@ from cdmonitor.rbm import (
 )
 
 import oracles
-from reference import energy, unnormalized_marginal, zero_params
+from reference import energy, run_gibbs_chain_per_round, unnormalized_marginal, zero_params
 
 
 def tiny_params():
@@ -252,3 +252,19 @@ class TestGibbsChain:
         b = run_gibbs_chain(p, x1, 20, np.random.default_rng(42))
         np.testing.assert_array_equal(a.hiddens, b.hiddens)
         np.testing.assert_array_equal(a.visibles, b.visibles)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("batch", [(), (6,)])
+    def test_bulk_draws_equal_per_round_draws_bit_for_bit(self, n, batch):
+        # one generator call for every round's uniforms gives the doubles of
+        # one call per draw, in the same order: hidden, then visible, per round
+        rng = np.random.default_rng(21)
+        p = RbmParams(*oracles.random_params(rng, 6, 4))
+        x1 = rng.integers(0, 2, size=(*batch, 6)).astype(np.float64)
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = run_gibbs_chain(p, x1, n, got_rng)
+        want = run_gibbs_chain_per_round(p, x1, n, want_rng)
+        for name in ("h1_mean", "hiddens", "visibles"):
+            assert getattr(got, name).shape == getattr(want, name).shape
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got_rng.random() == want_rng.random()
