@@ -228,7 +228,6 @@ def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarr
         [init_params(config.visible, config.hidden, init, config.init_std) for init, _, _ in streams],
         X,
         [train for _, train, _ in streams],
-        tc.n,
     )
     results = [RunResult(seed=config.base_seed + k, series=[], final_params=None) for k in run_indices]
     live = list(range(len(run_indices)))  # the batch's runs, as positions in run_indices
@@ -264,8 +263,7 @@ def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarr
 
 
 # Per-run training memory one RunBatch may hold, about one core's L2
-# cache: a batch of bs CD-1 runs (30 samples) stacks up to 15 runs, fewer
-# at higher CD orders, whose epochs hold every round's draws, while one
+# cache: a batch of bs runs (30 samples) stacks up to 15 runs, while one
 # lse run (768 samples) alone exceeds it and trains unstacked, since
 # stacking its larger arrays gained nothing.
 BATCH_BYTES = 1 << 18
@@ -274,7 +272,7 @@ BATCH_BYTES = 1 << 18
 def _run_group(config: ExperimentConfig, run_indices: list[int]) -> list[RunResult]:
     """One worker's runs, in batches of at most BATCH_BYTES of training memory."""
     X = build_dataset(config).matrix()
-    size = max(1, BATCH_BYTES // RunBatch.bytes_per_run(*X.shape, config.hidden, config.training.n))
+    size = max(1, BATCH_BYTES // RunBatch.bytes_per_run(*X.shape, config.hidden))
     return [
         result
         for start in range(0, len(run_indices), size)

@@ -272,12 +272,12 @@ def sample_bernoulli(mean: np.ndarray, rng, out: np.ndarray | None = None) -> np
     may then also be a sequence of R generators for a stacked (R, ...)
     ``mean``, slice r drawing its uniforms from ``rng[r]``.
 
-    A draw is a uniform u below its mean, u < mean_i.  The Gibbs chain and
-    the training epoch draw all of their rounds' uniforms in one generator
-    call and compare each round's slice in place instead of calling this,
-    since numpy's default generator gives the same doubles in one call as
-    in many; a snapshot's round-1 draw and a sampler's start state still
-    come from here.
+    A draw is a uniform u below its mean, u < mean_i.  The Gibbs chain
+    draws all of its rounds' uniforms in one generator call, and the
+    training epoch each round's in one call per run, and they compare them
+    in place instead of calling this, since numpy's default generator
+    gives the same doubles in one call as in many; a snapshot's round-1
+    draw and a sampler's start state still come from here.
     """
     if out is None:
         mean = np.asarray(mean, dtype=np.float64)

@@ -71,16 +71,13 @@ class RunBatch:
     scan checks all of a run's parameters.  ``grad`` holds the epoch's
     ascent direction in the same layout, with views ``dW``, ``db`` and
     ``dc``.  Run r draws its chain from ``rngs[r]``.  The other arrays are
-    the workspace of a CD-``n`` epoch, allocated here once.  Among them,
-    ``draws`` holds each run's n*N*(H+V) chain uniforms as one row, in the
-    order the run draws them, and ``rounds`` gives round k's (R, N, H)
-    hidden and (R, N, V) visible slices of it, where the round's draws
-    replace its uniforms.
+    an epoch's workspace, allocated here once.  Among them, ``draws`` holds
+    one Gibbs round's N*(H+V) uniforms per run as one row, in the order the
+    run draws them, and ``h`` (R, N, H) and ``x`` (R, N, V) are its hidden
+    and visible parts, where the round's samples replace its uniforms.
     """
 
-    def __init__(
-        self, params: Sequence[RbmParams], X: np.ndarray, rngs: Sequence[np.random.Generator], n: int = 1
-    ) -> None:
+    def __init__(self, params: Sequence[RbmParams], X: np.ndarray, rngs: Sequence[np.random.Generator]) -> None:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError(f"training matrix must be (N, V) with N >= 1, got shape {X.shape}")
@@ -103,25 +100,17 @@ class RunBatch:
         self.h_data = np.empty((R, N, H))  # E[h|X]: round 1's mean and the positive phase
         self.h_model = np.empty((R, N, H))  # later rounds' means, then the negative phase
         self.x_mean = np.empty((R, N, V))
-        self.draws = np.empty((R, n, N * (H + V)))
-        self.rounds = [
-            (d[:, : N * H].reshape(R, N, H), d[:, N * H :].reshape(R, N, V))
-            for d in self.draws.transpose(1, 0, 2)
-        ]
+        self.draws = np.empty((R, N * (H + V)))
+        self.h = self.draws[:, : N * H].reshape(R, N, H)
+        self.x = self.draws[:, N * H :].reshape(R, N, V)
         self.decay = np.empty((R, H, V))
         self.finite = np.empty(self.theta.shape, dtype=bool)
 
-    @property
-    def n(self) -> int:
-        """The CD order the batch's epochs run."""
-        return len(self.rounds)
-
     @staticmethod
-    def bytes_per_run(N: int, V: int, H: int, n: int = 1) -> int:
-        """Memory one run adds to a batch of CD-n epochs on an (N, V)
-        training matrix with H hidden units."""
+    def bytes_per_run(N: int, V: int, H: int) -> int:
+        """Memory one run adds to a batch on an (N, V) training matrix with H hidden units."""
         P = H * V + V + H
-        return 8 * (2 * N * H + N * V + n * N * (H + V) + 2 * P + H * V) + P
+        return 8 * (3 * N * H + 2 * N * V + 2 * P + H * V) + P
 
     def params(self, r: int) -> RbmParams:
         """A copy of run r's parameters."""
@@ -129,7 +118,7 @@ class RunBatch:
 
     def select(self, runs: Sequence[int]) -> "RunBatch":
         """A new batch of the runs at positions ``runs``, with their generators."""
-        return RunBatch([self.params(r) for r in runs], self.X, [self.rngs[r] for r in runs], self.n)
+        return RunBatch([self.params(r) for r in runs], self.X, [self.rngs[r] for r in runs])
 
 
 def _views(theta: np.ndarray, H: int, V: int):
@@ -181,33 +170,31 @@ def train_epoch(batch: RunBatch, config: TrainingConfig) -> None:
     uniforms and then the N*V visible uniforms.  The per-sample estimator
     run over the dataset in order draws each sample's H then V uniforms in
     turn instead, so the two give the same step in distribution, and bit
-    for bit only when N = 1.  A run's uniforms do not depend on the model,
-    so all n*N*(H+V) of its epoch come from one generator call into its
-    row of ``batch.draws``; numpy's default generator gives the same
-    doubles that way as one call per round, and each round compares its
-    slices with its conditional means in place.
+    for bit only when N = 1.  A round's uniforms do not depend on the
+    model, so each run draws all N*(H+V) of them with one generator call
+    into its row of ``batch.draws``; numpy's default generator gives the
+    same doubles that way as one call per layer, and the round compares
+    them with its conditional means in place.
 
     The R runs are stacked: every conditional mean, comparison and product
     is one call on (R, N, ·) arrays, which numpy evaluates one run's matrix
     at a time, so each run's step has the bits it has when the run is
     trained alone, in any batch.  The chain, the gradient and the step are
-    written into the batch's buffers, which must be sized for
-    ``config.n``.
+    written into the batch's buffers.
 
     The positive phase reuses round 1's E[h|X], so a CD-n epoch computes
     n+1 hidden conditional means: one per Gibbs round and one for the
     negative phase.
     """
-    if batch.n != config.n:
-        raise ValueError(f"batch holds buffers for CD-{batch.n}, config asks for CD-{config.n}")
-    X = batch.X
-    for rng, row in zip(batch.rngs, batch.draws, strict=True):
-        rng.random(out=row)
-    x = X
+    X, h, x = batch.X, batch.h, batch.x
     with np.errstate(over="ignore"):
-        for k, (h, x_next) in enumerate(batch.rounds):
-            np.less(h, hidden_conditional_mean(batch, x, out=batch.h_model if k else batch.h_data), out=h)
-            x = np.less(x_next, visible_conditional_mean(batch, h, out=batch.x_mean), out=x_next)
+        for k in range(config.n):
+            # this round's uniforms overwrite the last round's x, read just before
+            h_mean = hidden_conditional_mean(batch, x if k else X, out=batch.h_model if k else batch.h_data)
+            for rng, row in zip(batch.rngs, batch.draws, strict=True):
+                rng.random(out=row)
+            np.less(h, h_mean, out=h)
+            np.less(x, visible_conditional_mean(batch, h, out=batch.x_mean), out=x)
         h_model = hidden_conditional_mean(batch, x, out=batch.h_model)
     # dW = h_data^T X - h_model^T x, db = sum_n (X - x), dc = sum_n (h_data - h_model).
     # db counts bits, exactly in any order, so it is X's counts minus x's,

@@ -77,7 +77,7 @@ def train_epoch_one(
     params: RbmParams, data: Dataset, config: TrainingConfig, rng: np.random.Generator
 ) -> RbmParams:
     """``train_epoch`` on a one-run batch: the parameters after one epoch."""
-    batch = RunBatch([params], data.matrix(), [rng], config.n)
+    batch = RunBatch([params], data.matrix(), [rng])
     train_epoch(batch, config)
     return batch.params(0)
 

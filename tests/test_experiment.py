@@ -443,12 +443,12 @@ class TestGenerateSamples:
         assert got_rng.random() == want_rng.random()
 
     def test_memory_does_not_grow_with_burn_in(self):
-        # a chain held whole would take 200000 * (16 + 8) * 8 B, about 38 MB;
+        # a chain held whole would take 20000 * (16 + 8) * 8 B, about 3.8 MB;
         # the sampler holds one segment of its chain at a time, about 50 KB
         params = init_params(16, 8, np.random.default_rng(4), 1.0)
         tracemalloc.start()
         try:
-            generate_samples(params, 10, 200000, 1, np.random.default_rng(0))
+            generate_samples(params, 10, 20000, 1, np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

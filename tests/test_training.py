@@ -316,7 +316,7 @@ class TestRunBatch:
         data = generate_bars_and_stripes()
         config = TrainingConfig(n=n, learning_rate=0.05, weight_decay=0.001)
         params = [init_params(16, 8, np.random.default_rng(s), 0.3) for s in range(3)]
-        batch = RunBatch(params, data.matrix(), [np.random.default_rng(100 + s) for s in range(3)], n)
+        batch = RunBatch(params, data.matrix(), [np.random.default_rng(100 + s) for s in range(3)])
         alone = list(params)
         rngs = [np.random.default_rng(100 + s) for s in range(3)]
         for _ in range(5):
@@ -330,13 +330,13 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_bulk_draws_equal_per_round_draws_bit_for_bit(self, n):
-        # each run's n*N*(H+V) uniforms come from one generator call, which
-        # gives the doubles of one call per round and layer, in that order
+        # each round's N*(H+V) uniforms of a run come from one generator
+        # call, which gives the doubles of one call per layer, in that order
         data = generate_bars_and_stripes()
         config = TrainingConfig(n=n, learning_rate=0.05, weight_decay=0.001)
         params = [init_params(16, 8, np.random.default_rng(s), 0.3) for s in range(10)]
         got, want = (
-            RunBatch(params, data.matrix(), [np.random.default_rng(200 + s) for s in range(10)], n)
+            RunBatch(params, data.matrix(), [np.random.default_rng(200 + s) for s in range(10)])
             for _ in range(2)
         )
         for _ in range(5):
@@ -345,19 +345,12 @@ class TestRunBatch:
         assert got.theta.tobytes() == want.theta.tobytes()
         assert [g.random() for g in got.rngs] == [g.random() for g in want.rngs]
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_bytes_per_run_counts_the_batch_arrays(self, n):
-        batch = RunBatch([zero_params(16, 8)] * 3, np.zeros((30, 16)), [None] * 3, n)
+    def test_bytes_per_run_counts_the_batch_arrays(self):
+        batch = RunBatch([zero_params(16, 8)] * 3, np.zeros((30, 16)), [None] * 3)
         arrays = (batch.theta, batch.grad, batch.h_data, batch.h_model, batch.x_mean,
                   batch.draws, batch.decay, batch.finite)
-        assert sum(a.nbytes for a in arrays) == 3 * RunBatch.bytes_per_run(30, 16, 8, n)
-        assert batch.n == len(batch.rounds) == n
-        assert all(np.shares_memory(h, batch.draws) and np.shares_memory(x, batch.draws) for h, x in batch.rounds)
-
-    def test_order_other_than_the_batch_s_rejected(self):
-        batch = RunBatch([zero_params(4, 2)], np.zeros((1, 4)), [np.random.default_rng(0)])
-        with pytest.raises(ValueError, match="CD-1"):
-            train_epoch(batch, TrainingConfig(n=2))
+        assert sum(a.nbytes for a in arrays) == 3 * RunBatch.bytes_per_run(30, 16, 8)
+        assert np.shares_memory(batch.h, batch.draws) and np.shares_memory(batch.x, batch.draws)
 
     def test_select_keeps_the_chosen_runs_and_generators(self):
         params = [init_params(4, 2, np.random.default_rng(s), 0.1) for s in range(3)]
