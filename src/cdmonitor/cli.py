@@ -27,7 +27,6 @@ from .experiment import (
     DATASET_LAYOUTS,
     FULL_SCALE_EPOCHS,
     ExperimentConfig,
-    ParamsFormatError,
     average_runs,
     build_dataset,
     default_config,
@@ -166,8 +165,7 @@ def apply_overrides(
 
 def cmd_train(args) -> int:
     if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     config = load_config(args.config)
     config = apply_overrides(config, args.seed, args.epochs, args.full_scale)
     epochs, every = config.training.epochs, config.training.measure_every
@@ -204,16 +202,10 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     if args.count < 1:
-        print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.seed < 0:
-        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return 2
-    try:
-        params = read_params_file(args.params)
-    except ParamsFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    params = read_params_file(args.params)
     _check_output_file(args.out)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     samples = generate_samples(params, args.count, args.burn_in, args.thin, rng)

@@ -150,26 +150,28 @@ def _run_rngs(base_seed: int, run_index: int):
 
 def _measure(
     batch: RunBatch,
-    X: np.ndarray,
     config: ExperimentConfig,
     rngs: Sequence[np.random.Generator],
     epoch: int,
     work=fresh,
 ) -> list[tuple[MetricsRecord, int]]:
     """Snapshot all monitored quantities of every run in ``batch`` at its
-    current parameters; run r draws its probes from ``rngs[r]``.  Returns
-    each run's (record, number of reconstruction guards fired).
+    current parameters, on its training matrix X; run r draws its probes
+    from ``rngs[r]``.  Returns each run's (record, number of reconstruction
+    guards fired).
 
     Probes are rebuilt from a fresh Gibbs chain every time: the diagnostic
     is a function of the evolving model, so nothing is cached across
     epochs.  Each snapshot draws a CD-n chain from X and then the
     random-hidden uniforms, in that order, to keep the measurement stream
     reproducible.  Of the chain only round 1 is read (its hidden mean and
-    hidden sample), so only that much is computed: after round 1's N*H
-    hidden uniforms, ``bit_generator.advance`` skips the N*V visible
-    uniforms of round 1 and the N*(H+V) of each later round, which leaves
-    each generator where drawing the whole chain would (this needs a bit
-    generator with ``advance``, such as numpy's default PCG64).
+    hidden sample), so only that much is computed: each run draws round 1's
+    N*H hidden uniforms, skips with ``bit_generator.advance`` the N*V
+    visible uniforms of round 1 and the N*(H+V) of each later round, and
+    draws the probe uniforms, which leaves each generator where drawing the
+    whole chain would (this needs a bit generator with ``advance``, such as
+    numpy's default PCG64).  The round-1 uniforms then become draws in one
+    ``sample_bernoulli`` call.
 
     The runs are measured as one stacked program on (R, N, ·) arrays, read
     from the batch's parameters in place; every per-run value has the bits
@@ -177,16 +179,19 @@ def _measure(
     ``Workspace`` for every temporary, so a batch's snapshots after its
     first allocate nothing.
     """
+    X = batch.X
     count, num_visible = X.shape
     num_hidden = batch.num_hidden
     shape = (len(rngs), count, num_hidden)
+    h1, h_probe = work("measure.h1", shape), work("measure.h_probe", shape)
+    skipped = count * num_visible + (config.training.n - 1) * count * (num_hidden + num_visible)
+    for rng, u, u_probe in zip(rngs, h1, h_probe, strict=True):
+        rng.random(out=u)
+        rng.bit_generator.advance(skipped)
+        rng.random(out=u_probe)
     with np.errstate(over="ignore"):
         h1_mean = hidden_conditional_mean(batch, X, out=work("measure.h1_mean", shape))
-        h1 = sample_bernoulli(h1_mean, rngs, out=work("measure.h1", shape))
-    h_probe = work("measure.h_probe", shape)
-    for rng, part in zip(rngs, h_probe, strict=True):
-        rng.bit_generator.advance(count * num_visible + (config.training.n - 1) * count * (num_hidden + num_visible))
-        rng.random(out=part)
+    sample_bernoulli(h1_mean, h1)
 
     log_um_x = np.sum(log_unnormalized_marginal(batch, X, work), axis=-1, out=work("measure.log_um_x", shape[:1]))
 
@@ -234,7 +239,7 @@ def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarr
     work = Workspace()
 
     def snapshot(epoch: int) -> None:
-        measured = _measure(batch, X, config, [streams[i][2] for i in live], epoch, work)
+        measured = _measure(batch, config, [streams[i][2] for i in live], epoch, work)
         for i, (record, guarded) in zip(live, measured):
             results[i].series.append(record)
             results[i].n_recon_guarded += guarded
@@ -287,9 +292,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     one per worker process; each worker trains its group in RunBatches of
     at most BATCH_BYTES of training memory (``run_single``), so on bs a
     worker stacks its whole group and on lse it trains one run at a time.
-    The pool stays for both: it still about halves bs time on two cores,
-    and it is lse's only parallelism.  A run's result does not depend on
-    its batch or worker, so ``jobs`` changes no output.
+    The pool stays for both: it is lse's only parallelism, and on two
+    cores it shortens the 10000-epoch bs preset from 3.4 s at ``jobs`` 1 to
+    2.8 s at ``jobs`` 2, though on a 2000-epoch bs sweep its start-up
+    cancels the gain (0.89-0.95 s at 2 against 0.81-0.86 s at 1).  A run's
+    result does not depend on its batch or worker, so ``jobs`` changes no
+    output.
     """
     indices = list(range(config.num_runs))
     workers = min(jobs, config.num_runs)
@@ -382,7 +390,7 @@ def generate_samples(
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     if thin < 1:
         raise ValueError(f"thin must be >= 1, got {thin}")
-    x = sample_bernoulli(np.full(params.num_visible, 0.5), rng)
+    x = sample_bernoulli(0.5, rng.random(params.num_visible))
     samples = np.empty((count, params.num_visible))
     total = burn_in + count * thin
     done = emitted = 0  # rounds run and samples emitted so far

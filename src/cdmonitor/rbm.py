@@ -262,32 +262,16 @@ def visible_conditional_mean(params: RbmParams, h: np.ndarray, out: np.ndarray |
     return _sigmoid_inplace(z)
 
 
-def sample_bernoulli(mean: np.ndarray, rng, out: np.ndarray | None = None) -> np.ndarray:
-    """Independent Bernoulli draws, component i with success probability mean_i.
+def sample_bernoulli(mean, u: np.ndarray) -> np.ndarray:
+    """Independent Bernoulli draws with success probabilities ``mean``, over
+    the caller's uniforms ``u``: each u_i is replaced by 1.0 if u_i < mean_i
+    and by 0.0 otherwise, with ``mean`` broadcast to u's shape.  Returns u.
 
-    Consumes exactly ``mean.size`` uniforms from ``rng`` in C order, so the
-    draw sequence is reproducible for both single vectors and batches.
-    With ``out`` (mean's shape, not mean itself) the uniforms are drawn
-    into it and replaced by the draws, and nothing is allocated; ``rng``
-    may then also be a sequence of R generators for a stacked (R, ...)
-    ``mean``, slice r drawing its uniforms from ``rng[r]``.
-
-    A draw is a uniform u below its mean, u < mean_i.  The Gibbs chain
-    draws all of its rounds' uniforms in one generator call, and the
-    training epoch each round's in one call per run, and they compare them
-    in place instead of calling this, since numpy's default generator
-    gives the same doubles in one call as in many; a snapshot's round-1
-    draw and a sampler's start state still come from here.
+    This is the one place a uniform becomes a draw.  Its callers own the
+    generator calls, so each decides how many draws one call covers: numpy's
+    default PCG64 generator gives the same doubles in one call as in many.
     """
-    if out is None:
-        mean = np.asarray(mean, dtype=np.float64)
-        return (rng.random(mean.shape) < mean).astype(np.float64)
-    if isinstance(rng, np.random.Generator):
-        rng.random(out=out)
-    else:
-        for g, part in zip(rng, out, strict=True):
-            g.random(out=part)
-    return np.less(out, mean, out=out)
+    return np.less(u, mean, out=u)
 
 
 def run_gibbs_chain(
@@ -302,8 +286,8 @@ def run_gibbs_chain(
     come from one ``rng.random`` call, which with numpy's default PCG64
     generator gives the doubles that one call per draw gives, in the same
     order: they fill one (n, N*(H+V)) array, of which ``hiddens`` and
-    ``visibles`` are views, and each round compares its own slice with its
-    conditional mean in place.  Round 1's hidden mean is kept as
+    ``visibles`` are views, and each round turns its own slice into draws
+    with ``sample_bernoulli``.  Round 1's hidden mean is kept as
     ``h1_mean``, so callers need not compute E[h|x1] again.  Every array is
     allocated once per call.  The overflow of saturated sigmoids is
     silenced once around all rounds.
@@ -323,6 +307,6 @@ def run_gibbs_chain(
     x = x1
     with np.errstate(over="ignore"):
         for k, (h, x_next) in enumerate(zip(hiddens, visibles)):
-            np.less(h, hidden_conditional_mean(params, x, out=h_later if k else h1_mean), out=h)
-            x = np.less(x_next, visible_conditional_mean(params, h, out=x_mean), out=x_next)
+            sample_bernoulli(hidden_conditional_mean(params, x, out=h_later if k else h1_mean), h)
+            x = sample_bernoulli(visible_conditional_mean(params, h, out=x_mean), x_next)
     return GibbsChain(x1=x1, h1_mean=h1_mean, hiddens=hiddens, visibles=visibles)

@@ -24,6 +24,7 @@ from .rbm import (
     NonFiniteParameterError,
     RbmParams,
     hidden_conditional_mean,
+    sample_bernoulli,
     visible_conditional_mean,
 )
 
@@ -173,10 +174,10 @@ def train_epoch(batch: RunBatch, config: TrainingConfig) -> None:
     for bit only when N = 1.  A round's uniforms do not depend on the
     model, so each run draws all N*(H+V) of them with one generator call
     into its row of ``batch.draws``; numpy's default generator gives the
-    same doubles that way as one call per layer, and the round compares
-    them with its conditional means in place.
+    same doubles that way as one call per layer, and ``sample_bernoulli``
+    turns them into the round's draws in place.
 
-    The R runs are stacked: every conditional mean, comparison and product
+    The R runs are stacked: every conditional mean, draw and product
     is one call on (R, N, ·) arrays, which numpy evaluates one run's matrix
     at a time, so each run's step has the bits it has when the run is
     trained alone, in any batch.  The chain, the gradient and the step are
@@ -193,8 +194,8 @@ def train_epoch(batch: RunBatch, config: TrainingConfig) -> None:
             h_mean = hidden_conditional_mean(batch, x if k else X, out=batch.h_model if k else batch.h_data)
             for rng, row in zip(batch.rngs, batch.draws, strict=True):
                 rng.random(out=row)
-            np.less(h, h_mean, out=h)
-            np.less(x, visible_conditional_mean(batch, h, out=batch.x_mean), out=x)
+            sample_bernoulli(h_mean, h)
+            sample_bernoulli(visible_conditional_mean(batch, h, out=batch.x_mean), x)
         h_model = hidden_conditional_mean(batch, x, out=batch.h_model)
     # dW = h_data^T X - h_model^T x, db = sum_n (X - x), dc = sum_n (h_data - h_model).
     # db counts bits, exactly in any order, so it is X's counts minus x's,

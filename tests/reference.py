@@ -12,9 +12,9 @@ whole batch; ``measure_full_chain`` is the snapshot as it was before it
 stopped computing the chain rounds it does not read.  The per-round forms
 of the Gibbs chain, the sampler and an epoch's draws
 (``run_gibbs_chain_per_round``, ``generate_samples_per_sample``,
-``train_epoch_per_round``) draw every round's samples with
-``sample_bernoulli``, one generator call per draw, as the package did
-before it drew all of a chain's uniforms in one call.  Unlike
+``train_epoch_per_round``) draw every round's uniforms with one generator
+call per draw, as the package did before it drew all of a chain's
+uniforms in one call.  Unlike
 ``oracles.py`` they share code with the package:
 agreement shows that the batched paths combine the primitives correctly,
 not that the primitives themselves are right.  The energy, the plain
@@ -82,9 +82,17 @@ def train_epoch_one(
     return batch.params(0)
 
 
+def _draw_per_run(mean: np.ndarray, rngs, out: np.ndarray) -> np.ndarray:
+    """Bernoulli draws of a stacked (R, ...) ``mean`` into ``out``, slice r
+    from one call of ``rngs[r]``."""
+    for rng, u in zip(rngs, out, strict=True):
+        rng.random(out=u)
+    return sample_bernoulli(mean, out)
+
+
 def train_epoch_per_round(batch: RunBatch, config: TrainingConfig) -> None:
-    """``train_epoch`` with each round's draws taken by ``sample_bernoulli``
-    from every run's generator, hidden then visible, into arrays of its own."""
+    """``train_epoch`` with each round's draws taken from every run's
+    generator, hidden then visible, into arrays of its own."""
     X, rngs = batch.X, batch.rngs
     h = np.empty((len(rngs), X.shape[0], batch.num_hidden))
     x = np.empty((len(rngs), X.shape[0], batch.num_visible))
@@ -93,8 +101,8 @@ def train_epoch_per_round(batch: RunBatch, config: TrainingConfig) -> None:
         for k in range(config.n):
             if k:
                 h_mean = hidden_conditional_mean(batch, x)
-            sample_bernoulli(h_mean, rngs, out=h)
-            sample_bernoulli(visible_conditional_mean(batch, h), rngs, out=x)
+            _draw_per_run(h_mean, rngs, h)
+            _draw_per_run(visible_conditional_mean(batch, h), rngs, x)
         h_model = hidden_conditional_mean(batch, x)
     np.matmul(h_data.mT, X, out=batch.dW)
     batch.dW -= np.matmul(h_model.mT, x)
@@ -107,7 +115,7 @@ def run_gibbs_chain_per_round(
     params: RbmParams, x1: np.ndarray, n: int, rng: np.random.Generator
 ) -> GibbsChain:
     """``run_gibbs_chain`` with every round drawing its hidden and then its
-    visible sample by ``sample_bernoulli``, one generator call each."""
+    visible sample, one generator call each."""
     x = x1 = np.asarray(x1, dtype=np.float64)
     hiddens, visibles = [], []
     with np.errstate(over="ignore"):
@@ -115,8 +123,9 @@ def run_gibbs_chain_per_round(
             h_mean = hidden_conditional_mean(params, x)
             if k == 0:
                 h1_mean = h_mean
-            hiddens.append(sample_bernoulli(h_mean, rng))
-            x = sample_bernoulli(visible_conditional_mean(params, hiddens[-1]), rng)
+            hiddens.append(sample_bernoulli(h_mean, rng.random(h_mean.shape)))
+            x_mean = visible_conditional_mean(params, hiddens[-1])
+            x = sample_bernoulli(x_mean, rng.random(x_mean.shape))
             visibles.append(x)
     return GibbsChain(x1=x1, h1_mean=h1_mean, hiddens=np.stack(hiddens), visibles=np.stack(visibles))
 
@@ -126,7 +135,7 @@ def generate_samples_per_sample(
 ) -> np.ndarray:
     """``experiment.generate_samples`` as one ``run_gibbs_chain_per_round``
     segment per sample: burn_in + thin rounds for the first, thin after."""
-    x = sample_bernoulli(np.full(params.num_visible, 0.5), rng)
+    x = sample_bernoulli(0.5, rng.random(params.num_visible))
     samples, rounds = [], burn_in + thin
     for _ in range(count):
         x = run_gibbs_chain_per_round(params, x, rounds, rng).x_last
@@ -145,7 +154,7 @@ def measure_one(
 ) -> tuple[MetricsRecord, int]:
     """``_measure`` on a one-run batch: the run's (record, guards fired)."""
     batch = RunBatch([params], X, [np.random.default_rng(0)])
-    (result,) = _measure(batch, X, config, [rng], epoch, work)
+    (result,) = _measure(batch, config, [rng], epoch, work)
     return result
 
 

@@ -327,6 +327,17 @@ class TestSampleCommand:
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--burn-in", "-1", "burn_in must be >= 0, got -1"),
+        ("--thin", "0", "thin must be >= 1, got 0"),
+    ])
+    def test_bad_chain_arguments_exit_2(self, tmp_path, capsys, params_file, flag, value, message):
+        out = tmp_path / "s.txt"
+        rc = main(["sample", "--params", str(params_file), "--count", "3", "--out", str(out), flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("dataset, digest", [
         ("bs", "35d569044188be47e52c1c7738e89ba933b84728f160c4ab55baf974d05c53a9"),
         ("lse", "d33291973a296d09c0df2a389b02fbeba5aaa5668191a79d568e9185703217d1"),

@@ -41,7 +41,7 @@ from reference import (
     train_params_to_epoch,
     zero_params,
 )
-from test_training import count_hidden_means
+from test_training import count_calls
 
 
 def tiny_bs_config(**overrides):
@@ -205,7 +205,7 @@ class TestMeasure:
         # the snapshot reads only round 1 of its chain, so it computes one
         # E[h|X] for any n; the complement_mean_h probe and the
         # reconstruction monitor reuse it
-        calls = count_hidden_means(monkeypatch)
+        calls = count_calls(monkeypatch, "hidden_conditional_mean")
         cfg = tiny_bs_config(
             training=TrainingConfig(n=n, learning_rate=0.01, epochs=100, measure_every=50),
             variants_enabled=tuple(XiVariant),
@@ -215,6 +215,17 @@ class TestMeasure:
         record, _ = measure_one(params, X, cfg, np.random.default_rng(6), epoch=0)
         assert record.log_xi_complement_mean_h is not None
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_draw_per_stacked_snapshot(self, monkeypatch, n):
+        # round 1's hidden draws of every run in the batch, in one call
+        calls = count_calls(monkeypatch, "sample_bernoulli")
+        cfg = tiny_bs_config(training=TrainingConfig(n=n, learning_rate=0.01, epochs=100, measure_every=50))
+        X = experiment.build_dataset(cfg).matrix()
+        params = [init_params(16, 8, np.random.default_rng(s), 0.01) for s in range(3)]
+        batch = RunBatch(params, X, [np.random.default_rng(0) for _ in params])
+        experiment._measure(batch, cfg, [np.random.default_rng(10 + r) for r in range(3)], epoch=0)
+        assert calls == [(3, 30, 8)]
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("dataset", ["bs", "lse"])
@@ -256,7 +267,7 @@ class TestMeasure:
         rngs, twins, oracle_rngs = ([np.random.default_rng(30 + r) for r in range(3)] for _ in range(3))
         work = Workspace()
         for epoch in (0, 50):
-            got = experiment._measure(batch, X, cfg, rngs, epoch, work)
+            got = experiment._measure(batch, cfg, rngs, epoch, work)
             assert got == [measure_full_chain(p, X, cfg, g, epoch) for p, g in zip(params, oracle_rngs)]
             for rng, twin in zip(rngs, twins):
                 twin.random(n * N * (H + V) + N * H)
@@ -421,7 +432,7 @@ class TestGenerateSamples:
         params = RbmParams(rng.normal(size=(8, 16)), rng.normal(size=16), rng.normal(size=8))
         got = generate_samples(params, count, burn_in, thin, np.random.default_rng(3))
         full_rng = np.random.default_rng(3)
-        x0 = sample_bernoulli(np.full(16, 0.5), full_rng)
+        x0 = sample_bernoulli(0.5, full_rng.random(16))
         chain = run_gibbs_chain(params, x0, burn_in + count * thin, full_rng)
         want = chain.visibles[[burn_in + thin * k - 1 for k in range(1, count + 1)]]
         np.testing.assert_array_equal(got, want)

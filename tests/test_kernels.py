@@ -83,7 +83,7 @@ class TestNoOverflowWarnings:
         stack = [saturated_params(16, 8, bias) for bias in (800.0, -800.0, 800.0)]
         batch = RunBatch(stack, X, [np.random.default_rng(3) for _ in stack])
         rngs = [np.random.default_rng(4 + r) for r in range(len(stack))]
-        measured = _measure(batch, X, config, rngs, epoch=0)
+        measured = _measure(batch, config, rngs, epoch=0)
         assert all(guarded > 0 and np.isfinite(record.log_likelihood) for record, guarded in measured)
 
     def test_mean_reconstruction_log_prob(self):

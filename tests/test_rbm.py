@@ -15,6 +15,7 @@ from cdmonitor.rbm import (
 
 import oracles
 from reference import energy, run_gibbs_chain_per_round, unnormalized_marginal, zero_params
+from test_training import count_calls
 
 
 def tiny_params():
@@ -170,19 +171,34 @@ class TestConditionals:
 class TestSampleBernoulli:
     def test_degenerate_means(self):
         rng = np.random.default_rng(1)
-        np.testing.assert_array_equal(sample_bernoulli(np.zeros(8), rng), np.zeros(8))
-        np.testing.assert_array_equal(sample_bernoulli(np.ones(8), rng), np.ones(8))
+        np.testing.assert_array_equal(sample_bernoulli(np.zeros(8), rng.random(8)), np.zeros(8))
+        np.testing.assert_array_equal(sample_bernoulli(np.ones(8), rng.random(8)), np.ones(8))
 
     def test_empirical_frequency(self):
-        rng = np.random.default_rng(2)
-        draws = sample_bernoulli(np.full((100_000, 4), 0.5), rng)
+        draws = sample_bernoulli(np.full((100_000, 4), 0.5), np.random.default_rng(2).random((100_000, 4)))
         freq = draws.mean(axis=0)
         assert np.all(np.abs(freq - 0.5) <= 0.01)
 
     def test_deterministic_given_state(self):
-        a = sample_bernoulli(np.full(64, 0.5), np.random.default_rng(7))
-        b = sample_bernoulli(np.full(64, 0.5), np.random.default_rng(7))
+        a = sample_bernoulli(np.full(64, 0.5), np.random.default_rng(7).random(64))
+        b = sample_bernoulli(np.full(64, 0.5), np.random.default_rng(7).random(64))
         np.testing.assert_array_equal(a, b)
+
+    def test_a_draw_is_a_uniform_below_its_mean(self):
+        u = np.array([0.1, 0.5, 0.9, 0.3])
+        np.testing.assert_array_equal(sample_bernoulli(np.array([0.2, 0.5, 0.95, 0.0]), u), [1.0, 0.0, 1.0, 0.0])
+
+    def test_result_is_u_itself(self):
+        u = np.random.default_rng(3).random((5, 3))
+        want = (u < [0.2, 0.5, 0.8]).astype(np.float64)
+        got = sample_bernoulli(np.array([0.2, 0.5, 0.8]), u)
+        assert got is u
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_scalar_mean_broadcasts(self):
+        u = np.random.default_rng(4).random((6, 4))
+        want = (u < 0.3).astype(np.float64)
+        assert sample_bernoulli(0.3, u).tobytes() == want.tobytes()
 
 
 class TestGibbsChain:
@@ -244,6 +260,13 @@ class TestGibbsChain:
             want = hidden_conditional_mean(p, x1)
             assert chain.h1_mean.shape == want.shape == (*x1.shape[:-1], 3)
             assert chain.h1_mean.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_every_draw_goes_through_sample_bernoulli(self, monkeypatch, n):
+        calls = count_calls(monkeypatch, "sample_bernoulli")
+        p = RbmParams(*oracles.random_params(np.random.default_rng(8), 5, 3))
+        run_gibbs_chain(p, np.zeros((7, 5)), n, np.random.default_rng(9))
+        assert calls == [(7, 3), (7, 5)] * n
 
     def test_identical_seeds_identical_chains(self):
         p = tiny_params()

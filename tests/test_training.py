@@ -28,21 +28,24 @@ def make_dataset(rows):
     return Dataset(name="test", visible_len=rows.shape[1], samples=rows)
 
 
-def count_hidden_means(monkeypatch) -> list:
-    """Count hidden_conditional_mean calls made through any cdmonitor module.
+def count_calls(monkeypatch, name: str) -> list:
+    """Count calls of the ``rbm`` function ``name`` made through any
+    cdmonitor module.
 
     Modules import the function by name, so it is replaced in each of them.
-    Returns the list that gains one entry, the input shape, per call.
+    Returns the list that gains one entry, the shape of the second
+    argument, per call.
     """
     calls = []
-    original = rbm.hidden_conditional_mean
+    original = getattr(rbm, name)
 
-    def counted(params, x, **kwargs):
-        calls.append(np.shape(x))
-        return original(params, x, **kwargs)
+    def counted(first, second, *args, **kwargs):
+        calls.append(np.shape(second))
+        return original(first, second, *args, **kwargs)
 
     for module in (rbm, training, criteria, experiment):
-        monkeypatch.setattr(module, "hidden_conditional_mean", counted)
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -281,10 +284,19 @@ class TestTrainEpoch:
     def test_hidden_mean_computed_n_plus_one_times(self, monkeypatch, n):
         # one per Gibbs round plus the negative phase; the positive phase
         # reuses round 1's mean
-        calls = count_hidden_means(monkeypatch)
+        calls = count_calls(monkeypatch, "hidden_conditional_mean")
         params = init_params(16, 8, np.random.default_rng(3), 0.01)
         train_epoch_one(params, generate_bars_and_stripes(), TrainingConfig(n=n), np.random.default_rng(4))
         assert len(calls) == n + 1
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_every_draw_goes_through_sample_bernoulli(self, monkeypatch, n):
+        # a hidden and a visible draw per Gibbs round, whatever the batch
+        calls = count_calls(monkeypatch, "sample_bernoulli")
+        params = [init_params(16, 8, np.random.default_rng(s), 0.01) for s in range(3)]
+        batch = RunBatch(params, generate_bars_and_stripes().matrix(), [np.random.default_rng(s) for s in range(3)])
+        train_epoch(batch, TrainingConfig(n=n))
+        assert calls == [(3, 30, 8), (3, 30, 16)] * n
 
     def test_empty_dataset_rejected(self):
         data = Dataset(name="empty", visible_len=2, samples=np.zeros((0, 2), dtype=np.uint8))
