@@ -14,11 +14,11 @@ of the Gibbs chain, the sampler and an epoch's draws
 (``run_gibbs_chain_per_round``, ``generate_samples_per_sample``,
 ``train_epoch_per_round``) draw every round's uniforms with one generator
 call per draw, as the package did before it drew all of a chain's
-uniforms in one call.  Unlike
-``oracles.py`` they share code with the package:
-agreement shows that the batched paths combine the primitives correctly,
-not that the primitives themselves are right.  The energy, the plain
-marginal and the all-zero model are here too, because only tests use them.
+uniforms in one call.  Unlike ``oracles.py`` they share code with the
+package: agreement shows that the batched paths combine the primitives
+correctly, not that the primitives themselves are right.  The energy, the
+plain marginal and the all-zero model are here too, because only tests
+use them.
 
 Where these functions call the conditional means directly, they silence
 the overflow of saturated sigmoids with ``np.errstate`` as the package's
