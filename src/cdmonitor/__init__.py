@@ -5,7 +5,6 @@ brute-force exact log-likelihood."""
 from .criteria import (
     MetricsRecord,
     XiVariant,
-    exact_log_likelihood,
     log_partition,
 )
 from .datasets import (

@@ -40,8 +40,6 @@ from .experiment import (
 )
 from .training import TrainingConfig
 
-logger = logging.getLogger(__name__)
-
 # Fraction of aborted runs above which a sweep is considered failed.
 ABORT_FAIL_FRACTION = 0.3
 
@@ -184,9 +182,6 @@ def cmd_train(args) -> int:
             write_params_file(out_dir / f"params_run_{k:02d}.txt", result.final_params)
 
     aborted = sum(1 for r in results if r.aborted)
-    guarded = sum(r.n_recon_guarded for r in results)
-    if guarded:
-        logger.warning("%d reconstruction log-probabilities hit the -inf guard", guarded)
 
     if aborted < len(results):
         averaged = average_runs(results)

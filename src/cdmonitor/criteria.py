@@ -1,5 +1,5 @@
 """Monitored quantities: reconstruction probability, the partition-free
-probability-ratio diagnostic, and brute-force exact log-likelihood.
+probability-ratio diagnostic, and the exact log partition function.
 
 The ratio diagnostic compares the probability of the training set X against
 that of a probe set Y built to have low probability under a well-trained
@@ -15,10 +15,17 @@ differ from the ones the data activates: uniformly random, or the binary
 complement of the first hidden sample of the data point's Gibbs chain, or
 the complement of the data point's hidden conditional mean.
 
-Exact log-likelihood enumerates the smaller layer outright; it exists to
-keep desk-scale models honest, never as a training signal.  The
-per-sample forms of these quantities and the exact gradient are test
-references and live in ``tests/reference.py``.
+The reconstruction probability is computed in log space, as a sum of
+softplus terms of the visible pre-activations, so each term is exact at
+any finite pre-activation: a conditional mean saturated against its data
+bit gives a large finite penalty, never log 0, and the monitor needs no
+guard value for -inf.
+
+The exact log partition function enumerates the smaller layer outright;
+it exists to keep desk-scale models honest, never as a training signal.
+The per-sample forms of these quantities, the exact log-likelihood and
+the exact gradient are test references and live in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -29,21 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset
-from .rbm import (
-    RbmParams,
-    _bias_product,
-    _item,
-    fresh,
-    hidden_conditional_mean,
-    log_unnormalized_marginal,
-    softplus,
-    visible_conditional_mean,
-)
-
-# Replaces -inf per-sample reconstruction log-probabilities so that
-# aggregates stay finite; occurrences are counted and surfaced separately.
-LOG_PROB_SENTINEL = -1e300
+from .rbm import RbmParams, _bias_product, _item, _row_sum, fresh, softplus
 
 # Enumeration beyond this many bits in the smaller layer is refused.
 ENUMERATION_LIMIT_BITS = 25
@@ -84,52 +77,25 @@ class MetricsRecord:
     log_xi_complement_mean_h: float | None = None
 
 
-def bernoulli_log_prob(x: np.ndarray, p: np.ndarray, work=fresh) -> np.ndarray:
-    """log prod_i Bernoulli(x_i; p_i) over the last axis, -inf on impossible bits.
+def mean_reconstruction_log_prob(params: RbmParams, signs: np.ndarray, h_mean: np.ndarray, work=fresh):
+    """Per-sample mean over a data batch X of log P(x | E[h|x]): the
+    factorized Bernoulli probability of each data vector under the visible
+    conditional evaluated at its hidden mean.
 
-    ``x`` broadcasts against ``p``, so one (N, V) data matrix serves a
-    stacked (R, N, V) ``p``.  ``work`` is a ``Workspace`` to take the
-    temporaries and the returned array from.
+    With z = b + W^T E[h|x], the visible pre-activation at the hidden mean,
+    log P(x_i | z_i) = -softplus((1 - 2 x_i) z_i), which is exact at any
+    finite z_i.  ``signs`` is 1 - 2X, which the caller computes once per
+    data batch; ``h_mean`` is E[h|X], which a Gibbs chain started at X
+    computes in its first round.  ``work`` is a ``Workspace`` for the
+    temporaries.  A stack of models gives an (R,) array of means.
     """
-    x = np.asarray(x, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    log_p = work("blp.log_p", p.shape)
-    log_q = work("blp.log_q", p.shape)
-    with np.errstate(divide="ignore"):
-        np.log(p, out=log_p)
-        np.log1p(np.negative(p, out=log_q), out=log_q)
-    # log_p where the bit is on, log_q elsewhere: selected in place, which
-    # takes about the time of np.where without allocating its result.
-    np.putmask(log_q, np.greater(x, 0.5, out=work("blp.on", p.shape, bool)), log_p)
-    return np.sum(log_q, axis=-1, out=work("blp.sum", p.shape[:-1]))
-
-
-def mean_reconstruction_log_prob(
-    params: RbmParams, X: np.ndarray, h_mean: np.ndarray | None = None, work=fresh
-) -> tuple[float, int]:
-    """Per-sample mean over a batch of log P(x | E[h|x]): the factorized
-    Bernoulli probability of each data vector under the visible conditional
-    evaluated at its hidden mean.
-
-    ``h_mean`` is E[h|X] when the caller already has it (a Gibbs chain
-    started at X computes it in its first round); it is computed otherwise.
-    A conditional mean saturated to exactly 0 or 1 against a mismatching
-    bit makes a sample's value -inf; it is clamped to LOG_PROB_SENTINEL.
-    ``work`` is a ``Workspace`` for the temporaries.  Returns (mean, number
-    of samples clamped to the sentinel); a stack of models gives an (R,)
-    array of each.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        if h_mean is None:
-            h_mean = hidden_conditional_mean(params, X)
-        p = visible_conditional_mean(params, h_mean, out=work("recon.p", (*h_mean.shape[:-1], params.num_visible)))
-    vals = np.atleast_1d(bernoulli_log_prob(X, p, work))
-    guarded = np.add.reduce(np.isneginf(vals, out=work("recon.neginf", vals.shape, bool)), axis=-1)
-    np.maximum(vals, LOG_PROB_SENTINEL, out=vals)
-    # the sum over N divided by N, as vals.mean(axis=-1) computes it, in
-    # half its time
-    return _item(np.add.reduce(vals, axis=-1) / vals.shape[-1]), _item(guarded)
+    z = np.matmul(h_mean, params.W, out=work("recon.z", (*h_mean.shape[:-1], params.num_visible)))
+    z += params.b
+    z *= signs
+    vals = _row_sum(softplus(z, out=work("recon.softplus", z.shape)), work("recon.sum", z.shape[:-1]))
+    # minus the sum over N divided by N, as -vals.mean(axis=-1) computes it,
+    # in half its time
+    return _item(-np.add.reduce(vals, axis=-1) / vals.shape[-1])
 
 
 def _binary_block(num_bits: int, start: int, stop: int) -> np.ndarray:
@@ -201,7 +167,7 @@ def log_partition(params: RbmParams, layer: str | None = None, work=fresh):
             pre += lin_b
             terms = softplus(pre, out=work("lz.softplus", pre.shape))
             total_terms = _bias_product(states, lin_w, work("lz.terms", (*stack, block)))
-            total_terms += np.sum(terms, axis=-1, out=work("lz.sum", (*stack, block)))
+            total_terms += _row_sum(terms, work("lz.sum", (*stack, block)))
             partials[..., i] = _logsumexp(total_terms)
         # one block's partial is already log Z: log-sum-exp of one value returns it
         return partials[..., 0] if i == 0 else _logsumexp(partials)
@@ -215,8 +181,3 @@ def log_partition(params: RbmParams, layer: str | None = None, work=fresh):
         lz[runs] = enumerate_blocks(lin_w[runs], lin_m[runs], lin_b[runs])
     return lz
 
-
-def exact_log_likelihood(params: RbmParams, data: Dataset) -> float:
-    """Total data log-likelihood with the exact partition function."""
-    lz = log_partition(params)
-    return float(np.sum(log_unnormalized_marginal(params, data.matrix())) - len(data) * lz)

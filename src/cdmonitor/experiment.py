@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import (
-    MetricsRecord,
-    XiVariant,
-    log_partition,
-    log_unnormalized_marginal,
-    mean_reconstruction_log_prob,
-)
+from .criteria import MetricsRecord, XiVariant, log_partition, mean_reconstruction_log_prob
 from .datasets import Dataset, generate_bars_and_stripes, generate_labeled_shifter
 from .rbm import (
     NonFiniteParameterError,
@@ -33,6 +27,7 @@ from .rbm import (
     Workspace,
     fresh,
     hidden_conditional_mean,
+    log_unnormalized_marginal,
     run_gibbs_chain,
     sample_bernoulli,
     visible_conditional_mean,
@@ -123,7 +118,6 @@ class RunResult:
     final_params: RbmParams | None
     aborted: bool = False
     abort_reason: str = ""
-    n_recon_guarded: int = 0
 
 
 @dataclass
@@ -154,11 +148,10 @@ def _measure(
     rngs: Sequence[np.random.Generator],
     epoch: int,
     work=fresh,
-) -> list[tuple[MetricsRecord, int]]:
+) -> list[MetricsRecord]:
     """Snapshot all monitored quantities of every run in ``batch`` at its
     current parameters, on its training matrix X; run r draws its probes
-    from ``rngs[r]``.  Returns each run's (record, number of reconstruction
-    guards fired).
+    from ``rngs[r]``.  Returns each run's record.
 
     Probes are rebuilt from a fresh Gibbs chain every time: the diagnostic
     is a function of the evolving model, so nothing is cached across
@@ -171,7 +164,8 @@ def _measure(
     draws the probe uniforms, which leaves each generator where drawing the
     whole chain would (this needs a bit generator with ``advance``, such as
     numpy's default PCG64).  The round-1 uniforms then become draws in one
-    ``sample_bernoulli`` call.
+    ``sample_bernoulli`` call.  The hidden pre-activation of X is computed
+    once: round 1's hidden mean and the data marginal both read it.
 
     The runs are measured as one stacked program on (R, N, ·) arrays, read
     from the batch's parameters in place; every per-run value has the bits
@@ -189,11 +183,12 @@ def _measure(
         rng.random(out=u)
         rng.bit_generator.advance(skipped)
         rng.random(out=u_probe)
+    pre = work("measure.pre", shape)
     with np.errstate(over="ignore"):
-        h1_mean = hidden_conditional_mean(batch, X, out=work("measure.h1_mean", shape))
+        h1_mean = hidden_conditional_mean(batch, X, out=work("measure.h1_mean", shape), pre=pre)
     sample_bernoulli(h1_mean, h1)
 
-    log_um_x = np.sum(log_unnormalized_marginal(batch, X, work), axis=-1, out=work("measure.log_um_x", shape[:1]))
+    log_um_x = np.sum(log_unnormalized_marginal(batch, X, work, pre), axis=-1, out=work("measure.log_um_x", shape[:1]))
 
     def probe_total(h_s: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -201,7 +196,7 @@ def _measure(
         return log_um_x - np.sum(log_unnormalized_marginal(batch, Y, work), axis=-1)
 
     log_likelihood = log_um_x - count * log_partition(batch, work=work)
-    recon_mean, guarded = mean_reconstruction_log_prob(batch, X, h1_mean, work)
+    recon_mean = mean_reconstruction_log_prob(batch, batch.signs, h1_mean, work)
     columns = {
         "log_likelihood": log_likelihood,
         "log_xi_random": probe_total(h_probe),
@@ -212,8 +207,7 @@ def _measure(
     if config.mean_h_enabled:
         columns["log_xi_complement_mean_h"] = probe_total(np.subtract(1.0, h1_mean, out=h_probe))
     rows = zip(*(values.tolist() for values in columns.values()))
-    records = [MetricsRecord(epoch=epoch, **dict(zip(columns, row))) for row in rows]
-    return list(zip(records, guarded.tolist()))
+    return [MetricsRecord(epoch=epoch, **dict(zip(columns, row))) for row in rows]
 
 
 def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarray) -> list[RunResult]:
@@ -240,9 +234,8 @@ def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarr
 
     def snapshot(epoch: int) -> None:
         measured = _measure(batch, config, [streams[i][2] for i in live], epoch, work)
-        for i, (record, guarded) in zip(live, measured):
+        for i, record in zip(live, measured):
             results[i].series.append(record)
-            results[i].n_recon_guarded += guarded
 
     snapshot(0)
     for epoch in range(1, tc.epochs + 1):

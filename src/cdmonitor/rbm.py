@@ -19,11 +19,12 @@ map (N, V) or (R, N, V) inputs to (R, N, ·) outputs; a single
 ``RbmParams`` is the case without R.  numpy multiplies such stacks one
 (N, V) x (V, H) product per model, and a bias product (x.b) one
 matrix-vector product per model, the products an (N, V) input and one
-model make, and every per-sample reduction runs along the contiguous last
-axis, so a stacked model computes the bits each of its models computes
-alone.  The kernels take an ``out`` array and the composite quantities a
-``Workspace``, so that a batch operation repeated on the same shapes
-allocates nothing after its first call.
+model make.  A per-sample sum over units (``_row_sum``) is such a
+product too, with a ones column, which on a short last axis is several
+times faster than np.sum (6.5 against 24 us on a (768, 10) array).  So a
+stacked model computes the bits each of its models computes alone.  The kernels take an ``out`` array and the
+composite quantities a ``Workspace``, so that a batch operation repeated
+on the same shapes allocates nothing after its first call.
 
 The conditional means evaluate the sigmoid as 1/(1 + e^{-z}).  For
 z < -709.78, e^{-z} overflows to inf and the mean is exactly 0: that is the
@@ -36,6 +37,7 @@ enters it once around all of its calls instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -217,7 +219,22 @@ def _bias_product(x: np.ndarray, bias: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh):
+@functools.lru_cache(maxsize=8)
+def _ones(size: int) -> np.ndarray:
+    """A read-only vector of ``size`` ones, kept for the next call."""
+    ones = np.ones(size)
+    ones.setflags(write=False)
+    return ones
+
+
+def _row_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sum over a's last axis, as a's product with a ones column, one
+    matrix-vector product per stacked model; ``out`` has a's batch shape
+    and is returned."""
+    return _bias_product(a, _ones(a.shape[-1]), out)
+
+
+def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh, pre: np.ndarray | None = None):
     """log sum_h e^{-E(x, h)} = b.x + sum_j softplus(c_j + (Wx)_j).
 
     The hidden sum collapses into a product of per-unit factors
@@ -226,30 +243,40 @@ def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh):
     in [0, 1]: probe reconstructions are conditional means, and the formula
     is evaluated verbatim on them.  A stack of models gives each model's
     values along the leading axis.  ``work`` is a ``Workspace`` to take
-    the temporaries and the returned array from.
+    the temporaries and the returned array from.  ``pre`` is x's hidden
+    pre-activation c + Wx when the caller already has it (as
+    ``hidden_conditional_mean`` leaves it); it is then not computed again,
+    and it is overwritten.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_last_dim(x, params.num_visible, "x")
-    # matmul's output rows: the model stack broadcast against x's, then x's
-    # rows (np.broadcast_shapes costs microseconds, so only when needed)
-    stack = params.W.shape[:-2]
-    if x.ndim > 2 and x.shape[:-2] != stack:
-        stack = np.broadcast_shapes(stack, x.shape[:-2])
-    batch = (*stack, *x.shape[-2:-1])
-    pre = np.matmul(x, params.W.mT, out=work("lum.pre", (*batch, params.num_hidden)))
-    pre += params.c
+    if pre is None:
+        # matmul's output rows: the model stack broadcast against x's, then
+        # x's rows (np.broadcast_shapes costs microseconds, so only when needed)
+        stack = params.W.shape[:-2]
+        if x.ndim > 2 and x.shape[:-2] != stack:
+            stack = np.broadcast_shapes(stack, x.shape[:-2])
+        pre = np.matmul(x, params.W.mT, out=work("lum.pre", (*stack, *x.shape[-2:-1], params.num_hidden)))
+        pre += params.c
+    batch = pre.shape[:-1]
     terms = softplus(pre, out=work("lum.softplus", pre.shape))
     val = _bias_product(x, params.b, work("lum.val", batch))
-    val += np.sum(terms, axis=-1, out=work("lum.sum", batch))
+    val += _row_sum(terms, work("lum.sum", batch))
     return _item(val)
 
 
-def hidden_conditional_mean(params: RbmParams, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """E[h|x]: component j is sigmoid(c_j + (Wx)_j), written into ``out`` if given."""
+def hidden_conditional_mean(
+    params: RbmParams, x: np.ndarray, out: np.ndarray | None = None, pre: np.ndarray | None = None
+) -> np.ndarray:
+    """E[h|x]: component j is sigmoid(c_j + (Wx)_j), written into ``out`` if
+    given.  Given ``pre`` as well, the pre-activation c + Wx is copied
+    there, for a caller that takes the hidden softplus terms from it too."""
     x = np.asarray(x, dtype=np.float64)
     _check_last_dim(x, params.num_visible, "x")
     z = np.matmul(x, params.W.mT, out=out)
     z += params.c
+    if pre is not None:
+        np.copyto(pre, z)
     return _sigmoid_inplace(z)
 
 

@@ -90,6 +90,7 @@ class RunBatch:
         self.X = X
         self.num_visible, self.num_hidden = V, H
         self.X_count = X.sum(axis=0)  # per-unit count of on bits in X
+        self.signs = 1.0 - 2.0 * X  # log P(X|z) = -sum softplus(signs * z), read by snapshots
         self.ones = np.ones((1, N))
         self.rngs = list(rngs)
         self.theta = np.empty((R, H * V + V + H))

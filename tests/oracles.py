@@ -6,6 +6,7 @@ probabilities.  None of it shares code paths with the package beyond plain
 arithmetic, so agreement is meaningful.
 """
 
+import decimal
 import itertools
 import math
 
@@ -85,6 +86,27 @@ def random_params(rng, num_visible, num_hidden, scale=0.8):
         scale * rng.standard_normal(num_visible),
         scale * rng.standard_normal(num_hidden),
     )
+
+
+def reconstruction_log_prob(W, b, c, x):
+    """log P(x | z) for one binary vector x, with z = b + W^T E[h|x]:
+    sum_i x_i z_i - ln(1 + e^{z_i}), and E[h_j|x] = 1 / (1 + e^{-a_j}) for
+    a = c + W x.  Evaluated in 50-digit decimal arithmetic, where e^{800}
+    neither overflows nor rounds 1 + e^{-800} to 1 before the log, so a
+    model saturated against its data bits gets its exact finite value."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        H, V = len(c), len(b)
+        hbar = [
+            1 / (1 + (-(D(c[j]) + sum(D(W[j][i]) * D(x[i]) for i in range(V)))).exp())
+            for j in range(H)
+        ]
+        total = D(0)
+        for i in range(V):
+            z = D(b[i]) + sum(D(W[j][i]) * hbar[j] for j in range(H))
+            total += D(x[i]) * z - (1 + z.exp()).ln()
+        return float(total)
 
 
 # The 2x2 model used across the hand-checked examples.

@@ -17,8 +17,9 @@ call per draw, as the package did before it drew all of a chain's
 uniforms in one call.  Unlike ``oracles.py`` they share code with the
 package: agreement shows that the batched paths combine the primitives
 correctly, not that the primitives themselves are right.  The energy, the
-plain marginal and the all-zero model are here too, because only tests
-use them.
+plain marginal, the exact log-likelihood, the reconstruction term with its
+hidden mean computed for it, and the all-zero model are here too, because
+only tests use them.
 
 Where these functions call the conditional means directly, they silence
 the overflow of saturated sigmoids with ``np.errstate`` as the package's
@@ -30,15 +31,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
+from cdmonitor import criteria
 from cdmonitor.criteria import (
-    LOG_PROB_SENTINEL,
     EnumerationInfeasibleError,
     MetricsRecord,
     XiVariant,
     _binary_block,
-    bernoulli_log_prob,
     log_partition,
-    mean_reconstruction_log_prob,
 )
 from cdmonitor.datasets import Dataset
 from cdmonitor.experiment import ExperimentConfig, ExperimentError, _measure, build_dataset, run_single
@@ -51,6 +50,7 @@ from cdmonitor.rbm import (
     log_unnormalized_marginal,
     run_gibbs_chain,
     sample_bernoulli,
+    softplus,
     visible_conditional_mean,
 )
 from cdmonitor.training import RunBatch, TrainingConfig, apply_update, train_epoch
@@ -151,11 +151,11 @@ def measure_one(
     rng: np.random.Generator,
     epoch: int,
     work=fresh,
-) -> tuple[MetricsRecord, int]:
-    """``_measure`` on a one-run batch: the run's (record, guards fired)."""
+) -> MetricsRecord:
+    """``_measure`` on a one-run batch: the run's record."""
     batch = RunBatch([params], X, [np.random.default_rng(0)])
-    (result,) = _measure(batch, config, [rng], epoch, work)
-    return result
+    (record,) = _measure(batch, config, [rng], epoch, work)
+    return record
 
 
 def zero_params(num_visible: int, num_hidden: int) -> RbmParams:
@@ -202,11 +202,28 @@ class XiProbe:
 
 
 def reconstruction_log_prob(params: RbmParams, x: np.ndarray) -> float:
-    """log P(x | E[h|x]) for one data vector, clamped to LOG_PROB_SENTINEL."""
+    """log P(x | E[h|x]) for one data vector: -sum_i softplus((1 - 2 x_i) z_i)
+    with z = b + W^T E[h|x]."""
+    x = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore"):
-        p = visible_conditional_mean(params, hidden_conditional_mean(params, x))
-    val = float(bernoulli_log_prob(x, p))
-    return max(val, LOG_PROB_SENTINEL)
+        z = params.b + hidden_conditional_mean(params, x) @ params.W
+    return -float(np.sum(softplus((1.0 - 2.0 * x) * z)))
+
+
+def mean_reconstruction_log_prob(params: RbmParams, X: np.ndarray, h_mean: np.ndarray | None = None):
+    """``criteria.mean_reconstruction_log_prob`` of the data matrix X, with
+    E[h|X] computed when it is not given."""
+    X = np.asarray(X, dtype=np.float64)
+    if h_mean is None:
+        with np.errstate(over="ignore"):
+            h_mean = hidden_conditional_mean(params, X)
+    return criteria.mean_reconstruction_log_prob(params, 1.0 - 2.0 * X, h_mean)
+
+
+def exact_log_likelihood(params: RbmParams, data: Dataset) -> float:
+    """Total data log-likelihood with the exact partition function."""
+    lz = log_partition(params)
+    return float(np.sum(log_unnormalized_marginal(params, data.matrix())) - len(data) * lz)
 
 
 def xi_probe(
@@ -324,7 +341,7 @@ def measure_full_chain(
     config: ExperimentConfig,
     rng: np.random.Generator,
     epoch: int,
-) -> tuple[MetricsRecord, int]:
+) -> MetricsRecord:
     """The snapshot of ``experiment._measure``, computed from the whole
     CD-n chain and with fresh arrays throughout."""
     count = X.shape[0]
@@ -345,9 +362,9 @@ def measure_full_chain(
         log_xi_mean_h = probe_total(1.0 - chain.h1_mean)
 
     log_likelihood = float(log_um_x - count * log_partition(params))
-    recon_mean, guarded = mean_reconstruction_log_prob(params, X, chain.h1_mean)
+    recon_mean = mean_reconstruction_log_prob(params, X, chain.h1_mean)
 
-    record = MetricsRecord(
+    return MetricsRecord(
         epoch=epoch,
         log_likelihood=log_likelihood,
         log_xi_random=log_xi_random,
@@ -356,4 +373,3 @@ def measure_full_chain(
         log_likelihood_mean=log_likelihood / count,
         log_xi_complement_mean_h=log_xi_mean_h,
     )
-    return record, guarded

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cdmonitor.cli import main as cli_main
-from cdmonitor.criteria import XiVariant, exact_log_likelihood, log_partition
+from cdmonitor.criteria import XiVariant, log_partition
 from cdmonitor.datasets import Dataset, generate_bars_and_stripes, generate_labeled_shifter
 from cdmonitor.experiment import (
     average_runs,
@@ -29,7 +29,14 @@ from cdmonitor.rbm import RbmParams, log_unnormalized_marginal
 from cdmonitor.training import TrainingConfig
 
 import oracles
-from reference import XiProbe, exact_gradient, log_xi, train_params_to_epoch, unnormalized_marginal
+from reference import (
+    XiProbe,
+    exact_gradient,
+    exact_log_likelihood,
+    log_xi,
+    train_params_to_epoch,
+    unnormalized_marginal,
+)
 from test_criteria import finite_difference_gradient
 
 # `pytest -m "not acceptance"` leaves these sweeps out of a quick run.

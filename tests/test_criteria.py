@@ -5,12 +5,9 @@ import pytest
 
 from cdmonitor.criteria import (
     _STACK_ELEMENTS,
-    LOG_PROB_SENTINEL,
     EnumerationInfeasibleError,
     XiVariant,
-    exact_log_likelihood,
     log_partition,
-    mean_reconstruction_log_prob,
 )
 from cdmonitor.datasets import Dataset, generate_bars_and_stripes, generate_labeled_shifter
 from cdmonitor.rbm import (
@@ -28,7 +25,9 @@ from reference import (
     XiProbe,
     enumerate_binary_vectors,
     exact_gradient,
+    exact_log_likelihood,
     log_xi,
+    mean_reconstruction_log_prob,
     reconstruction_log_prob,
     xi_probe,
     zero_params,
@@ -119,15 +118,16 @@ class TestReconstructionLogProb:
         exact = RbmParams(np.zeros((1, 2)), np.array([800.0, -800.0]), np.zeros(1))
         assert reconstruction_log_prob(exact, x) == 0.0
 
-    def test_inf_guard_sentinel_and_counter(self):
-        # saturated conditional contradicting a data bit
+    def test_saturated_mismatch_is_exact_and_finite(self):
+        # a conditional saturated at 800 against a data bit costs exactly
+        # 800 nats, where the probability itself rounds to 0
         x = np.array([0.0, 1.0])
-        p = RbmParams(np.zeros((1, 2)), np.array([800.0, 800.0]), np.zeros(1))
-        assert reconstruction_log_prob(p, x) == LOG_PROB_SENTINEL
+        W, b, c = np.zeros((1, 2)), np.array([800.0, 800.0]), np.zeros(1)
+        p = RbmParams(W, b, c)
+        assert reconstruction_log_prob(p, x) == oracles.reconstruction_log_prob(W, b, c, x) == -800.0
         X = np.stack([x, np.array([1.0, 1.0])])
-        mean, guarded = mean_reconstruction_log_prob(p, X)
-        assert guarded == 1
-        assert np.isfinite(mean)
+        expected = [oracles.reconstruction_log_prob(W, b, c, row) for row in X]
+        assert mean_reconstruction_log_prob(p, X) == sum(expected) / 2 == -400.0
 
 
 class TestXiProbe:
@@ -395,7 +395,8 @@ class TestStackedForms:
     @pytest.mark.parametrize("shared_rows", [True, False])
     def test_marginal_and_reconstruction(self, shared_rows):
         models, _ = model_stack(16, 8)
-        # the middle model saturates, so only its reconstruction guards fire
+        # the middle model saturates, so its reconstruction is far below
+        # the others' and still exact
         models[1] = RbmParams(100 * models[1].W, 100 * models[1].b, 100 * models[1].c)
         batch = RunBatch(models, np.zeros((1, 16)), [np.random.default_rng(0)] * 3)
         rng = np.random.default_rng(10)
@@ -405,14 +406,15 @@ class TestStackedForms:
         assert got.shape == (3, 5)
         for r, p in enumerate(models):
             np.testing.assert_array_equal(got[r], log_unnormalized_marginal(p, Y if shared_rows else Y[r]))
-        means, guarded = mean_reconstruction_log_prob(batch, X)
-        alone = [mean_reconstruction_log_prob(p, X) for p in models]
-        assert means.tolist() == [mean for mean, _ in alone]
-        assert guarded.tolist() == [n for _, n in alone]
-        assert guarded[0] == guarded[2] == 0 < guarded[1]
+        means = mean_reconstruction_log_prob(batch, X)
+        assert means.tolist() == [mean_reconstruction_log_prob(p, X) for p in models]
+        for mean, p in zip(means, models):
+            expected = [oracles.reconstruction_log_prob(p.W, p.b, p.c, x) for x in X]
+            assert mean == pytest.approx(math.fsum(expected) / len(X), rel=1e-12)
+        assert means[1] < -100 < means[0] and means[2] > -100
 
     def test_single_model_gives_scalars(self):
         models, _ = model_stack(4, 3, R=1)
-        mean, guarded = mean_reconstruction_log_prob(models[0], np.ones(4))
+        mean = mean_reconstruction_log_prob(models[0], np.ones((2, 4)))
         assert type(log_partition(models[0])) is float
-        assert type(mean) is float and type(guarded) is int
+        assert type(mean) is float

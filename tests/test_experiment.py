@@ -203,18 +203,26 @@ class TestMeasure:
     @pytest.mark.parametrize("n", [1, 3])
     def test_hidden_mean_computed_once_per_gibbs_round(self, monkeypatch, n):
         # the snapshot reads only round 1 of its chain, so it computes one
-        # E[h|X] for any n; the complement_mean_h probe and the
+        # E[h|X] for any n, from one X.W^T product, whichever function
+        # makes it; the data marginal, the complement_mean_h probe and the
         # reconstruction monitor reuse it
-        calls = count_calls(monkeypatch, "hidden_conditional_mean")
         cfg = tiny_bs_config(
             training=TrainingConfig(n=n, learning_rate=0.01, epochs=100, measure_every=50),
             variants_enabled=tuple(XiVariant),
         )
         params = init_params(16, 8, np.random.default_rng(5), 0.01)
         X = experiment.build_dataset(cfg).matrix()
-        record, _ = measure_one(params, X, cfg, np.random.default_rng(6), epoch=0)
+        products, matmul = [], np.matmul
+
+        def counted(a, b, *args, **kwargs):
+            if isinstance(a, np.ndarray) and np.shares_memory(a, X) and np.shape(b)[-2:] == (16, 8):
+                products.append(np.shape(b))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        record = measure_one(params, X, cfg, np.random.default_rng(6), epoch=0)
         assert record.log_xi_complement_mean_h is not None
-        assert len(calls) == 1
+        assert products == [(1, 16, 8)]
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_one_draw_per_stacked_snapshot(self, monkeypatch, n):

@@ -1,6 +1,7 @@
-"""The elementwise kernels: exact saturation, silenced overflow, the draw
-count of a chain, and a runtime free of scipy."""
+"""The elementwise kernels and row sums: exact saturation, silenced
+overflow, the draw count of a chain, and a runtime free of scipy."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,18 +12,20 @@ import numpy as np
 import pytest
 
 import cdmonitor
-from cdmonitor.criteria import mean_reconstruction_log_prob
 from cdmonitor.datasets import Dataset
 from cdmonitor.experiment import _measure, default_config
 from cdmonitor.rbm import (
     RbmParams,
+    _row_sum,
     hidden_conditional_mean,
     run_gibbs_chain,
     softplus,
     visible_conditional_mean,
 )
 from cdmonitor.training import RunBatch, TrainingConfig
-from reference import measure_one, train_epoch_one, zero_params
+
+import oracles
+from reference import mean_reconstruction_log_prob, measure_one, train_epoch_one, zero_params
 
 
 def saturated_params(V=4, H=3, bias=800.0):
@@ -35,6 +38,12 @@ def saturated_params(V=4, H=3, bias=800.0):
 
 def binary_rows(n, width, seed=0):
     return (np.random.default_rng(seed).random((n, width)) < 0.5).astype(np.float64)
+
+
+def oracle_recon_mean(params, X):
+    """The mean reconstruction log-probability of X's rows from ``oracles``."""
+    W, b, c = params.W.tolist(), params.b.tolist(), params.c.tolist()
+    return math.fsum(oracles.reconstruction_log_prob(W, b, c, x) for x in X.tolist()) / len(X)
 
 
 class TestSaturation:
@@ -74,21 +83,45 @@ class TestNoOverflowWarnings:
         train_epoch_one(saturated_params(), data, TrainingConfig(n=2), np.random.default_rng(1))
 
     def test_measure(self):
+        # every data bit a saturated conditional contradicts costs exactly 800 nats
         config = default_config("bs", variants_enabled=tuple(cdmonitor.XiVariant))
         params, X = saturated_params(16, 8), binary_rows(30, 16)
-        record, guarded = measure_one(params, X, config, np.random.default_rng(2), epoch=0)
-        assert guarded > 0
+        record = measure_one(params, X, config, np.random.default_rng(2), epoch=0)
+        assert record.log_recon_mean == oracle_recon_mean(params, X) < -800.0
         assert np.isfinite(record.log_likelihood)
         # a stack of saturated models, biases of both signs, in one snapshot
         stack = [saturated_params(16, 8, bias) for bias in (800.0, -800.0, 800.0)]
         batch = RunBatch(stack, X, [np.random.default_rng(3) for _ in stack])
         rngs = [np.random.default_rng(4 + r) for r in range(len(stack))]
         measured = _measure(batch, config, rngs, epoch=0)
-        assert all(guarded > 0 and np.isfinite(record.log_likelihood) for record, guarded in measured)
+        assert [record.log_recon_mean for record in measured] == [oracle_recon_mean(p, X) for p in stack]
+        assert all(np.isfinite(record.log_likelihood) for record in measured)
 
     def test_mean_reconstruction_log_prob(self):
-        mean, guarded = mean_reconstruction_log_prob(saturated_params(), binary_rows(6, 4))
-        assert guarded > 0 and np.isfinite(mean)
+        params, X = saturated_params(), binary_rows(6, 4)
+        assert mean_reconstruction_log_prob(params, X) == oracle_recon_mean(params, X) < -800.0
+
+
+class TestRowSum:
+    """Per-sample sums over units, as products with a ones column."""
+
+    @pytest.mark.parametrize("N, K", [(30, 8), (768, 10), (1024, 19), (7, 19), (31, 16)])
+    def test_stacked_rows_have_each_model_s_bits(self, N, K):
+        a = 5.0 * np.random.default_rng(K).random((3, N, K))
+        stacked = _row_sum(a, np.empty((3, N)))
+        for r in range(3):
+            np.testing.assert_array_equal(stacked[r], _row_sum(a[r].copy(), np.empty(N)))
+
+    @pytest.mark.parametrize("K", [1, 8, 10, 19])
+    def test_each_row_agrees_with_fsum(self, K):
+        a = np.random.default_rng(K).standard_normal((2, 50, K)) ** 2
+        got = _row_sum(a, np.empty((2, 50)))
+        for r, n in np.ndindex(2, 50):
+            assert got[r, n] == pytest.approx(math.fsum(a[r, n]), rel=1e-14, abs=0)
+
+    def test_one_vector(self):
+        out = np.empty(())
+        assert _row_sum(np.array([0.5, 0.25, 2.0]), out) is out and out == 2.75
 
 
 @pytest.mark.parametrize("batch", [(), (7,)])
