@@ -238,8 +238,9 @@ def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh, pre:
     """log sum_h e^{-E(x, h)} = b.x + sum_j softplus(c_j + (Wx)_j).
 
     The hidden sum collapses into a product of per-unit factors
-    (1 + e^{c_j + (Wx)_j}); accumulating their logs keeps the value finite
-    for pre-activations of magnitude up to ~700.  ``x`` may be real-valued
+    (1 + e^{c_j + (Wx)_j}), which overflows beyond pre-activations of ~700;
+    accumulating their logs, each a softplus, keeps the value finite at
+    any finite pre-activation.  ``x`` may be real-valued
     in [0, 1]: probe reconstructions are conditional means, and the formula
     is evaluated verbatim on them.  A stack of models gives each model's
     values along the leading axis.  ``work`` is a ``Workspace`` to take
