@@ -21,8 +21,9 @@ any finite pre-activation: a conditional mean saturated against its data
 bit gives a large finite penalty, never log 0, and the monitor needs no
 guard value for -inf.
 
-The exact log partition function enumerates the smaller layer outright;
-it exists to keep desk-scale models honest, never as a training signal.
+The exact log partition function enumerates the smaller layer's marginals
+outright; it exists to keep desk-scale models honest, never as a training
+signal.
 The per-sample forms of these quantities, the exact log-likelihood and
 the exact gradient are test references and live in
 ``tests/reference.py``.
@@ -32,11 +33,12 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rbm import RbmParams, _bias_product, _item, _row_sum, fresh, softplus
+from .rbm import RbmParams, _item, _row_sum, fresh, log_unnormalized_marginal, softplus
 
 # Enumeration beyond this many bits in the smaller layer is refused.
 ENUMERATION_LIMIT_BITS = 25
@@ -122,62 +124,47 @@ def _logsumexp(v: np.ndarray) -> np.ndarray:
     return m[..., 0] + np.log(np.exp(v, out=v).sum(axis=-1))
 
 
-def log_partition(params: RbmParams, layer: str | None = None, work=fresh):
-    """log Z by exhaustive enumeration over one layer.
+# W, b and c of a model or a stack of them, as log_unnormalized_marginal
+# reads them: a view of the caller's arrays, made without a copy or a check.
+_Layers = namedtuple("_Layers", "W b c")
 
-    Summing over hidden vectors h, each term collapses the visible layer in
-    closed form: c.h + sum_i softplus(b_i + (W^T h)_i); the visible-side
-    route is symmetric.  ``layer`` forces "hidden" or "visible"; by default
-    the smaller layer is enumerated.  Enumeration runs in fixed-order blocks
-    so the reduction is bit-reproducible; a layer that fits one block reuses
-    its state matrix from the previous call.  A stack of R models gives an
-    (R,) array, each model's blocks reduced along the last axis as one
-    model's are; the models go through in groups small enough that a
-    block's temporaries hold at most _STACK_ELEMENTS values, or one
-    model's block.  ``work`` is a ``Workspace`` for the per-block
-    temporaries.
+
+def log_partition(params: RbmParams, work=fresh):
+    """log Z by exhaustive enumeration over the smaller layer: the log-sum-exp
+    of ``log_unnormalized_marginal`` over its states, which sums the other
+    layer out in closed form.  The hidden layer (on a tie too) goes through
+    the model with its layers swapped, (W^T, c, b), whose marginal at h is
+    c.h + sum_i softplus(b_i + (W^T h)_i).  Enumeration runs in fixed-order
+    blocks so the reduction is bit-reproducible; a layer that fits one block
+    reuses its state matrix from the previous call.  A stack of R models
+    gives an (R,) array, each model's blocks reduced along the last axis as
+    one model's are; the models go through in groups small enough that a
+    block's temporaries hold at most _STACK_ELEMENTS values, or one model's
+    block.  ``work`` is a ``Workspace`` for the per-block temporaries.
     """
-    V, H = params.num_visible, params.num_hidden
-    if layer is None:
-        layer = "hidden" if H <= V else "visible"
-    if layer not in ("hidden", "visible"):
-        raise ValueError(f"layer must be 'hidden' or 'visible', got {layer!r}")
-    bits = H if layer == "hidden" else V
+    swap = params.num_hidden <= params.num_visible
+    model = _Layers(params.W.mT, params.c, params.b) if swap else _Layers(params.W, params.b, params.c)
+    bits = model.W.shape[-1]  # the model's visible layer, the one enumerated
     if bits > ENUMERATION_LIMIT_BITS:
         raise EnumerationInfeasibleError(
-            f"{layer} layer has {bits} units, exact enumeration capped at "
+            f"the smaller layer has {bits} units, exact enumeration capped at "
             f"{ENUMERATION_LIMIT_BITS}"
         )
-    if layer == "hidden":
-        lin_w, lin_m, lin_b = params.c, params.W, params.b
-    else:
-        lin_w, lin_m, lin_b = params.b, params.W.mT, params.c
     total = 1 << bits
     block = 1 << min(bits, _CHUNK_BITS)
 
-    def enumerate_blocks(lin_w, lin_m, lin_b):
-        stack = lin_m.shape[:-2]
-        partials = work("lz.partials", (*stack, total // block))
+    def enumerate_blocks(model):
+        partials = work("lz.partials", (*model.W.shape[:-2], total // block))
         for i, start in enumerate(range(0, total, block)):
-            if block == total:
-                states = _all_states(bits)
-            else:
-                states = _binary_block(bits, start, start + block)
-            pre = np.matmul(states, lin_m, out=work("lz.pre", (*stack, block, lin_m.shape[-1])))
-            pre += lin_b
-            terms = softplus(pre, out=work("lz.softplus", pre.shape))
-            total_terms = _bias_product(states, lin_w, work("lz.terms", (*stack, block)))
-            total_terms += _row_sum(terms, work("lz.sum", (*stack, block)))
-            partials[..., i] = _logsumexp(total_terms)
+            states = _all_states(bits) if block == total else _binary_block(bits, start, start + block)
+            partials[..., i] = _logsumexp(log_unnormalized_marginal(model, states, work))
         # one block's partial is already log Z: log-sum-exp of one value returns it
         return partials[..., 0] if i == 0 else _logsumexp(partials)
 
-    group = max(1, _STACK_ELEMENTS // (block * lin_m.shape[-1]))
-    if lin_m.ndim == 2 or len(lin_m) <= group:
-        return _item(enumerate_blocks(lin_w, lin_m, lin_b))
-    lz = np.empty(len(lin_m))
-    for g in range(0, len(lin_m), group):
-        runs = slice(g, g + group)
-        lz[runs] = enumerate_blocks(lin_w[runs], lin_m[runs], lin_b[runs])
+    group = max(1, _STACK_ELEMENTS // (block * model.W.shape[-2]))
+    if model.W.ndim == 2 or len(model.W) <= group:
+        return _item(enumerate_blocks(model))
+    lz = np.empty(len(model.W))
+    for g in range(0, len(model.W), group):
+        lz[g : g + group] = enumerate_blocks(_Layers(*(a[g : g + group] for a in model)))
     return lz
-

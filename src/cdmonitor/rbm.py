@@ -62,23 +62,24 @@ class NonFiniteParameterError(FloatingPointError):
 
 
 class Workspace:
-    """Scratch arrays kept between calls, one per name.
+    """Scratch arrays kept between calls, one per (name, shape, dtype).
 
-    ``work(name, shape)`` returns the array last handed out under ``name``
-    when its shape and dtype still match, and a new one otherwise, so a
-    batch operation that runs many times on the same shapes (a metric
-    snapshot) allocates nothing after its first call.  Each call site uses
-    its own name.  An array a function returns from a workspace is valid
-    until that function's next call with the same workspace.
+    ``work(name, shape)`` returns the array handed out before under that
+    name, shape and dtype, and a new one the first time, so a batch
+    operation that runs many times on the same shapes (a metric snapshot)
+    allocates nothing after its first call, even where one call site takes
+    two shapes in turn (the marginal of the data and of an enumeration
+    block).  An array a function returns from a workspace is valid until
+    that function's next call with the same workspace and shapes.
     """
 
     def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
+        self._arrays: dict[tuple, np.ndarray] = {}
 
     def __call__(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        a = self._arrays.get(name)
-        if a is None or a.shape != shape or a.dtype != dtype:
-            a = self._arrays[name] = np.empty(shape, dtype)
+        a = self._arrays.get((name, shape, dtype))
+        if a is None:
+            a = self._arrays[name, shape, dtype] = np.empty(shape, dtype)
         return a
 
 
@@ -250,14 +251,14 @@ def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh, pre:
     and it is overwritten.
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_last_dim(x, params.num_visible, "x")
+    _check_last_dim(x, params.W.shape[-1], "x")
     if pre is None:
         # matmul's output rows: the model stack broadcast against x's, then
         # x's rows (np.broadcast_shapes costs microseconds, so only when needed)
         stack = params.W.shape[:-2]
         if x.ndim > 2 and x.shape[:-2] != stack:
             stack = np.broadcast_shapes(stack, x.shape[:-2])
-        pre = np.matmul(x, params.W.mT, out=work("lum.pre", (*stack, *x.shape[-2:-1], params.num_hidden)))
+        pre = np.matmul(x, params.W.mT, out=work("lum.pre", (*stack, *x.shape[-2:-1], params.W.shape[-2])))
         pre += params.c
     batch = pre.shape[:-1]
     terms = softplus(pre, out=work("lum.softplus", pre.shape))

@@ -17,9 +17,10 @@ call per draw, as the package did before it drew all of a chain's
 uniforms in one call.  Unlike ``oracles.py`` they share code with the
 package: agreement shows that the batched paths combine the primitives
 correctly, not that the primitives themselves are right.  The energy, the
-plain marginal, the exact log-likelihood, the reconstruction term with its
-hidden mean computed for it, and the all-zero model are here too, because
-only tests use them.
+plain marginal, the exact log-likelihood, log Z enumerated over the larger
+layer (the route ``log_partition`` does not take), the reconstruction term
+with its hidden mean computed for it, and the all-zero model are here too,
+because only tests use them.
 
 Where these functions call the conditional means directly, they silence
 the overflow of saturated sigmoids with ``np.errstate`` as the package's
@@ -270,6 +271,16 @@ def enumerate_binary_vectors(num_bits: int) -> np.ndarray:
             f"refusing to materialize 2^{num_bits} binary vectors"
         )
     return _binary_block(num_bits, 0, 1 << num_bits)
+
+
+def log_partition_larger_layer(params: RbmParams) -> float:
+    """log Z enumerated over the layer ``log_partition`` does not enumerate:
+    the log-sum-exp of ``log_unnormalized_marginal`` over the visible states
+    when the hidden layer is the smaller (H <= V), and over the hidden states,
+    through the model with its layers swapped, otherwise."""
+    if params.num_hidden > params.num_visible:
+        params = RbmParams(params.W.T, params.c, params.b)
+    return float(logsumexp(log_unnormalized_marginal(params, enumerate_binary_vectors(params.num_visible))))
 
 
 def exact_gradient(params: RbmParams, data: Dataset) -> GradientEstimate:

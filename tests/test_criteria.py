@@ -26,6 +26,7 @@ from reference import (
     enumerate_binary_vectors,
     exact_gradient,
     exact_log_likelihood,
+    log_partition_larger_layer,
     log_xi,
     mean_reconstruction_log_prob,
     reconstruction_log_prob,
@@ -267,19 +268,16 @@ class TestLogPartition:
         for V, H in [(6, 3), (3, 6), (9, 4), (5, 12), (7, 7)]:
             W, b, c = oracles.random_params(rng, V, H)
             p = RbmParams(W, b, c)
-            hidden_side = log_partition(p, layer="hidden")
-            visible_side = log_partition(p, layer="visible")
-            assert hidden_side == pytest.approx(visible_side, rel=1e-10)
+            assert log_partition(p) == pytest.approx(log_partition_larger_layer(p), rel=1e-10)
 
     def test_infeasible_layer_rejected(self):
-        p = zero_params(26, 26)
-        with pytest.raises(EnumerationInfeasibleError):
-            log_partition(p)
+        # a tie enumerates the hidden layer, so both sides over the cap raise
+        for V, H in [(26, 26), (26, 30)]:
+            with pytest.raises(EnumerationInfeasibleError):
+                log_partition(zero_params(V, H))
         # the small side stays feasible even when the other side is huge
         wide = zero_params(30, 4)
         assert log_partition(wide) == pytest.approx(34 * math.log(2), rel=1e-12)
-        with pytest.raises(EnumerationInfeasibleError):
-            log_partition(wide, layer="visible")
 
     def test_chunked_enumeration_matches_direct(self):
         # 17 bits exceeds one chunk; compare against unchunked logsumexp
@@ -367,19 +365,20 @@ class TestStackedForms:
     """A stack of R models gives each model's values, bit for bit."""
 
     @pytest.mark.parametrize(
-        "V, H, layer",
-        [(16, 8, None), (6, 9, None), (17, 2, "visible")],
+        "V, H",
+        [(16, 8), (6, 9), (18, 17)],
         ids=["hidden-enumeration", "visible-enumeration", "17-bit-multi-block"],
     )
-    def test_log_partition(self, V, H, layer):
+    def test_log_partition(self, V, H):
         models, batch = model_stack(V, H)
-        got = log_partition(batch, layer)
+        got = log_partition(batch)
         assert got.shape == (3,)
-        assert got.tolist() == [log_partition(p, layer) for p in models]
+        assert got.tolist() == [log_partition(p) for p in models]
 
     def test_log_partition_takes_a_large_stack_in_groups(self):
-        # 3 models of 2^17 states x 2 units exceed _STACK_ELEMENTS together,
-        # so their blocks' temporaries are sized for groups of 2 runs
+        # 3 models of 2^13 hidden states x 16 visible units exceed
+        # _STACK_ELEMENTS together, so their block's temporaries are sized
+        # for groups of 2 runs
         sizes = []
 
         class RecordingWorkspace(Workspace):
@@ -387,10 +386,10 @@ class TestStackedForms:
                 sizes.append(math.prod(shape))
                 return super().__call__(name, shape, dtype)
 
-        models, batch = model_stack(17, 2)
-        got = log_partition(batch, "visible", work=RecordingWorkspace())
-        assert got.tolist() == [log_partition(p, "visible") for p in models]
-        assert max(sizes) == _STACK_ELEMENTS == 2 * 2**16 * 2
+        models, batch = model_stack(16, 13)
+        got = log_partition(batch, work=RecordingWorkspace())
+        assert got.tolist() == [log_partition(p) for p in models]
+        assert max(sizes) == _STACK_ELEMENTS == 2 * 2**13 * 16
 
     @pytest.mark.parametrize("shared_rows", [True, False])
     def test_marginal_and_reconstruction(self, shared_rows):

@@ -282,6 +282,31 @@ class TestMeasure:
                 assert rng.bit_generator.state == twin.bit_generator.state
 
 
+    @pytest.mark.parametrize("dataset, runs", [("bs", 10), ("lse", 1)])
+    def test_second_snapshot_allocates_no_array(self, dataset, runs):
+        # every temporary comes from the workspace, which hands the second
+        # snapshot only arrays it handed the first, though the marginal
+        # serves the data and log_partition's blocks in different shapes
+        handed_out = []
+
+        class RecordingWorkspace(Workspace):
+            def __call__(self, name, shape, dtype=np.float64):
+                handed_out.append(super().__call__(name, shape, dtype))
+                return handed_out[-1]
+
+        cfg = default_config(dataset, variants_enabled=tuple(XiVariant))
+        X = experiment.build_dataset(cfg).matrix()
+        params = [init_params(cfg.visible, cfg.hidden, np.random.default_rng(r), 0.5) for r in range(runs)]
+        batch = RunBatch(params, X, [np.random.default_rng(0)] * runs)
+        rngs = [np.random.default_rng(40 + r) for r in range(runs)]
+        work = RecordingWorkspace()
+        experiment._measure(batch, cfg, rngs, 0, work)
+        first = len(handed_out)
+        experiment._measure(batch, cfg, rngs, 50, work)
+        assert len(handed_out) == 2 * first
+        assert {id(a) for a in handed_out[first:]} <= {id(a) for a in handed_out[:first]}
+
+
 class TestTrainParamsToEpoch:
     def test_full_horizon_matches_run_final_params(self):
         # measurement draws come from a separate stream, so re-training
