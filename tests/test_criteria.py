@@ -271,7 +271,8 @@ class TestLogPartition:
             assert log_partition(p) == pytest.approx(log_partition_larger_layer(p), rel=1e-10)
 
     def test_infeasible_layer_rejected(self):
-        # a tie enumerates the hidden layer, so both sides over the cap raise
+        # 26 x 26 would enumerate the hidden layer (a tie), 26 x 30 the
+        # visible one; both are over the cap
         for V, H in [(26, 26), (26, 30)]:
             with pytest.raises(EnumerationInfeasibleError):
                 log_partition(zero_params(V, H))

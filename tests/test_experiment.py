@@ -281,7 +281,6 @@ class TestMeasure:
                 twin.random(n * N * (H + V) + N * H)
                 assert rng.bit_generator.state == twin.bit_generator.state
 
-
     @pytest.mark.parametrize("dataset, runs", [("bs", 10), ("lse", 1)])
     def test_second_snapshot_allocates_no_array(self, dataset, runs):
         # every temporary comes from the workspace, which hands the second
