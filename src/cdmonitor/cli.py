@@ -175,7 +175,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config_resolved.json").write_text(config_to_json(config), encoding="ascii")
 
-    results = run_experiment(config, jobs=args.jobs)
+    results = list(run_experiment(config, jobs=args.jobs))
     for k, result in enumerate(results):
         write_run_csv(out_dir / f"run_{k:02d}.csv", result)
         if result.final_params is not None:

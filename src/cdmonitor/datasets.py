@@ -35,14 +35,15 @@ class Dataset:
     samples: np.ndarray  # (N, visible_len) uint8, entries 0/1
 
     def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.uint8)
-        if self.samples.ndim != 2 or self.samples.shape[1] != self.visible_len:
+        samples = np.asarray(self.samples)
+        if samples.ndim != 2 or samples.shape[1] != self.visible_len:
             raise ValueError(
-                f"samples shape {self.samples.shape} inconsistent with "
+                f"samples shape {samples.shape} inconsistent with "
                 f"visible_len {self.visible_len}"
             )
-        if not np.isin(self.samples, (0, 1)).all():
+        if not np.isin(samples, (0, 1)).all():  # before the cast, which makes 0.5 a 0 and 257 a 1
             raise ValueError("samples must contain only 0/1 entries")
+        self.samples = samples.astype(np.uint8)
 
     def __len__(self) -> int:
         return self.samples.shape[0]

@@ -23,6 +23,7 @@ from .rbm import (
     DimensionMismatchError,
     NonFiniteParameterError,
     RbmParams,
+    _ones,
     hidden_conditional_mean,
     sample_bernoulli,
     visible_conditional_mean,
@@ -42,10 +43,10 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"CD order n must be >= 1, got {self.n}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.measure_every < 1:
@@ -91,7 +92,6 @@ class RunBatch:
         self.num_visible, self.num_hidden = V, H
         self.X_count = X.sum(axis=0)  # per-unit count of on bits in X
         self.signs = 1.0 - 2.0 * X  # log P(X|z) = -sum softplus(signs * z), read by snapshots
-        self.ones = np.ones((1, N))
         self.rngs = list(rngs)
         self.theta = np.empty((R, H * V + V + H))
         self.grad = np.empty_like(self.theta)
@@ -203,6 +203,7 @@ def train_epoch(batch: RunBatch, config: TrainingConfig) -> None:
     # x's taken as a product with ones; dc keeps the row-by-row sum.
     np.matmul(batch.h_data.mT, X, out=batch.dW)
     batch.dW -= np.matmul(h_model.mT, x, out=batch.decay)
-    np.subtract(batch.X_count, np.matmul(batch.ones, x, out=batch.db), out=batch.db)
+    db = np.matmul(_ones(x.shape[1]), x, out=batch.db[:, 0])
+    np.subtract(batch.X_count, db, out=db)
     np.add.reduce(np.subtract(batch.h_data, h_model, out=batch.h_data), axis=1, keepdims=True, out=batch.dc)
     apply_update(batch, config)

@@ -107,7 +107,7 @@ def train_epoch_per_round(batch: RunBatch, config: TrainingConfig) -> None:
         h_model = hidden_conditional_mean(batch, x)
     np.matmul(h_data.mT, X, out=batch.dW)
     batch.dW -= np.matmul(h_model.mT, x)
-    batch.db[...] = batch.X_count - np.matmul(batch.ones, x)
+    batch.db[:, 0] = batch.X_count - x.sum(axis=1)  # bit counts: exact in any order
     np.add.reduce(h_data - h_model, axis=1, keepdims=True, out=batch.dc)
     apply_update(batch, config)
 

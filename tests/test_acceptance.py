@@ -62,7 +62,7 @@ def desk_sweep(dataset, lr, wd, epochs, n=1):
         base_seed=BASE_SEED,
     )
     t0 = time.time()
-    results = run_experiment(config, jobs=2)
+    results = list(run_experiment(config, jobs=2))
     averaged = average_runs(results)
     print(f"  [sweep {dataset} lr={lr} wd={wd} x{epochs}: {time.time() - t0:.0f}s]")
     return config, results, averaged

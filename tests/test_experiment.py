@@ -1,3 +1,5 @@
+import concurrent.futures
+import multiprocessing
 import re
 import tracemalloc
 from dataclasses import replace
@@ -88,6 +90,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             tiny_bs_config(variants_enabled=(XiVariant.RANDOM_HIDDEN,))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_init_std_rejected(self, value):
+        with pytest.raises(ValueError, match="init_std must be finite"):
+            default_config("bs", init_std=value)
+
     def test_mean_h_variant_optional(self):
         cfg = tiny_bs_config(
             variants_enabled=(
@@ -117,7 +124,7 @@ class TestRunExperiment:
 
     def test_distinct_seeds(self):
         cfg = tiny_bs_config(num_runs=3)
-        results = run_experiment(cfg)
+        results = list(run_experiment(cfg))
         assert [r.seed for r in results] == [123, 124, 125]
 
     def test_repeat_runs_byte_identical(self, tmp_path):
@@ -130,8 +137,9 @@ class TestRunExperiment:
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         cfg = tiny_bs_config()
-        serial = run_experiment(cfg, jobs=1)
-        parallel = run_experiment(cfg, jobs=2)
+        serial = list(run_experiment(cfg, jobs=1))
+        parallel = list(run_experiment(cfg, jobs=2))
+        assert len(serial) == len(parallel) == 2
         for a, b in zip(serial, parallel):
             assert a.series == b.series
             np.testing.assert_array_equal(a.final_params.W, b.final_params.W)
@@ -168,7 +176,7 @@ class TestRunExperiment:
             return real(batch, config)
 
         monkeypatch.setattr(experiment, "train_epoch", poison_run_1)
-        results = run_experiment(tiny_bs_config())
+        results = list(run_experiment(tiny_bs_config()))
         assert [r.aborted for r in results] == [False, True]
         assert results[1].abort_reason == (
             "epoch 30: update produced non-finite parameters: parameters contain NaN or Inf"
@@ -183,7 +191,7 @@ class TestRunExperiment:
         # split over workers writes the same bytes
         training = TrainingConfig(n=n, learning_rate=0.05, epochs=100, measure_every=50)
         cfg = tiny_bs_config(num_runs=3, training=training, variants_enabled=tuple(XiVariant))
-        by_jobs = {jobs: run_experiment(cfg, jobs=jobs) for jobs in (1, 2, 3)}
+        by_jobs = {jobs: list(run_experiment(cfg, jobs=jobs)) for jobs in (1, 2, 3)}
         for k in range(3):
             (alone,) = run_experiment(replace(cfg, num_runs=1, base_seed=cfg.base_seed + k))
             expected = run_bytes(tmp_path / f"alone{k}", alone)
@@ -304,6 +312,62 @@ class TestMeasure:
         experiment._measure(batch, cfg, rngs, 50, work)
         assert len(handed_out) == 2 * first
         assert {id(a) for a in handed_out[first:]} <= {id(a) for a in handed_out[:first]}
+
+
+class TestBatchPlan:
+    """The batches run_experiment hands run_single, which no output shows."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Records every run_single call and every pool; the pool maps in process."""
+        calls = {"batches": [], "pools": []}
+
+        def recording_run_single(config, run_indices, X):
+            calls["batches"].append(list(run_indices))
+            np.testing.assert_array_equal(X, experiment.build_dataset(config).matrix())
+            return [RunResult(seed=config.base_seed + k, series=[], final_params=None) for k in run_indices]
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                calls["pools"].append(max_workers)
+                self.map = map
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(experiment, "run_single", recording_run_single)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        return calls
+
+    @pytest.mark.parametrize(
+        "dataset, runs, jobs, batches",
+        [
+            ("bs", 10, 1, [list(range(10))]),
+            ("bs", 10, 2, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]),
+            ("bs", 10, 3, [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]),
+            ("lse", 3, 1, [[0], [1], [2]]),
+            ("lse", 3, 2, [[0], [1], [2]]),
+            ("lse", 3, 5, [[0], [1], [2]]),
+        ],
+    )
+    def test_plan(self, calls, dataset, runs, jobs, batches):
+        # jobs contiguous groups (at most one per run), each cut into batches
+        # of BATCH_BYTES: a bs group is one batch, an lse batch one run
+        cfg = default_config(dataset, num_runs=runs)
+        results = list(run_experiment(cfg, jobs=jobs))
+        assert calls["batches"] == batches
+        assert calls["pools"] == ([] if jobs == 1 else [min(jobs, runs)])
+        assert [r.seed for r in results] == [cfg.base_seed + k for k in range(runs)]
+
+    def test_closing_early_leaves_no_worker(self):
+        cfg = default_config(
+            "lse", training=TrainingConfig(epochs=20, measure_every=10), num_runs=6, base_seed=5
+        )
+        results = run_experiment(cfg, jobs=2)
+        assert next(results).seed == 5
+        assert multiprocessing.active_children()
+        results.close()
+        assert multiprocessing.active_children() == []
 
 
 class TestTrainParamsToEpoch:
@@ -633,7 +697,7 @@ class TestAveragedRecomputation:
             num_runs=3,
             training=TrainingConfig(n=1, learning_rate=0.01, epochs=200, measure_every=50),
         )
-        results = run_experiment(cfg)
+        results = list(run_experiment(cfg))
         averaged = average_runs(results)
         for k, result in enumerate(results):
             write_run_csv(tmp_path / f"run_{k}.csv", result)

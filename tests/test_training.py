@@ -65,6 +65,12 @@ class TestTrainingConfig:
         with pytest.raises(ValueError):
             TrainingConfig(**kw)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainingConfig(**{field: value})
+
 
 class TestCdGradient:
     def test_fixed_point_chain_gives_zero_gradient(self):
