@@ -25,7 +25,6 @@ import numpy as np
 from .datasets import Dataset, write_dataset
 from .experiment import (
     DATASET_LAYOUTS,
-    FULL_SCALE_EPOCHS,
     ExperimentConfig,
     average_runs,
     build_dataset,
@@ -145,16 +144,11 @@ def cmd_dataset(args) -> int:
 
 
 def apply_overrides(
-    config: ExperimentConfig,
-    seed: int | None = None,
-    epochs: int | None = None,
-    full_scale: bool = False,
+    config: ExperimentConfig, seed: int | None = None, epochs: int | None = None
 ) -> ExperimentConfig:
-    """Apply CLI-level overrides; an explicit --epochs beats --full-scale."""
+    """Apply the --seed and --epochs overrides."""
     if seed is not None:
         config = dataclasses.replace(config, base_seed=seed)
-    if epochs is None and full_scale:
-        epochs = FULL_SCALE_EPOCHS
     if epochs is not None:
         training = dataclasses.replace(config.training, epochs=epochs)
         config = dataclasses.replace(config, training=training)
@@ -165,7 +159,7 @@ def cmd_train(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     config = load_config(args.config)
-    config = apply_overrides(config, args.seed, args.epochs, args.full_scale)
+    config = apply_overrides(config, args.seed, args.epochs)
     epochs, every = config.training.epochs, config.training.measure_every
     msg = f"epochs ({epochs}) below 2 * measure_every ({every}): a peak report needs 3 measurements"
     _require(epochs >= 2 * every, msg)
@@ -204,10 +198,7 @@ def cmd_sample(args) -> int:
     _check_output_file(args.out)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     samples = generate_samples(params, args.count, args.burn_in, args.thin, rng)
-    write_dataset(
-        Dataset(name="samples", visible_len=params.num_visible, samples=samples.astype(np.uint8)),
-        args.out,
-    )
+    write_dataset(Dataset(name="samples", samples=samples.astype(np.uint8)), args.out)
     print(f"wrote {args.count} samples to {args.out}")
     return 0
 
@@ -230,11 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, default=None, help="override base_seed")
     p_train.add_argument("--jobs", type=int, default=1, help="parallel run workers")
     p_train.add_argument("--epochs", type=int, default=None, help="override training epochs")
-    p_train.add_argument(
-        "--full-scale",
-        action="store_true",
-        help=f"train for {FULL_SCALE_EPOCHS} epochs (overridden by --epochs)",
-    )
     p_train.set_defaults(func=cmd_train)
 
     p_sample = sub.add_parser("sample", help="draw samples from saved parameters")

@@ -31,22 +31,22 @@ class Dataset:
     """Ordered collection of binary visible vectors."""
 
     name: str
-    visible_len: int
-    samples: np.ndarray  # (N, visible_len) uint8, entries 0/1
+    samples: np.ndarray  # (N, V) uint8, entries 0/1
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples)
-        if samples.ndim != 2 or samples.shape[1] != self.visible_len:
-            raise ValueError(
-                f"samples shape {samples.shape} inconsistent with "
-                f"visible_len {self.visible_len}"
-            )
+        if samples.ndim != 2:
+            raise ValueError(f"samples must be an (N, V) matrix, got shape {samples.shape}")
         if not np.isin(samples, (0, 1)).all():  # before the cast, which makes 0.5 a 0 and 257 a 1
             raise ValueError("samples must contain only 0/1 entries")
         self.samples = samples.astype(np.uint8)
 
     def __len__(self) -> int:
         return self.samples.shape[0]
+
+    @property
+    def visible_len(self) -> int:
+        return self.samples.shape[1]
 
     def matrix(self) -> np.ndarray:
         """Samples as an (N, V) float64 matrix for numeric code."""
@@ -78,7 +78,7 @@ def generate_bars_and_stripes() -> Dataset:
                 continue
             seen.add(key)
             images.append(flat)
-    return Dataset(name="bs", visible_len=16, samples=np.stack(images))
+    return Dataset(name="bs", samples=np.stack(images))
 
 
 def _rotate(bits: list[int], direction: str) -> list[int]:
@@ -115,7 +115,7 @@ def generate_labeled_shifter(shift: str = "cyclic") -> Dataset:
         for code, direction in codes:
             result = bits if direction is None else move(bits, direction)
             states.append(bits + list(code) + result)
-    return Dataset(name="lse", visible_len=19, samples=np.array(states, dtype=np.uint8))
+    return Dataset(name="lse", samples=np.array(states, dtype=np.uint8))
 
 
 def write_dataset(dataset: Dataset, path) -> None:
@@ -175,4 +175,4 @@ def read_dataset(path) -> Dataset:
         )
     if not rows:
         raise DatasetFormatError(f"{path}: empty dataset")
-    return Dataset(name=fields["name"], visible_len=visible, samples=np.array(rows, dtype=np.uint8))
+    return Dataset(name=fields["name"], samples=np.array(rows, dtype=np.uint8))

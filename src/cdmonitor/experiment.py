@@ -36,10 +36,8 @@ from .training import RunBatch, TrainingConfig, init_params, train_epoch
 
 logger = logging.getLogger(__name__)
 
-# (visible units, hidden units, desk-scale epochs) per dataset.
-DATASET_LAYOUTS = {"bs": (16, 8, 10000), "lse": (19, 10, 20000)}
-
-FULL_SCALE_EPOCHS = 50000
+# (hidden units, desk-scale epochs) per dataset; the data fix the visible units.
+DATASET_LAYOUTS = {"bs": (8, 10000), "lse": (10, 20000)}
 
 # Centered moving-average width used for reported peaks; raw argmax is
 # reported alongside.
@@ -61,7 +59,6 @@ class ExperimentConfig:
     """Everything needed to reproduce a sweep."""
 
     dataset: str
-    visible: int
     hidden: int
     training: TrainingConfig
     num_runs: int = 10
@@ -73,11 +70,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.dataset not in DATASET_LAYOUTS:
             raise ValueError(f"dataset must be one of {sorted(DATASET_LAYOUTS)}, got {self.dataset!r}")
-        expected_visible = DATASET_LAYOUTS[self.dataset][0]
-        if self.visible != expected_visible:
-            raise ValueError(
-                f"dataset {self.dataset!r} has {expected_visible} visible units, got {self.visible}"
-            )
         if self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if self.num_runs < 1:
@@ -102,11 +94,9 @@ def default_config(dataset: str, **overrides) -> ExperimentConfig:
     """Desk-scale config for a dataset; keyword overrides are applied on top."""
     if dataset not in DATASET_LAYOUTS:
         raise ValueError(f"dataset must be one of {sorted(DATASET_LAYOUTS)}, got {dataset!r}")
-    visible, hidden, epochs = DATASET_LAYOUTS[dataset]
+    hidden, epochs = DATASET_LAYOUTS[dataset]
     training = overrides.pop("training", None) or TrainingConfig(epochs=epochs)
-    return ExperimentConfig(
-        dataset=dataset, visible=visible, hidden=hidden, training=training, **overrides
-    )
+    return ExperimentConfig(dataset=dataset, hidden=hidden, training=training, **overrides)
 
 
 @dataclass
@@ -124,10 +114,8 @@ class RunResult:
 class PeakReport:
     """Location of a metric's global maximum over a measurement series."""
 
-    metric: str
     epoch_of_max: int
     max_value: float
-    window: int = 1
 
 
 def build_dataset(config: ExperimentConfig) -> Dataset:
@@ -224,7 +212,7 @@ def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarr
     tc = config.training
     streams = [_run_rngs(config.base_seed, k) for k in run_indices]
     batch = RunBatch(
-        [init_params(config.visible, config.hidden, init, config.init_std) for init, _, _ in streams],
+        [init_params(X.shape[1], config.hidden, init, config.init_std) for init, _, _ in streams],
         X,
         [train for _, train, _ in streams],
     )
@@ -272,14 +260,16 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Iterator[RunResul
 
     The runs are split into ``jobs`` contiguous groups, each cut into
     RunBatches of at most BATCH_BYTES, and one loop maps ``run_single`` over
-    the batches: the builtin ``map`` at one worker, a process pool's
-    ordered ``map`` otherwise.  The pool stays: it is lse's only
-    parallelism, and on two cores it shortens the 10000-epoch bs preset
+    windows of one batch per worker: the builtin ``map`` at one worker, a
+    process pool's ordered ``map`` otherwise.  The pool stays: it is lse's
+    only parallelism, and on two cores it shortens the 10000-epoch bs preset
     from 3.4 s at ``jobs`` 1 to 2.8 s at ``jobs`` 2, though on a 2000-epoch
     bs sweep its start-up cancels the gain (0.89-0.95 s at 2 against
-    0.81-0.86 s at 1).  Closing the iterator early cancels the batches the
-    pool has not yet dispatched and shuts it down.  A run's result does not
-    depend on its batch or worker, so ``jobs`` changes no output.
+    0.81-0.86 s at 1).  A window holds no more batches than the pool has
+    workers, so none waits in the pool's queue, where a shutdown cannot
+    cancel it: closing the iterator early waits only for the batches
+    running then.  A run's result does not depend on its batch or worker,
+    so ``jobs`` changes no output.
     """
     X = build_dataset(config).matrix()
     size = max(1, BATCH_BYTES // RunBatch.bytes_per_run(*X.shape, config.hidden))
@@ -291,10 +281,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Iterator[RunResul
         from concurrent.futures import ProcessPoolExecutor  # costly to import; only sweeps use it
 
         pool = ProcessPoolExecutor(max_workers=workers)
-    n = len(batches)
     try:
-        for results in (pool.map if pool else map)(run_single, [config] * n, batches, [X] * n):
-            yield from results
+        for start in range(0, len(batches), workers):
+            window = batches[start : start + workers]
+            n = len(window)
+            for results in (pool.map if pool else map)(run_single, [config] * n, window, [X] * n):
+                yield from results
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
@@ -347,9 +339,7 @@ def detect_peak(series: list[MetricsRecord], metric: str, window: int = 1) -> Pe
     values = np.array([getattr(rec, metric) for rec in series], dtype=np.float64)
     smoothed = smooth_series(values, window)
     i = int(np.argmax(smoothed))
-    return PeakReport(
-        metric=metric, epoch_of_max=series[i].epoch, max_value=float(smoothed[i]), window=window
-    )
+    return PeakReport(epoch_of_max=series[i].epoch, max_value=float(smoothed[i]))
 
 
 # Rounds of the sampler's chain run per run_gibbs_chain call: its uniforms

@@ -151,7 +151,7 @@ def test_criterion_1_oracle_suite():
         )
 
         data = Dataset(
-            name="r", visible_len=V, samples=(rng.random((6, V)) < 0.5).astype(np.uint8)
+            name="r", samples=(rng.random((6, V)) < 0.5).astype(np.uint8)
         )
         got_ll = exact_log_likelihood(params, data)
         want_ll = oracles.log_likelihood_np(W, b, c, data.matrix())
@@ -192,7 +192,7 @@ def test_criterion_2_partition_cancellation():
         W, b, c = oracles.random_params(rng, V, H, scale=0.7)
         params = RbmParams(W, b, c)
         data = Dataset(
-            name="r", visible_len=V, samples=(rng.random((4, V)) < 0.5).astype(np.uint8)
+            name="r", samples=(rng.random((4, V)) < 0.5).astype(np.uint8)
         )
         probes = [
             XiProbe(variant=XiVariant.RANDOM_HIDDEN, y=rng.random(V)) for _ in range(4)

@@ -19,7 +19,13 @@ from cdmonitor.cli import (
     resolve_config,
 )
 from cdmonitor.datasets import read_dataset
-from cdmonitor.experiment import DATASET_LAYOUTS, RunResult, write_params_file
+from cdmonitor.experiment import (
+    DATASET_LAYOUTS,
+    RunResult,
+    build_dataset,
+    default_config,
+    write_params_file,
+)
 from cdmonitor.training import init_params
 
 
@@ -91,19 +97,21 @@ class TestConfigLoading:
         path = tmp_path / "minimal.json"
         path.write_text('{"dataset": "lse"}')
         config = load_config(path)
-        assert config.visible == 19
         assert config.hidden == 10
         assert config.training.epochs == 20000
         assert config.training.measure_every == 50
         assert config.num_runs == 10
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
-        path = write_config(tmp_path)
-        doc = json.loads(path.read_text())
-        doc["learning_rate"] = 0.5  # belongs under "training"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            load_config(path)
+        # learning_rate belongs under "training"; visible is what a config
+        # echoed before the data alone fixed the visible units still sets
+        for key, value in [("learning_rate", 0.5), ("visible", 16)]:
+            path = write_config(tmp_path)
+            doc = json.loads(path.read_text())
+            doc[key] = value
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError, match=rf"unknown config keys: \['{key}'\]"):
+                load_config(path)
 
     def test_unknown_training_key_rejected(self, tmp_path):
         path = write_config(tmp_path, training={"n": 1, "momentum": 0.9})
@@ -169,8 +177,8 @@ class TestConfigLoading:
     def test_overrides(self, tmp_path):
         config = load_config(write_config(tmp_path))
         assert apply_overrides(config, seed=7).base_seed == 7
-        assert apply_overrides(config, full_scale=True).training.epochs == 50000
-        assert apply_overrides(config, epochs=123, full_scale=True).training.epochs == 123
+        assert apply_overrides(config, epochs=50000).training.epochs == 50000
+        assert apply_overrides(config) == config
 
     def test_presets_are_valid(self):
         preset_dir = Path(__file__).parent.parent / "configs"
@@ -201,10 +209,20 @@ class TestTrainCommand:
         config = write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["train", "--config", str(config), "--out", str(out_a)]) == 0
-        assert main(["train", "--config", str(config), "--out", str(out_b)]) == 0
+        # the echoed config is itself a config that reproduces the sweep
+        echo = out_a / "config_resolved.json"
+        assert main(["train", "--config", str(echo), "--out", str(out_b)]) == 0
         for path_a in sorted(out_a.iterdir()):
             path_b = out_b / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes(), path_a.name
+
+    def test_full_scale_flag_is_gone(self, tmp_path):
+        # the paper's horizon is --epochs 50000, its one spelling
+        argv = ["train", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--full-scale"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_seed_column(self, tmp_path):
         config = write_config(tmp_path)
@@ -345,7 +363,8 @@ class TestSampleCommand:
     def test_file_bytes_are_pinned(self, tmp_path, dataset, digest):
         # weights of std 1 keep the chain mixing over many states
         params, out = tmp_path / "params.txt", tmp_path / "s.txt"
-        visible, hidden, _ = DATASET_LAYOUTS[dataset]
+        visible = build_dataset(default_config(dataset)).visible_len
+        hidden, _ = DATASET_LAYOUTS[dataset]
         write_params_file(params, init_params(visible, hidden, np.random.default_rng(3), 1.0))
         rc = main(["sample", "--params", str(params), "--count", "200", "--burn-in", "50",
                    "--thin", "3", "--seed", "5", "--out", str(out)])

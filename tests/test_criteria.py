@@ -41,7 +41,7 @@ def tiny_params():
 
 def make_dataset(rows):
     rows = np.asarray(rows, dtype=np.uint8)
-    return Dataset(name="test", visible_len=rows.shape[1], samples=rows)
+    return Dataset(name="test", samples=rows)
 
 
 def finite_difference_gradient(params, data, step=1e-5):

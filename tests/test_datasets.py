@@ -163,16 +163,16 @@ class TestFileFormat:
 
     def test_dataset_validates_entries(self):
         with pytest.raises(ValueError):
-            Dataset(name="x", visible_len=2, samples=np.array([[0, 2]]))
+            Dataset(name="x", samples=np.array([[0, 2]]))
 
     @pytest.mark.parametrize("samples", [[[0.5, 1]], [[0.9, 1.0]], [[257, 0]]])
     def test_dataset_rejects_values_a_uint8_cast_would_hide(self, samples):
         # 0.5 and 0.9 truncate to 0 and 257 wraps to 1 when cast to uint8
         with pytest.raises(ValueError, match="only 0/1 entries"):
-            Dataset(name="x", visible_len=2, samples=np.array(samples))
+            Dataset(name="x", samples=np.array(samples))
 
     def test_dataset_accepts_float_and_bool_bits(self):
         for samples in (np.array([[0.0, 1.0]]), np.array([[False, True]])):
-            data = Dataset(name="x", visible_len=2, samples=samples)
+            data = Dataset(name="x", samples=samples)
             assert data.samples.dtype == np.uint8
             np.testing.assert_array_equal(data.samples, [[0, 1]])

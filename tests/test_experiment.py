@@ -76,15 +76,9 @@ def record(epoch, value, mean_h=None):
 
 
 class TestExperimentConfig:
-    def test_visible_must_match_dataset(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                dataset="bs", visible=17, hidden=8, training=TrainingConfig()
-            )
-
     def test_unknown_dataset(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(dataset="mnist", visible=16, hidden=8, training=TrainingConfig())
+            ExperimentConfig(dataset="mnist", hidden=8, training=TrainingConfig())
 
     def test_required_variants(self):
         with pytest.raises(ValueError):
@@ -303,7 +297,7 @@ class TestMeasure:
 
         cfg = default_config(dataset, variants_enabled=tuple(XiVariant))
         X = experiment.build_dataset(cfg).matrix()
-        params = [init_params(cfg.visible, cfg.hidden, np.random.default_rng(r), 0.5) for r in range(runs)]
+        params = [init_params(X.shape[1], cfg.hidden, np.random.default_rng(r), 0.5) for r in range(runs)]
         batch = RunBatch(params, X, [np.random.default_rng(0)] * runs)
         rngs = [np.random.default_rng(40 + r) for r in range(runs)]
         work = RecordingWorkspace()
@@ -319,8 +313,9 @@ class TestBatchPlan:
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        """Records every run_single call and every pool; the pool maps in process."""
-        calls = {"batches": [], "pools": []}
+        """Records every run_single call, every pool and the batches each pool
+        map is handed; the pool maps in process."""
+        calls = {"batches": [], "pools": [], "windows": []}
 
         def recording_run_single(config, run_indices, X):
             calls["batches"].append(list(run_indices))
@@ -330,7 +325,10 @@ class TestBatchPlan:
         class InProcessPool:
             def __init__(self, max_workers):
                 calls["pools"].append(max_workers)
-                self.map = map
+
+            def map(self, fn, configs, batches, matrices):
+                calls["windows"].append(len(batches))
+                return map(fn, configs, batches, matrices)
 
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
@@ -352,11 +350,15 @@ class TestBatchPlan:
     )
     def test_plan(self, calls, dataset, runs, jobs, batches):
         # jobs contiguous groups (at most one per run), each cut into batches
-        # of BATCH_BYTES: a bs group is one batch, an lse batch one run
+        # of BATCH_BYTES: a bs group is one batch, an lse batch one run; the
+        # pool is handed at most one batch per worker at a time
         cfg = default_config(dataset, num_runs=runs)
         results = list(run_experiment(cfg, jobs=jobs))
         assert calls["batches"] == batches
-        assert calls["pools"] == ([] if jobs == 1 else [min(jobs, runs)])
+        workers = min(jobs, runs)
+        assert calls["pools"] == ([] if jobs == 1 else [workers])
+        assert sum(calls["windows"]) == (0 if jobs == 1 else len(batches))
+        assert all(size <= workers for size in calls["windows"])
         assert [r.seed for r in results] == [cfg.base_seed + k for k in range(runs)]
 
     def test_closing_early_leaves_no_worker(self):

@@ -79,7 +79,7 @@ class TestNoOverflowWarnings:
         np.testing.assert_array_equal(chain.h1_mean, np.tile([0.0, 1.0, 0.0], (6, 1)))
 
     def test_train_epoch(self):
-        data = Dataset(name="t", visible_len=4, samples=binary_rows(6, 4).astype(np.uint8))
+        data = Dataset(name="t", samples=binary_rows(6, 4).astype(np.uint8))
         train_epoch_one(saturated_params(), data, TrainingConfig(n=2), np.random.default_rng(1))
 
     def test_measure(self):

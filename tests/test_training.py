@@ -25,7 +25,7 @@ from reference import (
 
 def make_dataset(rows):
     rows = np.asarray(rows, dtype=np.uint8)
-    return Dataset(name="test", visible_len=rows.shape[1], samples=rows)
+    return Dataset(name="test", samples=rows)
 
 
 def count_calls(monkeypatch, name: str) -> list:
@@ -305,7 +305,7 @@ class TestTrainEpoch:
         assert calls == [(3, 30, 8), (3, 30, 16)] * n
 
     def test_empty_dataset_rejected(self):
-        data = Dataset(name="empty", visible_len=2, samples=np.zeros((0, 2), dtype=np.uint8))
+        data = Dataset(name="empty", samples=np.zeros((0, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
             train_epoch_one(zero_params(2, 1), data, TrainingConfig(), np.random.default_rng(0))
 
