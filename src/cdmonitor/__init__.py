@@ -11,7 +11,6 @@ from .datasets import (
     Dataset,
     generate_bars_and_stripes,
     generate_labeled_shifter,
-    read_dataset,
     write_dataset,
 )
 from .experiment import (

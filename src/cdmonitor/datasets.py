@@ -1,4 +1,4 @@
-"""Training-set generators and the dataset text format.
+"""Training-set generators and the dataset text format they are written in.
 
 Two synthetic pattern ensembles are provided:
 
@@ -10,9 +10,10 @@ Two synthetic pattern ensembles are provided:
   010 an unchanged copy, and 100 a rotation one bit right.  256 patterns
   times 3 codes gives 768 states.
 
-File format: ASCII text, LF line endings.  A single header line
-``# name=<name> visible=<V> n=<N>`` followed by one sample per line written
-as '0'/'1' characters with no separators.
+File format, written by ``write_dataset`` (the package reads no dataset
+file; it generates the sets): ASCII text, LF line endings.  A single header
+line ``# name=<name> visible=<V> n=<N>`` followed by one sample per line
+written as '0'/'1' characters with no separators.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class DatasetFormatError(ValueError):
-    """A dataset file does not conform to the text format."""
 
 
 @dataclass
@@ -87,23 +84,14 @@ def _rotate(bits: list[int], direction: str) -> list[int]:
     return bits[-1:] + bits[:-1]
 
 
-def _end_off_shift(bits: list[int], direction: str) -> list[int]:
-    if direction == "left":
-        return bits[1:] + [0]
-    return [0] + bits[:-1]
-
-
-def generate_labeled_shifter(shift: str = "cyclic") -> Dataset:
+def generate_labeled_shifter() -> Dataset:
     """All 768 labeled shifter states, patterns ascending, codes in the
     order 001, 010, 100.
 
     Patterns are written MSB first, so a left shift moves every bit toward
-    the most significant position.  ``shift`` selects "cyclic" rotation
-    (default; states stay invertible) or "end-off" shifting with zero fill.
+    the most significant position.  Shifts are cyclic rotations, so every
+    state is invertible.
     """
-    if shift not in ("cyclic", "end-off"):
-        raise ValueError(f"shift must be 'cyclic' or 'end-off', got {shift!r}")
-    move = _rotate if shift == "cyclic" else _end_off_shift
     codes = [
         ((0, 0, 1), "left"),
         ((0, 1, 0), None),
@@ -113,7 +101,7 @@ def generate_labeled_shifter(shift: str = "cyclic") -> Dataset:
     for p in range(256):
         bits = [(p >> (7 - i)) & 1 for i in range(8)]
         for code, direction in codes:
-            result = bits if direction is None else move(bits, direction)
+            result = bits if direction is None else _rotate(bits, direction)
             states.append(bits + list(code) + result)
     return Dataset(name="lse", samples=np.array(states, dtype=np.uint8))
 
@@ -131,48 +119,3 @@ def write_dataset(dataset: Dataset, path) -> None:
         fh.write(header.encode("ascii"))
         fh.write(body.tobytes())
 
-
-def read_dataset(path) -> Dataset:
-    """Parse a dataset file; raises DatasetFormatError naming the bad line."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise DatasetFormatError(f"{path}: empty dataset")
-    header = lines[0]
-    fields = {}
-    if header.startswith("# "):
-        for token in header[2:].split():
-            if "=" in token:
-                key, _, value = token.partition("=")
-                fields[key] = value
-    if set(fields) != {"name", "visible", "n"}:
-        raise DatasetFormatError(
-            f"{path}: line 1: malformed header {header!r}, "
-            "expected '# name=<name> visible=<V> n=<N>'"
-        )
-    try:
-        visible = int(fields["visible"])
-        count = int(fields["n"])
-    except ValueError:
-        raise DatasetFormatError(f"{path}: line 1: non-integer visible/n in header") from None
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if len(line) != visible:
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: expected {visible} bits, got {len(line)}"
-            )
-        bad = set(line) - {"0", "1"}
-        if bad:
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: invalid character {sorted(bad)[0]!r}"
-            )
-        rows.append([1 if ch == "1" else 0 for ch in line])
-    if len(rows) != count:
-        raise DatasetFormatError(
-            f"{path}: header declares n={count} but file has {len(rows)} samples"
-        )
-    if not rows:
-        raise DatasetFormatError(f"{path}: empty dataset")
-    return Dataset(name=fields["name"], samples=np.array(rows, dtype=np.uint8))

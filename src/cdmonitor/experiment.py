@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import typing
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -45,6 +44,9 @@ SMOOTH_WINDOW = 5
 
 DEFAULT_VARIANTS = (XiVariant.RANDOM_HIDDEN, XiVariant.COMPLEMENT_H1)
 
+# Standard deviation of every run's initial Gaussian weights.
+INIT_WEIGHT_STD = 0.01
+
 
 class ExperimentError(RuntimeError):
     """A sweep-level failure (bad run collection, mismatched grids, ...)."""
@@ -64,8 +66,6 @@ class ExperimentConfig:
     num_runs: int = 10
     base_seed: int = 20260401
     variants_enabled: tuple[XiVariant, ...] = DEFAULT_VARIANTS
-    init_std: float = 0.01
-    lse_shift: str = "cyclic"
 
     def __post_init__(self) -> None:
         if self.dataset not in DATASET_LAYOUTS:
@@ -80,10 +80,6 @@ class ExperimentConfig:
         for required in DEFAULT_VARIANTS:
             if required not in self.variants_enabled:
                 raise ValueError(f"variants_enabled must include {required.value!r}")
-        if not 0 <= self.init_std < np.inf:
-            raise ValueError(f"init_std must be finite and >= 0, got {self.init_std}")
-        if self.lse_shift not in ("cyclic", "end-off"):
-            raise ValueError(f"lse_shift must be 'cyclic' or 'end-off', got {self.lse_shift!r}")
 
     @property
     def mean_h_enabled(self) -> bool:
@@ -121,7 +117,7 @@ class PeakReport:
 def build_dataset(config: ExperimentConfig) -> Dataset:
     if config.dataset == "bs":
         return generate_bars_and_stripes()
-    return generate_labeled_shifter(shift=config.lse_shift)
+    return generate_labeled_shifter()
 
 
 def _run_rngs(base_seed: int, run_index: int):
@@ -212,7 +208,7 @@ def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarr
     tc = config.training
     streams = [_run_rngs(config.base_seed, k) for k in run_indices]
     batch = RunBatch(
-        [init_params(X.shape[1], config.hidden, init, config.init_std) for init, _, _ in streams],
+        [init_params(X.shape[1], config.hidden, init, INIT_WEIGHT_STD) for init, _, _ in streams],
         X,
         [train for _, train, _ in streams],
     )
@@ -407,10 +403,6 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-# Column parsers in MetricsRecord field order: int for the epoch, else float.
-_FIELD_TYPES = {n: int if t is int else float for n, t in typing.get_type_hints(MetricsRecord).items()}
-
-
 def _columns(records: list[MetricsRecord]) -> list[str]:
     """MetricsRecord fields in order; an optional field only when every record sets it."""
     return [
@@ -436,52 +428,14 @@ def _write_csv(path, records: list[MetricsRecord], key: str, value: int, at: int
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_csv(path, key: str, at: int) -> tuple[list[MetricsRecord], int]:
-    """Inverse of _write_csv: the records and the constant column's value."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [(i, ln) for i, ln in enumerate(fh.read().split("\n"), start=1) if ln]
-    if not lines:
-        raise ExperimentError(f"{path}: empty CSV")
-    header = lines[0][1].split(",")
-    names = list(_FIELD_TYPES)
-    if header not in (_splice(names[:-1], at, key), _splice(names, at, key)):
-        raise ExperimentError(f"{path}: unexpected header {lines[0][1]!r}")
-    names = names[: len(header) - 1]
-    records, values = [], set()
-    for lineno, ln in lines[1:]:
-        row = ln.split(",")
-        if len(row) != len(header):
-            raise ExperimentError(
-                f"{path}: line {lineno}: {len(row)} cells, header has {len(header)}"
-            )
-        try:
-            values.add(int(row.pop(at)))
-            records.append(MetricsRecord(**{n: _FIELD_TYPES[n](tok) for n, tok in zip(names, row)}))
-        except ValueError as exc:
-            raise ExperimentError(f"{path}: line {lineno}: {exc}") from None
-    if len(values) != 1:
-        raise ExperimentError(f"{path}: inconsistent {key} column {sorted(values)}")
-    return records, values.pop()
-
-
 def write_run_csv(path, result: RunResult) -> None:
     """Per-run CSV, one row per measurement epoch, 17 significant digits."""
     _write_csv(path, result.series, "seed", result.seed, at=1)
 
 
-def read_run_csv(path) -> tuple[list[MetricsRecord], int]:
-    """Inverse of write_run_csv; returns (series, seed)."""
-    return _read_csv(path, "seed", at=1)
-
-
 def write_averaged_csv(path, records: list[MetricsRecord], n_runs: int) -> None:
     """Averaged CSV: run columns minus seed, plus the run count."""
     _write_csv(path, records, "n_runs", n_runs, at=-1)
-
-
-def read_averaged_csv(path) -> tuple[list[MetricsRecord], int]:
-    """Inverse of write_averaged_csv; returns (records, n_runs)."""
-    return _read_csv(path, "n_runs", at=-1)
 
 
 def peak_report_text(records: list[MetricsRecord], window: int = SMOOTH_WINDOW) -> str:

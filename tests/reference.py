@@ -20,7 +20,8 @@ correctly, not that the primitives themselves are right.  The energy, the
 plain marginal, the exact log-likelihood, log Z enumerated over the larger
 layer (the route ``log_partition`` does not take), the reconstruction term
 with its hidden mean computed for it, and the all-zero model are here too,
-because only tests use them.
+because only tests use them.  So is ``split_csv``, which splits a written
+metric CSV into numbers: the package writes those files and reads none.
 
 Where these functions call the conditional means directly, they silence
 the overflow of saturated sigmoids with ``np.errstate`` as the package's
@@ -28,6 +29,7 @@ batch operations do.
 """
 
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 from scipy.special import logsumexp
@@ -384,3 +386,12 @@ def measure_full_chain(
         log_likelihood_mean=log_likelihood / count,
         log_xi_complement_mean_h=log_xi_mean_h,
     )
+
+
+def split_csv(path) -> tuple[list[str], list[list]]:
+    """A written metric CSV as its header and its rows of numbers.  A cell
+    written as an integer (epoch, seed, n_runs) is read as int, so a 64-bit
+    seed compares exactly; every other cell is read with ``float()``."""
+    header, *lines = Path(path).read_text(encoding="ascii").splitlines()
+    rows = [[int(c) if c.lstrip("-").isdigit() else float(c) for c in ln.split(",")] for ln in lines]
+    return header.split(","), rows

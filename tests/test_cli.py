@@ -18,7 +18,6 @@ from cdmonitor.cli import (
     main,
     resolve_config,
 )
-from cdmonitor.datasets import read_dataset
 from cdmonitor.experiment import (
     DATASET_LAYOUTS,
     RunResult,
@@ -54,9 +53,9 @@ class TestDatasetCommand:
     def test_labeled_shifter_file(self, tmp_path):
         out = tmp_path / "lse.txt"
         assert main(["dataset", "lse", str(out)]) == 0
-        data = read_dataset(out)
-        assert len(data) == 768
-        assert data.visible_len == 19
+        lines = out.read_text().splitlines()
+        assert lines[0] == "# name=lse visible=19 n=768"
+        assert len(lines) == 769 and all(len(ln) == 19 for ln in lines[1:])
 
     @pytest.mark.parametrize("name, digest", [
         ("bs", "e1514cd75f1aefb342d81939c63430b2eb2d0bbaa14bdb1ba65a4ce04dfeee54"),
@@ -84,7 +83,8 @@ class TestModuleEntryPoint:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert len(read_dataset(out)) == 30
+        lines = out.read_text().splitlines()
+        assert len(lines) == 31 and all(len(ln) == 16 for ln in lines[1:])
         usage = subprocess.run(
             [sys.executable, "-m", "cdmonitor"], env=env, capture_output=True, text=True, timeout=60
         )
@@ -103,9 +103,10 @@ class TestConfigLoading:
         assert config.num_runs == 10
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
-        # learning_rate belongs under "training"; visible is what a config
-        # echoed before the data alone fixed the visible units still sets
-        for key, value in [("learning_rate", 0.5), ("visible", 16)]:
+        # learning_rate belongs under "training"; visible, lse_shift and
+        # init_std are what a config echoed by an older version still sets
+        stale = [("learning_rate", 0.5), ("visible", 16), ("lse_shift", "cyclic"), ("init_std", 0.01)]
+        for key, value in stale:
             path = write_config(tmp_path)
             doc = json.loads(path.read_text())
             doc[key] = value
@@ -155,9 +156,9 @@ class TestConfigLoading:
         "overrides, message",
         [
             (dict(dataset=["bs"]), "dataset must be a string"),
-            (dict(init_std=float("nan")), "init_std must be a finite number"),
+            (dict(training={"weight_decay": float("nan")}), "training.weight_decay must be a finite number"),
             (dict(training={"learning_rate": float("inf")}), "training.learning_rate must be a finite number"),
-            (dict(init_std=10**400), "init_std must be a finite number"),
+            (dict(training={"learning_rate": 10**400}), "training.learning_rate must be a finite number"),
         ],
     )
     def test_non_string_dataset_and_non_finite_numbers_exit_2(self, tmp_path, capsys, overrides, message):
@@ -294,9 +295,9 @@ class TestSampleCommand:
              "--seed", "5", "--burn-in", "20", "--thin", "2"]
         )
         assert rc == 0
-        data = read_dataset(out)
-        assert len(data) == 30
-        assert data.visible_len == 16
+        lines = out.read_text().splitlines()
+        assert lines[0] == "# name=samples visible=16 n=30"
+        assert len(lines) == 31 and all(len(ln) == 16 and set(ln) <= {"0", "1"} for ln in lines[1:])
 
     def test_zero_count_exits_2(self, tmp_path, params_file):
         rc = main(["sample", "--params", str(params_file), "--count", "0",

@@ -1,8 +1,7 @@
 import concurrent.futures
 import multiprocessing
-import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -19,9 +18,7 @@ from cdmonitor.experiment import (
     detect_peak,
     generate_samples,
     peak_report_text,
-    read_averaged_csv,
     read_params_file,
-    read_run_csv,
     run_experiment,
     smooth_series,
     write_averaged_csv,
@@ -38,6 +35,7 @@ from cdmonitor.training import RunBatch, TrainingConfig, init_params
 
 from reference import (
     generate_samples_per_sample,
+    split_csv,
     measure_full_chain,
     measure_one,
     train_params_to_epoch,
@@ -83,11 +81,6 @@ class TestExperimentConfig:
     def test_required_variants(self):
         with pytest.raises(ValueError):
             tiny_bs_config(variants_enabled=(XiVariant.RANDOM_HIDDEN,))
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_init_std_rejected(self, value):
-        with pytest.raises(ValueError, match="init_std must be finite"):
-            default_config("bs", init_std=value)
 
     def test_mean_h_variant_optional(self):
         cfg = tiny_bs_config(
@@ -586,65 +579,48 @@ class TestCsvRoundTrip:
             for e in (0, 50, 100, 150)
         ]
 
+    @staticmethod
+    def metrics(rec):
+        """The metric values a record sets, in column order."""
+        return [v for v in astuple(rec)[1:] if v is not None]
+
     def test_run_csv_round_trip_exact(self, tmp_path):
         series = self.sample_series()
         result = RunResult(seed=42, series=series, final_params=None)
         path = tmp_path / "run.csv"
         write_run_csv(path, result)
-        loaded, seed = read_run_csv(path)
-        assert seed == 42
-        assert loaded == series
+        header, rows = split_csv(path)
+        assert header == [
+            "epoch", "seed", "log_likelihood", "log_xi_random", "log_xi_complement",
+            "log_recon_mean", "log_likelihood_mean",
+        ]
+        assert rows == [[rec.epoch, 42, *self.metrics(rec)] for rec in series]
 
     def test_run_csv_with_mean_h_column(self, tmp_path):
         series = self.sample_series(mean_h=True)
         path = tmp_path / "run.csv"
         write_run_csv(path, RunResult(seed=7, series=series, final_params=None))
-        header = path.read_text().splitlines()[0]
-        assert header.endswith(",log_xi_complement_mean_h")
-        loaded, _ = read_run_csv(path)
-        assert loaded == series
+        header, rows = split_csv(path)
+        assert header[-1] == "log_xi_complement_mean_h"
+        assert rows == [[rec.epoch, 7, *self.metrics(rec)] for rec in series]
 
     def test_averaged_csv_round_trip_exact(self, tmp_path):
         series = self.sample_series()
         path = tmp_path / "avg.csv"
         write_averaged_csv(path, series, n_runs=10)
-        loaded, n_runs = read_averaged_csv(path)
-        assert n_runs == 10
-        assert loaded == series
+        header, rows = split_csv(path)
+        assert header == [
+            "epoch", "log_likelihood", "log_xi_random", "log_xi_complement",
+            "log_recon_mean", "log_likelihood_mean", "n_runs",
+        ]
+        assert rows == [[rec.epoch, *self.metrics(rec), 10] for rec in series]
 
     def test_sentinel_value_round_trips(self, tmp_path):
         series = [record(0, -1e300), record(50, 1e-300), record(100, -0.1)]
         path = tmp_path / "run.csv"
         write_run_csv(path, RunResult(seed=1, series=series, final_params=None))
-        loaded, _ = read_run_csv(path)
-        assert loaded == series
-
-    def test_unexpected_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("epoch,foo\n0,1\n")
-        with pytest.raises(ExperimentError):
-            read_run_csv(path)
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda row: row[: row.rindex(",")],
-            lambda row: row + ",0.5",
-            lambda row: row[: row.rindex(",") + 1] + "x",  # a cell that is not a number
-        ],
-    )
-    @pytest.mark.parametrize("averaged", [False, True])
-    def test_row_with_wrong_cell_count_names_file_and_line(self, tmp_path, edit, averaged):
-        path = tmp_path / "bad.csv"
-        if averaged:
-            write_averaged_csv(path, self.sample_series(), n_runs=3)
-        else:
-            write_run_csv(path, RunResult(seed=5, series=self.sample_series(), final_params=None))
-        lines = path.read_text().split("\n")
-        lines[2] = edit(lines[2])
-        path.write_text("\n".join(lines))
-        with pytest.raises(ExperimentError, match=re.escape(f"{path}: line 3: ")):
-            (read_averaged_csv if averaged else read_run_csv)(path)
+        _, rows = split_csv(path)
+        assert rows == [[rec.epoch, 1, *self.metrics(rec)] for rec in series]
 
 
 class TestPeakReportText:
@@ -703,7 +679,7 @@ class TestAveragedRecomputation:
         averaged = average_runs(results)
         for k, result in enumerate(results):
             write_run_csv(tmp_path / f"run_{k}.csv", result)
-        parsed = [read_run_csv(tmp_path / f"run_{k}.csv")[0] for k in range(3)]
+        parsed = [split_csv(tmp_path / f"run_{k}.csv") for k in range(3)]
         for i, rec in enumerate(averaged):
             for metric in (
                 "log_likelihood",
@@ -712,5 +688,5 @@ class TestAveragedRecomputation:
                 "log_recon_mean",
                 "log_likelihood_mean",
             ):
-                recomputed = sum(getattr(series[i], metric) for series in parsed) / 3
+                recomputed = sum(rows[i][header.index(metric)] for header, rows in parsed) / 3
                 assert getattr(rec, metric) == pytest.approx(recomputed, rel=1e-12, abs=1e-15)
