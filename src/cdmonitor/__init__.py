@@ -23,7 +23,6 @@ from .experiment import (
     run_experiment,
 )
 from .rbm import (
-    GibbsChain,
     RbmParams,
     hidden_conditional_mean,
     log_unnormalized_marginal,

@@ -255,37 +255,41 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Iterator[RunResul
     """Execute all runs of a sweep, yielding their results in run-index order.
 
     The runs are split into ``jobs`` contiguous groups, each cut into
-    RunBatches of at most BATCH_BYTES, and one loop maps ``run_single`` over
-    windows of one batch per worker: the builtin ``map`` at one worker, a
-    process pool's ordered ``map`` otherwise.  The pool stays: it is lse's
-    only parallelism, and on two cores it shortens the 10000-epoch bs preset
-    from 3.4 s at ``jobs`` 1 to 2.8 s at ``jobs`` 2, though on a 2000-epoch
-    bs sweep its start-up cancels the gain (0.89-0.95 s at 2 against
-    0.81-0.86 s at 1).  A window holds no more batches than the pool has
-    workers, so none waits in the pool's queue, where a shutdown cannot
-    cancel it: closing the iterator early waits only for the batches
-    running then.  A run's result does not depend on its batch or worker,
-    so ``jobs`` changes no output.
+    RunBatches of at most BATCH_BYTES, and ``run_single`` runs each batch:
+    in this process at one worker, in a process pool otherwise.  The pool
+    stays: it is lse's only parallelism, and on two cores it shortens the
+    10000-epoch bs preset from 3.4 s at ``jobs`` 1 to 2.8 s at ``jobs`` 2,
+    though on a 2000-epoch bs sweep its start-up cancels the gain
+    (0.89-0.95 s at 2 against 0.81-0.86 s at 1).  The pool is handed one
+    batch per worker, and the next batch as each batch's results are
+    yielded, so no more batches are in it than it has workers and none
+    waits in its queue, where a shutdown cannot cancel it: closing the
+    iterator early waits only for the batches running then.  A run's
+    result does not depend on its batch or worker, so ``jobs`` changes no
+    output.
     """
     X = build_dataset(config).matrix()
     size = max(1, BATCH_BYTES // RunBatch.bytes_per_run(*X.shape, config.hidden))
     runs, workers = config.num_runs, max(1, min(jobs, config.num_runs))
     groups = [range(w * runs // workers, (w + 1) * runs // workers) for w in range(workers)]
     batches = [group[start : start + size] for group in groups for start in range(0, len(group), size)]
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # costly to import; only sweeps use it
+    if workers == 1:
+        for batch in batches:
+            yield from run_single(config, batch, X)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # costly to import; only sweeps use it
 
-        pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        for start in range(0, len(batches), workers):
-            window = batches[start : start + workers]
-            n = len(window)
-            for results in (pool.map if pool else map)(run_single, [config] * n, window, [X] * n):
-                yield from results
+        running = [pool.submit(run_single, config, batch, X) for batch in batches[:workers]]
+        for batch in batches[workers:]:
+            results = running.pop(0).result()
+            running.append(pool.submit(run_single, config, batch, X))
+            yield from results
+        for future in running:
+            yield from future.result()
     finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
 
 
 def average_runs(results: list[RunResult]) -> list[MetricsRecord]:
@@ -356,9 +360,12 @@ def generate_samples(
     ``burn_in`` rounds, then emits every ``thin``-th visible sample.  It runs
     in segments of ``_SEGMENT_ROUNDS`` rounds, burn-in included, each one
     ``run_gibbs_chain`` call that draws its rounds' uniforms at once.  The
-    samples are those of one long chain, bit for bit, while one segment is
-    held at a time, whatever the burn-in.  Returns a (count, V) binary
-    matrix.
+    segments share one cache of E[x|h] per hidden state, so each state's
+    visible mean is computed once per call, up to the chain's bound of
+    ``rbm._CACHED_MEANS`` states (about 1.8 MB at V = 19).  The samples are
+    those of one long chain that computes every mean, bit for bit, while
+    one segment is held at a time, whatever the burn-in.  Returns a
+    (count, V) binary matrix.
 
     On a well-trained model the chain mixes slowly, so its thinned draws
     are correlated: on bs run 0 at epoch 9700, at burn-in 1000 and thin
@@ -376,16 +383,17 @@ def generate_samples(
     samples = np.empty((count, params.num_visible))
     total = burn_in + count * thin
     done = emitted = 0  # rounds run and samples emitted so far
+    means = {}  # E[x|h] by hidden draw, for every segment
     while done < total:
         rounds = min(_SEGMENT_ROUNDS, total - done)
-        chain = run_gibbs_chain(params, x, rounds, rng)
+        visibles = run_gibbs_chain(params, x, rounds, rng, means)
         # the next sample is the visible draw of round burn_in + (emitted + 1) * thin
-        picked = chain.visibles[burn_in + (emitted + 1) * thin - 1 - done :: thin]
+        picked = visibles[burn_in + (emitted + 1) * thin - 1 - done :: thin]
         samples[emitted : emitted + len(picked)] = picked
         emitted += len(picked)
         done += rounds
-        x = chain.x_last.copy()
-        del chain, picked  # free this segment before the next one is drawn
+        x = visibles[-1].copy()
+        del visibles, picked  # free this segment before the next one is drawn
     return samples
 
 

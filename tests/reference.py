@@ -14,9 +14,13 @@ of the Gibbs chain, the sampler and an epoch's draws
 (``run_gibbs_chain_per_round``, ``generate_samples_per_sample``,
 ``train_epoch_per_round``) draw every round's uniforms with one generator
 call per draw, as the package did before it drew all of a chain's
-uniforms in one call.  Unlike ``oracles.py`` they share code with the
-package: agreement shows that the batched paths combine the primitives
-correctly, not that the primitives themselves are right.  The energy, the
+uniforms in one call.  The chain also takes a batch of start vectors,
+computes every visible mean and keeps all of its samples in a
+``GibbsChain``; the package's chain is the sampler's, from one start
+vector, with a cache of visible means, returning the visible draws.
+Unlike ``oracles.py`` they share code with the package: agreement shows
+that the batched paths combine the primitives correctly, not that the
+primitives themselves are right.  The energy, the
 plain marginal, the exact log-likelihood, log Z enumerated over the larger
 layer (the route ``log_partition`` does not take), the reconstruction term
 with its hidden mean computed for it, and the all-zero model are here too,
@@ -45,13 +49,11 @@ from cdmonitor.criteria import (
 from cdmonitor.datasets import Dataset
 from cdmonitor.experiment import ExperimentConfig, ExperimentError, _measure, build_dataset, run_single
 from cdmonitor.rbm import (
-    GibbsChain,
     RbmParams,
     _check_last_dim,
     fresh,
     hidden_conditional_mean,
     log_unnormalized_marginal,
-    run_gibbs_chain,
     sample_bernoulli,
     softplus,
     visible_conditional_mean,
@@ -114,11 +116,41 @@ def train_epoch_per_round(batch: RunBatch, config: TrainingConfig) -> None:
     apply_update(batch, config)
 
 
+@dataclass
+class GibbsChain:
+    """Samples from a block Gibbs chain h_1, x_2, ..., h_n, x_{n+1}.
+
+    ``hiddens[k]`` and ``visibles[k]`` are the binary samples of round k+1;
+    leading batch dimensions of ``x1`` are preserved, so ``hiddens`` has
+    shape (n, ..., H) and ``visibles`` shape (n, ..., V).  ``h1_mean`` is
+    E[h|x1], the mean round 1 draws h_1 from, shape (..., H).
+    """
+
+    x1: np.ndarray
+    h1_mean: np.ndarray
+    hiddens: np.ndarray
+    visibles: np.ndarray
+
+    @property
+    def h1(self) -> np.ndarray:
+        """First hidden sample, kept for the complement probe."""
+        return self.hiddens[0]
+
+    @property
+    def x_last(self) -> np.ndarray:
+        """Last visible sample x_{n+1}."""
+        return self.visibles[-1]
+
+
 def run_gibbs_chain_per_round(
     params: RbmParams, x1: np.ndarray, n: int, rng: np.random.Generator
 ) -> GibbsChain:
-    """``run_gibbs_chain`` with every round drawing its hidden and then its
-    visible sample, one generator call each."""
+    """The Gibbs chain of ``rbm.run_gibbs_chain`` with every round drawing
+    its hidden and then its visible samples, one generator call each, and
+    computing every conditional mean.  It also takes a batch of start
+    vectors, drawing each round's N*H hidden uniforms and then its N*V
+    visible ones, and returns every sample: it is the CD-n chain of
+    ``measure_full_chain`` and ``cd_gradient``."""
     x = x1 = np.asarray(x1, dtype=np.float64)
     hiddens, visibles = [], []
     with np.errstate(over="ignore"):
@@ -319,7 +351,7 @@ def cd_gradient(
     x1 = np.asarray(x1, dtype=np.float64)
     if x1.ndim != 1:
         raise ValueError(f"x1 must be a single vector, got shape {x1.shape}")
-    chain = run_gibbs_chain(params, x1, n, rng)
+    chain = run_gibbs_chain_per_round(params, x1, n, rng)
     h_pos = chain.h1_mean
     x_neg = chain.x_last
     with np.errstate(over="ignore"):
@@ -358,7 +390,7 @@ def measure_full_chain(
     """The snapshot of ``experiment._measure``, computed from the whole
     CD-n chain and with fresh arrays throughout."""
     count = X.shape[0]
-    chain = run_gibbs_chain(params, X, config.training.n, rng)
+    chain = run_gibbs_chain_per_round(params, X, config.training.n, rng)
     h_random = rng.random((count, params.num_hidden))
 
     log_um_x = np.sum(log_unnormalized_marginal(params, X))

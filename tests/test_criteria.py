@@ -11,7 +11,6 @@ from cdmonitor.criteria import (
 )
 from cdmonitor.datasets import Dataset, generate_bars_and_stripes, generate_labeled_shifter
 from cdmonitor.rbm import (
-    GibbsChain,
     RbmParams,
     Workspace,
     hidden_conditional_mean,
@@ -22,6 +21,7 @@ from cdmonitor.training import RunBatch
 
 import oracles
 from reference import (
+    GibbsChain,
     XiProbe,
     enumerate_binary_vectors,
     exact_gradient,

