@@ -81,15 +81,21 @@ def _typed_fields(section: dict, cls, label: str, prefix: str) -> dict:
     return out
 
 
-def resolve_config(doc: dict) -> ExperimentConfig:
+def resolve_config(doc: dict, seed: int | None = None, epochs: int | None = None) -> ExperimentConfig:
     """Validate a config document against the ExperimentConfig and
-    TrainingConfig fields; unset fields keep the defaults of default_config."""
+    TrainingConfig fields; unset fields keep the defaults of default_config.
+    ``seed`` and ``epochs``, when given, replace ``base_seed`` and
+    ``training.epochs`` and are checked as the file's values are."""
     _require(isinstance(doc, dict), "config root must be a JSON object")
     top = _typed_fields(doc, ExperimentConfig, "config", "")
     _require("dataset" in top, "config must set 'dataset'")
     training_doc = doc.get("training", {})
     _require(isinstance(training_doc, dict), "'training' must be an object")
     training = _typed_fields(training_doc, TrainingConfig, "training", "training.")
+    if seed is not None:
+        top["base_seed"] = seed
+    if epochs is not None:
+        training["epochs"] = epochs
     try:
         config = default_config(top.pop("dataset"))
         training = dataclasses.replace(config.training, **training)
@@ -98,7 +104,7 @@ def resolve_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed: int | None = None, epochs: int | None = None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -106,7 +112,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    return resolve_config(doc)
+    return resolve_config(doc, seed, epochs)
 
 
 def config_to_json(config: ExperimentConfig) -> str:
@@ -143,23 +149,10 @@ def cmd_dataset(args) -> int:
     return 0
 
 
-def apply_overrides(
-    config: ExperimentConfig, seed: int | None = None, epochs: int | None = None
-) -> ExperimentConfig:
-    """Apply the --seed and --epochs overrides."""
-    if seed is not None:
-        config = dataclasses.replace(config, base_seed=seed)
-    if epochs is not None:
-        training = dataclasses.replace(config.training, epochs=epochs)
-        config = dataclasses.replace(config, training=training)
-    return config
-
-
 def cmd_train(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    config = load_config(args.config)
-    config = apply_overrides(config, args.seed, args.epochs)
+    config = load_config(args.config, args.seed, args.epochs)
     epochs, every = config.training.epochs, config.training.measure_every
     msg = f"epochs ({epochs}) below 2 * measure_every ({every}): a peak report needs 3 measurements"
     _require(epochs >= 2 * every, msg)
@@ -190,15 +183,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     params = read_params_file(args.params)
     _check_output_file(args.out)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     samples = generate_samples(params, args.count, args.burn_in, args.thin, rng)
-    write_dataset(Dataset(name="samples", samples=samples.astype(np.uint8)), args.out)
+    write_dataset(Dataset(name="samples", samples=samples), args.out)
     print(f"wrote {args.count} samples to {args.out}")
     return 0
 

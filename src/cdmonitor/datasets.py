@@ -54,34 +54,14 @@ def generate_bars_and_stripes() -> Dataset:
     """All 30 bars-or-stripes 4x4 images, flattened row-major.
 
     Canonical order: row images for masks 0..15 ascending, then column
-    images for masks 0..15 ascending with the blank and full images dropped
-    (they already appeared as row images).  Mask bit r selects row r
-    (or column c) to be filled.
+    images for masks 1..14 ascending; the blank and full column images of
+    masks 0 and 15 are left out, since they already appeared as row images.
+    Mask bit k selects row k or column k to be filled.
     """
-    images = []
-    seen = set()
-    for orientation in ("rows", "cols"):
-        for mask in range(16):
-            img = np.zeros((4, 4), dtype=np.uint8)
-            for k in range(4):
-                if (mask >> k) & 1:
-                    if orientation == "rows":
-                        img[k, :] = 1
-                    else:
-                        img[:, k] = 1
-            flat = img.reshape(16)
-            key = flat.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            images.append(flat)
-    return Dataset(name="bs", samples=np.stack(images))
-
-
-def _rotate(bits: list[int], direction: str) -> list[int]:
-    if direction == "left":
-        return bits[1:] + bits[:1]
-    return bits[-1:] + bits[:-1]
+    bits = (np.arange(16)[:, None] >> np.arange(4)) & 1  # (mask, k)
+    rows = np.repeat(bits, 4, axis=1)  # pixel (r, c) is bit r
+    cols = np.tile(bits[1:15], 4)  # pixel (r, c) is bit c
+    return Dataset(name="bs", samples=np.concatenate([rows, cols]))
 
 
 def generate_labeled_shifter() -> Dataset:
@@ -92,17 +72,11 @@ def generate_labeled_shifter() -> Dataset:
     the most significant position.  Shifts are cyclic rotations, so every
     state is invertible.
     """
-    codes = [
-        ((0, 0, 1), "left"),
-        ((0, 1, 0), None),
-        ((1, 0, 0), "right"),
-    ]
     states = []
     for p in range(256):
         bits = [(p >> (7 - i)) & 1 for i in range(8)]
-        for code, direction in codes:
-            result = bits if direction is None else _rotate(bits, direction)
-            states.append(bits + list(code) + result)
+        left, right = bits[1:] + bits[:1], bits[-1:] + bits[:-1]
+        states += [bits + [0, 0, 1] + left, bits + [0, 1, 0] + bits, bits + [1, 0, 0] + right]
     return Dataset(name="lse", samples=np.array(states, dtype=np.uint8))
 
 

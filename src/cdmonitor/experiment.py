@@ -446,13 +446,13 @@ def write_averaged_csv(path, records: list[MetricsRecord], n_runs: int) -> None:
     _write_csv(path, records, "n_runs", n_runs, at=-1)
 
 
-def peak_report_text(records: list[MetricsRecord], window: int = SMOOTH_WINDOW) -> str:
+def peak_report_text(records: list[MetricsRecord]) -> str:
     """key=value blocks for every monitored metric: smoothed peak plus raw argmax."""
     # log_likelihood_mean is log_likelihood / N, so it peaks with it.
     metrics = [m for m in _columns(records)[1:] if m != "log_likelihood_mean"]
     blocks = []
     for metric in metrics:
-        smoothed = detect_peak(records, metric, window=window)
+        smoothed = detect_peak(records, metric, window=SMOOTH_WINDOW)
         raw = detect_peak(records, metric, window=1)
         blocks.append(
             "\n".join(

@@ -1,7 +1,10 @@
+import argparse
+import dataclasses
 import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +15,7 @@ import pytest
 import cdmonitor.cli as cli
 from cdmonitor.cli import (
     ConfigError,
-    apply_overrides,
+    build_parser,
     config_to_json,
     load_config,
     main,
@@ -90,6 +93,23 @@ class TestModuleEntryPoint:
         )
         assert usage.returncode == 2
         assert usage.stderr.startswith("usage: cdmonitor")
+
+
+def test_readme_cli_synopsis_names_every_option():
+    # the README's synopsis and the parser name the same --options per subcommand
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    documented = {}
+    for line in synopsis.strip().splitlines():
+        if line.startswith("cdmonitor "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    defined = {
+        name: {opt for action in sub._actions for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert documented == defined
 
 
 class TestConfigLoading:
@@ -176,10 +196,14 @@ class TestConfigLoading:
         assert json.loads(example) == json.loads(config_to_json(resolve_config({"dataset": "bs"})))
 
     def test_overrides(self, tmp_path):
-        config = load_config(write_config(tmp_path))
-        assert apply_overrides(config, seed=7).base_seed == 7
-        assert apply_overrides(config, epochs=50000).training.epochs == 50000
-        assert apply_overrides(config) == config
+        path = write_config(tmp_path)
+        config = load_config(path)
+        assert load_config(path, seed=7) == dataclasses.replace(config, base_seed=7)
+        training = dataclasses.replace(config.training, epochs=50000)
+        assert load_config(path, epochs=50000) == dataclasses.replace(config, training=training)
+        assert load_config(path, seed=None, epochs=None) == config
+        with pytest.raises(ConfigError, match=r"epochs must be >= 1, got 0"):
+            load_config(path, epochs=0)
 
     def test_presets_are_valid(self):
         preset_dir = Path(__file__).parent.parent / "configs"
@@ -241,6 +265,25 @@ class TestTrainCommand:
         rows = (out / "run_00.csv").read_text().splitlines()
         assert len(rows) == 4  # header + epochs 0, 50, 100
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "0"),
+        ("--seed", "-1"),
+        ("--seed", "18446744073709551616"),
+    ])
+    def test_bad_override_is_the_config_error_of_the_same_value(self, tmp_path, capsys, flag, value):
+        # the flag's value goes through the checks the config file's value does
+        if flag == "--epochs":
+            in_file = write_config(tmp_path, training={"n": 1, "epochs": int(value), "measure_every": 50})
+        else:
+            in_file = write_config(tmp_path, base_seed=int(value))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(in_file), "--out", str(out)]) == 2
+        expected = capsys.readouterr().err
+        assert expected.startswith("config error: ") and expected.count("\n") == 1
+        assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out), flag, value]) == 2
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     def test_invalid_config_exits_2(self, tmp_path):
         config = write_config(tmp_path, hidden=0)
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
@@ -299,11 +342,6 @@ class TestSampleCommand:
         assert lines[0] == "# name=samples visible=16 n=30"
         assert len(lines) == 31 and all(len(ln) == 16 and set(ln) <= {"0", "1"} for ln in lines[1:])
 
-    def test_zero_count_exits_2(self, tmp_path, params_file):
-        rc = main(["sample", "--params", str(params_file), "--count", "0",
-                   "--out", str(tmp_path / "s.txt")])
-        assert rc == 2
-
     def test_fixed_seed_reproduces_bytes(self, tmp_path, params_file):
         outs = []
         for name in ("s1.txt", "s2.txt"):
@@ -347,6 +385,7 @@ class TestSampleCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
+        ("--count", "0", "count must be >= 1, got 0"),
         ("--burn-in", "-1", "burn_in must be >= 0, got -1"),
         ("--thin", "0", "thin must be >= 1, got 0"),
     ])
