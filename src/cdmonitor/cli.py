@@ -183,10 +183,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     params = read_params_file(args.params)
     _check_output_file(args.out)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     samples = generate_samples(params, args.count, args.burn_in, args.thin, rng)
     write_dataset(Dataset(name="samples", samples=samples), args.out)

@@ -360,12 +360,13 @@ def generate_samples(
     ``burn_in`` rounds, then emits every ``thin``-th visible sample.  It runs
     in segments of ``_SEGMENT_ROUNDS`` rounds, burn-in included, each one
     ``run_gibbs_chain`` call that draws its rounds' uniforms at once.  The
-    segments share one cache of E[x|h] per hidden state, so each state's
-    visible mean is computed once per call, up to the chain's bound of
-    ``rbm._CACHED_MEANS`` states (about 1.8 MB at V = 19).  The samples are
-    those of one long chain that computes every mean, bit for bit, while
-    one segment is held at a time, whatever the burn-in.  Returns a
-    (count, V) binary matrix.
+    segments share the chain's two caches, E[x|h] per hidden state and
+    E[h|x] per visible state, so each state's mean is computed once per
+    call, up to the chain's bound of ``rbm._CACHED_MEANS`` = 2048 states
+    per cache (about 1.8 MB for both at V = 19).  The samples are those of
+    one long chain that computes every mean, bit for bit, while one segment
+    is held at a time, whatever the burn-in.  Returns a (count, V) binary
+    matrix.
 
     On a well-trained model the chain mixes slowly, so its thinned draws
     are correlated: on bs run 0 at epoch 9700, at burn-in 1000 and thin
@@ -383,10 +384,10 @@ def generate_samples(
     samples = np.empty((count, params.num_visible))
     total = burn_in + count * thin
     done = emitted = 0  # rounds run and samples emitted so far
-    means = {}  # E[x|h] by hidden draw, for every segment
+    means, hidden_means = {}, {}  # E[x|h] by hidden draw and E[h|x] by visible one, for every segment
     while done < total:
         rounds = min(_SEGMENT_ROUNDS, total - done)
-        visibles = run_gibbs_chain(params, x, rounds, rng, means)
+        visibles = run_gibbs_chain(params, x, rounds, rng, means, hidden_means)
         # the next sample is the visible draw of round burn_in + (emitted + 1) * thin
         picked = visibles[burn_in + (emitted + 1) * thin - 1 - done :: thin]
         samples[emitted : emitted + len(picked)] = picked

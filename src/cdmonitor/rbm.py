@@ -273,13 +273,20 @@ def sample_bernoulli(mean, u: np.ndarray) -> np.ndarray:
     return np.less(u, mean, out=u)
 
 
-# Visible means one run_gibbs_chain cache holds, one per hidden state: every
-# state of a model with H <= 12, in about 1.8 MB at V = 19.
-_CACHED_MEANS = 4096
+# States each of run_gibbs_chain's two caches holds: E[x|h] for the first
+# _CACHED_MEANS hidden states the chain visits and E[h|x] for the first
+# _CACHED_MEANS visible ones.  Every hidden state of a model with H <= 11
+# fits, and both caches together take about 1.8 MB at V = 19.
+_CACHED_MEANS = 2048
 
 
 def run_gibbs_chain(
-    params: RbmParams, x1: np.ndarray, n: int, rng: np.random.Generator, means: dict | None = None
+    params: RbmParams,
+    x1: np.ndarray,
+    n: int,
+    rng: np.random.Generator,
+    means: dict | None = None,
+    hidden_means: dict | None = None,
 ) -> np.ndarray:
     """Run n rounds of block Gibbs sampling from one visible vector x1 of
     shape (V,); returns the visible draws x_2, ..., x_{n+1} as an (n, V)
@@ -293,18 +300,23 @@ def run_gibbs_chain(
     ones): they fill one (n, H+V) array, of which the draws are views, and
     each round turns its own slice into draws with ``sample_bernoulli``.
 
-    E[x|h] depends only on the binary draw h, and a chain revisits its
-    hidden states: a chain of 51000 rounds on an lse model (H = 10) visits
-    at most 2^10 = 1024, so 98% of its rounds revisit one.  So ``means``
-    maps ``h.tobytes()`` to the mean ``visible_conditional_mean`` returned
-    for h, and a round whose h is there thresholds the stored mean.  Each stored mean comes from that
-    call on the same 0/1 vector, so the draws are bit for bit those of a
-    chain that computes every mean.  Successive calls may share one dict;
-    without one, the call keeps its own.  It stores at most _CACHED_MEANS
-    entries, about 430 B each at V = 19 (a key of 8H bytes, a (V,) array
-    and the dict slot), so about 1.8 MB; past that a new state's mean is
-    computed and not stored.  The overflow of saturated sigmoids is
-    silenced once around all rounds.
+    E[x|h] depends only on the binary draw h, and E[h|x] only on the
+    vector x the round starts from (x1, then the previous visible draw).
+    A chain revisits both: one of 51000 rounds on an lse model (H = 10)
+    visits at most 2^10 = 1024 hidden states, and one on a bs model trained
+    2000 epochs visits under 1800 visible states.  So ``means`` maps
+    ``h.tobytes()`` to the mean ``visible_conditional_mean`` returned for
+    h, ``hidden_means`` maps ``x.tobytes()`` to the mean
+    ``hidden_conditional_mean`` returned for x, and a round whose h or x is
+    there thresholds the stored mean.  Each stored mean comes from that
+    call on the same vector, so the draws are bit for bit those of a chain
+    that computes every mean.  Successive calls may share the dicts;
+    without them, the call keeps its own.  Each dict stores the first
+    _CACHED_MEANS = 2048 states the chain visits, about 430 B each at
+    V = 19 (a key of 8H or 8V bytes, an (H,) or (V,) array and the dict
+    slot), so the two take about 1.8 MB.  Past that a new state's mean is
+    computed into a buffer the call allocates once, and not stored.  The
+    overflow of saturated sigmoids is silenced once around all rounds.
     """
     if n < 1:
         raise ValueError(f"chain length n must be >= 1, got {n}")
@@ -312,18 +324,27 @@ def run_gibbs_chain(
     if x1.shape != (params.num_visible,):
         raise DimensionMismatchError(f"x1 has shape {x1.shape}, expected ({params.num_visible},)")
     means = {} if means is None else means
+    hidden_means = {} if hidden_means is None else hidden_means
     draws = rng.random((n, params.num_hidden + params.num_visible))
     hiddens, visibles = draws[:, : params.num_hidden], draws[:, params.num_hidden :]
-    h_mean = np.empty(params.num_hidden)
+    h_spare, x_spare = np.empty(params.num_hidden), np.empty(params.num_visible)
     x = x1
     with np.errstate(over="ignore"):
         for h, x_next in zip(hiddens, visibles):
-            sample_bernoulli(hidden_conditional_mean(params, x, out=h_mean), h)
+            key = x.tobytes()
+            h_mean = hidden_means.get(key)
+            if h_mean is None:
+                if len(hidden_means) < _CACHED_MEANS:
+                    h_mean = hidden_means[key] = hidden_conditional_mean(params, x)
+                else:
+                    h_mean = hidden_conditional_mean(params, x, out=h_spare)
+            sample_bernoulli(h_mean, h)
             key = h.tobytes()
             x_mean = means.get(key)
             if x_mean is None:
-                x_mean = visible_conditional_mean(params, h)
                 if len(means) < _CACHED_MEANS:
-                    means[key] = x_mean
+                    x_mean = means[key] = visible_conditional_mean(params, h)
+                else:
+                    x_mean = visible_conditional_mean(params, h, out=x_spare)
             x = sample_bernoulli(x_mean, x_next)
     return visibles

@@ -384,6 +384,16 @@ class TestSampleCommand:
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--count", "0")])
+    def test_missing_params_file_is_reported_before_a_bad_value(self, tmp_path, capsys, flag, value):
+        missing, out = tmp_path / "nope.txt", tmp_path / "s.txt"
+        rc = main(["sample", "--params", str(missing), "--count", "3", "--out", str(out), flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read params file") and str(missing) in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--count", "0", "count must be >= 1, got 0"),
         ("--burn-in", "-1", "burn_in must be >= 0, got -1"),

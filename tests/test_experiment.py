@@ -561,9 +561,11 @@ class TestGenerateSamples:
         assert got_rng.random() == want_rng.random()
 
     @staticmethod
-    def diffuse_params(hidden):
+    def diffuse_params(hidden, visible=16):
         rng = np.random.default_rng(hidden)
-        return RbmParams(0.1 * rng.normal(size=(hidden, 16)), 0.1 * rng.normal(size=16), 0.1 * rng.normal(size=hidden))
+        return RbmParams(
+            0.1 * rng.normal(size=(hidden, visible)), 0.1 * rng.normal(size=visible), 0.1 * rng.normal(size=hidden)
+        )
 
     @pytest.mark.parametrize("hidden", [4, 14])
     def test_cached_means_give_the_reference_bits(self, hidden):
@@ -589,6 +591,23 @@ class TestGenerateSamples:
         distinct = list(dict.fromkeys(keys))
         stored = set(distinct[: rbm._CACHED_MEANS])
         assert (len(distinct) <= 16) if hidden == 4 else (len(distinct) > rbm._CACHED_MEANS)
+        assert len(calls) == len(stored) + sum(key not in stored for key in keys)
+
+    @pytest.mark.parametrize("visible", [8, 16])
+    def test_one_hidden_mean_per_cached_visible_state(self, monkeypatch, visible):
+        # the mirror of the test above: a round starts from x0 or from the
+        # previous visible draw; V = 8 has 256 states, all stored, and at
+        # V = 16 the chain visits more states than the cache holds
+        params = self.diffuse_params(4, visible)
+        calls = count_calls(monkeypatch, "hidden_conditional_mean")
+        generate_samples(params, 2000, 0, 4, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        x0 = sample_bernoulli(0.5, rng.random(visible))
+        visibles = run_gibbs_chain_per_round(params, x0, 8000, rng).visibles
+        keys = [x.tobytes() for x in (x0, *visibles[:-1])]
+        distinct = list(dict.fromkeys(keys))
+        stored = set(distinct[: rbm._CACHED_MEANS])
+        assert (len(distinct) <= 256) if visible == 8 else (len(distinct) > rbm._CACHED_MEANS)
         assert len(calls) == len(stored) + sum(key not in stored for key in keys)
 
     def test_cache_memory_is_bounded(self):

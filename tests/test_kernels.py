@@ -87,6 +87,14 @@ class TestNoOverflowWarnings:
         assert list(means) == [np.array([0.0, 1.0, 0.0]).tobytes()]
         np.testing.assert_array_equal(visibles, np.tile([1.0, 0.0, 1.0, 0.0], (3, 1)))
 
+    def test_gibbs_chain_keeps_one_hidden_mean_per_visible_state(self):
+        # the rounds start from x1 and then from (1, 0, 1, 0) every time
+        x1 = np.array([0.0, 1.0, 1.0, 0.0])
+        hidden_means = {}
+        run_gibbs_chain(saturated_params(), x1, 4, np.random.default_rng(0), hidden_means=hidden_means)
+        assert list(hidden_means) == [x1.tobytes(), np.array([1.0, 0.0, 1.0, 0.0]).tobytes()]
+        assert all(m.tolist() == [0.0, 1.0, 0.0] for m in hidden_means.values())
+
     def test_train_epoch(self):
         data = Dataset(name="t", samples=binary_rows(6, 4).astype(np.uint8))
         train_epoch_one(saturated_params(), data, TrainingConfig(n=2), np.random.default_rng(1))
