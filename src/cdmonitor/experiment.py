@@ -360,13 +360,14 @@ def generate_samples(
     ``burn_in`` rounds, then emits every ``thin``-th visible sample.  It runs
     in segments of ``_SEGMENT_ROUNDS`` rounds, burn-in included, each one
     ``run_gibbs_chain`` call that draws its rounds' uniforms at once.  The
-    segments share the chain's two caches, E[x|h] per hidden state and
-    E[h|x] per visible state, so each state's mean is computed once per
-    call, up to the chain's bound of ``rbm._CACHED_MEANS`` = 2048 states
-    per cache (about 1.8 MB for both at V = 19).  The samples are those of
-    one long chain that computes every mean, bit for bit, while one segment
-    is held at a time, whatever the burn-in.  Returns a (count, V) binary
-    matrix.
+    segments share the chain's two caches, E[x|h] per hidden draw and
+    E[h|x] per visible one, each keyed by the bool draw's bytes, so each
+    state's mean is computed once per call, up to the chain's bound of
+    ``rbm._CACHED_MEANS`` = 2048 states per cache (about 1.35 MB for both
+    at H = 14, V = 19).  Each segment's draws come back as 0.0 and 1.0.
+    The samples are those of one long chain that computes every mean, bit
+    for bit, while one segment is held at a time, whatever the burn-in.
+    Returns a (count, V) float matrix of 0s and 1s.
 
     On a well-trained model the chain mixes slowly, so its thinned draws
     are correlated: on bs run 0 at epoch 9700, at burn-in 1000 and thin

@@ -261,22 +261,26 @@ def visible_conditional_mean(params: RbmParams, h: np.ndarray, out: np.ndarray |
     return _sigmoid_inplace(z)
 
 
-def sample_bernoulli(mean, u: np.ndarray) -> np.ndarray:
+def sample_bernoulli(mean, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Independent Bernoulli draws with success probabilities ``mean``, over
     the caller's uniforms ``u``: each u_i is replaced by 1.0 if u_i < mean_i
     and by 0.0 otherwise, with ``mean`` broadcast to u's shape.  Returns u.
+    Given ``out``, a bool array of u's shape, the draws go there as True and
+    False instead, u is left as it is, and out is returned: the same
+    comparisons, written without a cast to float.
 
     This is the one place a uniform becomes a draw.  Its callers own the
     generator calls, so each decides how many draws one call covers: numpy's
     default PCG64 generator gives the same doubles in one call as in many.
     """
-    return np.less(u, mean, out=u)
+    return np.less(u, mean, out=u if out is None else out)
 
 
 # States each of run_gibbs_chain's two caches holds: E[x|h] for the first
 # _CACHED_MEANS hidden states the chain visits and E[h|x] for the first
 # _CACHED_MEANS visible ones.  Every hidden state of a model with H <= 11
-# fits, and both caches together take about 1.8 MB at V = 19.
+# fits, and both caches together take about 1.35 MB at H = 14, V = 19,
+# about 330 B a state (measured with tracemalloc).
 _CACHED_MEANS = 2048
 
 
@@ -289,62 +293,69 @@ def run_gibbs_chain(
     hidden_means: dict | None = None,
 ) -> np.ndarray:
     """Run n rounds of block Gibbs sampling from one visible vector x1 of
-    shape (V,); returns the visible draws x_2, ..., x_{n+1} as an (n, V)
-    array.
+    shape (V,) and 0s and 1s; returns the visible draws x_2, ..., x_{n+1}
+    as an (n, V) float array of 0s and 1s.  Any other x1 raises before a
+    uniform is drawn.
 
     Each round draws a binary h from P(h|x) and then a binary x from P(x|h);
     conditional means are never substituted for samples inside the chain.
     All n rounds' uniforms come from one ``rng.random`` call, which with
     numpy's default PCG64 generator gives the doubles that one call per
     draw gives, in the same order (a round's H hidden, then its V visible
-    ones): they fill one (n, H+V) array, of which the draws are views, and
-    each round turns its own slice into draws with ``sample_bernoulli``.
+    ones): they fill one (n, H+V) array, and each round thresholds its own
+    slice with ``sample_bernoulli`` into bool buffers, an (H,) one reused
+    for h and row k of an (n, V) one for x.  The (n, V) array is cast to
+    float once, on return.
 
     E[x|h] depends only on the binary draw h, and E[h|x] only on the
     vector x the round starts from (x1, then the previous visible draw).
     A chain revisits both: one of 51000 rounds on an lse model (H = 10)
     visits at most 2^10 = 1024 hidden states, and one on a bs model trained
-    2000 epochs visits under 1800 visible states.  So ``means`` maps
-    ``h.tobytes()`` to the mean ``visible_conditional_mean`` returned for
-    h, ``hidden_means`` maps ``x.tobytes()`` to the mean
-    ``hidden_conditional_mean`` returned for x, and a round whose h or x is
-    there thresholds the stored mean.  Each stored mean comes from that
-    call on the same vector, so the draws are bit for bit those of a chain
-    that computes every mean.  Successive calls may share the dicts;
-    without them, the call keeps its own.  Each dict stores the first
-    _CACHED_MEANS = 2048 states the chain visits, about 430 B each at
-    V = 19 (a key of 8H or 8V bytes, an (H,) or (V,) array and the dict
-    slot), so the two take about 1.8 MB.  Past that a new state's mean is
-    computed into a buffer the call allocates once, and not stored.  The
-    overflow of saturated sigmoids is silenced once around all rounds.
+    2000 epochs visits under 1800 visible states.  So ``means`` maps the
+    ``tobytes()`` of the bool draw h (H bytes) to the mean
+    ``visible_conditional_mean`` returned for h as a float 0/1 vector,
+    ``hidden_means`` maps the bool x's (V bytes) to the mean
+    ``hidden_conditional_mean`` returned for x so cast, and a round whose h
+    or x is there thresholds the stored mean.  Each stored mean comes from
+    that call on the same 0/1 vector, so the draws are bit for bit those of
+    a chain that computes every mean.  Successive calls may share the
+    dicts; without them, the call keeps its own.  Each dict stores the
+    first _CACHED_MEANS = 2048 states the chain visits, about 330 B each at
+    H = 14, V = 19 (the key, an (H,) or (V,) array and the dict slot), so
+    the two take about 1.35 MB.  Past that a new state's mean is computed
+    into a buffer the call allocates once, and not stored.  The overflow of
+    saturated sigmoids is silenced once around all rounds.
     """
     if n < 1:
         raise ValueError(f"chain length n must be >= 1, got {n}")
     x1 = np.asarray(x1, dtype=np.float64)
     if x1.shape != (params.num_visible,):
         raise DimensionMismatchError(f"x1 has shape {x1.shape}, expected ({params.num_visible},)")
+    x = x1 == 1.0
+    if not (x | (x1 == 0.0)).all():
+        raise ValueError("x1 must hold only 0s and 1s")
     means = {} if means is None else means
     hidden_means = {} if hidden_means is None else hidden_means
-    draws = rng.random((n, params.num_hidden + params.num_visible))
-    hiddens, visibles = draws[:, : params.num_hidden], draws[:, params.num_hidden :]
+    uniforms = rng.random((n, params.num_hidden + params.num_visible))
+    hidden_u, visible_u = uniforms[:, : params.num_hidden], uniforms[:, params.num_hidden :]
+    h = np.empty(params.num_hidden, dtype=bool)
+    visibles = np.empty((n, params.num_visible), dtype=bool)
     h_spare, x_spare = np.empty(params.num_hidden), np.empty(params.num_visible)
-    x = x1
     with np.errstate(over="ignore"):
-        for h, x_next in zip(hiddens, visibles):
+        for u_h, u_x, x_next in zip(hidden_u, visible_u, visibles):
             key = x.tobytes()
             h_mean = hidden_means.get(key)
             if h_mean is None:
                 if len(hidden_means) < _CACHED_MEANS:
-                    h_mean = hidden_means[key] = hidden_conditional_mean(params, x)
+                    h_mean = hidden_means[key] = hidden_conditional_mean(params, x.astype(np.float64))
                 else:
-                    h_mean = hidden_conditional_mean(params, x, out=h_spare)
-            sample_bernoulli(h_mean, h)
-            key = h.tobytes()
+                    h_mean = hidden_conditional_mean(params, x.astype(np.float64), out=h_spare)
+            key = sample_bernoulli(h_mean, u_h, out=h).tobytes()
             x_mean = means.get(key)
             if x_mean is None:
                 if len(means) < _CACHED_MEANS:
-                    x_mean = means[key] = visible_conditional_mean(params, h)
+                    x_mean = means[key] = visible_conditional_mean(params, h.astype(np.float64))
                 else:
-                    x_mean = visible_conditional_mean(params, h, out=x_spare)
-            x = sample_bernoulli(x_mean, x_next)
-    return visibles
+                    x_mean = visible_conditional_mean(params, h.astype(np.float64), out=x_spare)
+            x = sample_bernoulli(x_mean, u_x, out=x_next)
+    return visibles.astype(np.float64)

@@ -483,6 +483,15 @@ TRACED = [
     "experiment._measure",
     "experiment.generate_samples",
 ]
+# Those whose spans give the batch-1 and per-round figures, which only the
+# `sample` command calls at batch size 1.
+SAMPLE_TRACED = [
+    "rbm.hidden_conditional_mean",
+    "rbm.visible_conditional_mean",
+    "rbm.sample_bernoulli",
+    "rbm.run_gibbs_chain",
+    "experiment.generate_samples",
+]
 
 
 def test_train_and_sample_call_every_traced_function_by_name(tmp_path, monkeypatch):
@@ -502,6 +511,9 @@ def test_train_and_sample_call_every_traced_function_by_name(tmp_path, monkeypat
                     monkeypatch.setattr(module, name, counted)
     out = tmp_path / "out"
     assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out), "--jobs", "1"]) == 0
+    trained = dict(calls)
     sample_args = ["--count", "3", "--burn-in", "2", "--thin", "2", "--out", str(tmp_path / "s.txt")]
     assert main(["sample", "--params", str(out / "params_run_00.txt"), *sample_args]) == 0
     assert [name for name, n in calls.items() if n == 0] == []
+    # train's calls must not stand in for a sampler that stopped making them
+    assert [name for name in SAMPLE_TRACED if calls[name] == trained[name]] == []

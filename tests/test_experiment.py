@@ -567,16 +567,28 @@ class TestGenerateSamples:
             0.1 * rng.normal(size=(hidden, visible)), 0.1 * rng.normal(size=visible), 0.1 * rng.normal(size=hidden)
         )
 
-    @pytest.mark.parametrize("hidden", [4, 14])
-    def test_cached_means_give_the_reference_bits(self, hidden):
-        # H = 4: every hidden state recurs; H = 14: the chain of 8000 rounds
-        # visits more states than the cache holds (next test)
-        params = self.diffuse_params(hidden)
+    @pytest.mark.parametrize("hidden, visible", [(4, 16), (14, 16), (4, 8)], ids=["4", "14", "4-8"])
+    def test_cached_means_give_the_reference_bits(self, monkeypatch, hidden, visible):
+        # the 8000 rounds visit more visible states than hidden_means holds
+        # at V = 16, and more hidden ones than means holds at H = 14 (the
+        # miss-count tests below): so H = 4, V = 16 takes the spare-buffer
+        # E[h|x] route while every hidden state is stored, H = 14 both spare
+        # buffers, and H = 4, V = 8 neither
+        params = self.diffuse_params(hidden, visible)
+        spare = []  # whether each hidden mean of the chain went to its spare buffer
+        original = rbm.hidden_conditional_mean
+
+        def recorded(params, x, out=None, pre=None):
+            spare.append(out is not None)
+            return original(params, x, out, pre)
+
+        monkeypatch.setattr(rbm, "hidden_conditional_mean", recorded)
         got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
         got = generate_samples(params, 2000, 0, 4, got_rng)
         want = generate_samples_per_sample(params, 2000, 0, 4, want_rng)
         assert got.tobytes() == want.tobytes()
         assert got_rng.random() == want_rng.random()
+        assert any(spare) == (visible == 16)
 
     @pytest.mark.parametrize("hidden", [4, 14])
     def test_one_visible_mean_per_cached_hidden_state(self, monkeypatch, hidden):
@@ -611,9 +623,11 @@ class TestGenerateSamples:
         assert len(calls) == len(stored) + sum(key not in stored for key in keys)
 
     def test_cache_memory_is_bounded(self):
-        # 20000 rounds at H = 14 visit about 11500 hidden states, which would
-        # take about 4.8 MB of cached means; the cache stops at 4096 states
-        # of about 420 B each, next to the 640 KB of samples
+        # 20000 rounds at H = 14, V = 16 visit about 11200 hidden and 16600
+        # visible states, which would take about 8.9 MB of cached means; the
+        # two caches stop at 2048 states each, of about 320 B each (bool key,
+        # mean and dict slot, measured with tracemalloc), about 1.3 MB in
+        # all, next to the 640 KB of samples
         params = self.diffuse_params(14)
         tracemalloc.start()
         try:

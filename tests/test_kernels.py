@@ -84,7 +84,7 @@ class TestNoOverflowWarnings:
         # the hidden draw is always (0, 1, 0), the visible one (1, 0, 1, 0)
         means = {}
         visibles = run_gibbs_chain(saturated_params(), binary_rows(1, 4)[0], 3, np.random.default_rng(0), means)
-        assert list(means) == [np.array([0.0, 1.0, 0.0]).tobytes()]
+        assert list(means) == [np.array([0, 1, 0], dtype=bool).tobytes()]
         np.testing.assert_array_equal(visibles, np.tile([1.0, 0.0, 1.0, 0.0], (3, 1)))
 
     def test_gibbs_chain_keeps_one_hidden_mean_per_visible_state(self):
@@ -92,7 +92,7 @@ class TestNoOverflowWarnings:
         x1 = np.array([0.0, 1.0, 1.0, 0.0])
         hidden_means = {}
         run_gibbs_chain(saturated_params(), x1, 4, np.random.default_rng(0), hidden_means=hidden_means)
-        assert list(hidden_means) == [x1.tobytes(), np.array([1.0, 0.0, 1.0, 0.0]).tobytes()]
+        assert list(hidden_means) == [x1.astype(bool).tobytes(), np.array([1, 0, 1, 0], dtype=bool).tobytes()]
         assert all(m.tolist() == [0.0, 1.0, 0.0] for m in hidden_means.values())
 
     def test_train_epoch(self):

@@ -199,6 +199,27 @@ class TestSampleBernoulli:
         want = (u < 0.3).astype(np.float64)
         assert sample_bernoulli(0.3, u).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(
+        "mean",
+        [
+            np.zeros((5, 4)),
+            np.ones((5, 4)),
+            np.array([0.0, 1.0, 0.25, 0.5]),  # broadcast over u's rows
+            0.3,  # broadcast over all of u
+            np.random.default_rng(6).random((5, 4)),
+        ],
+    )
+    def test_bool_out_gives_the_float_draws(self, mean):
+        u = np.random.default_rng(5).random((5, 4))
+        u[0, 0], u[1, 2] = 0.0, 0.25  # a zero uniform and one equal to its mean
+        kept = u.copy()
+        out = np.empty(u.shape, dtype=bool)
+        got = sample_bernoulli(mean, u, out=out)
+        assert got is out
+        assert u.tobytes() == kept.tobytes()
+        want = sample_bernoulli(mean, kept)
+        assert got.astype(np.float64).tobytes() == want.tobytes()
+
 
 class TestGibbsChain:
     """The sampler's single-vector chain; the batched chain is the reference's."""
@@ -208,7 +229,7 @@ class TestGibbsChain:
         p = RbmParams(np.zeros((3, 4)), np.zeros(4), np.full(3, 50.0))
         means = {}
         run_gibbs_chain(p, np.zeros(4), 5, np.random.default_rng(3), means)
-        assert list(means) == [np.ones(3).tobytes()]
+        assert list(means) == [np.ones(3, dtype=bool).tobytes()]
 
     def test_length_contract(self):
         p = tiny_params()
@@ -222,6 +243,13 @@ class TestGibbsChain:
         rng = np.random.default_rng(4)
         with pytest.raises(DimensionMismatchError):
             run_gibbs_chain(tiny_params(), np.zeros(shape), 2, rng)
+        assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+
+    @pytest.mark.parametrize("x1", [[0.5, 0.0], [1.0, 2.0], [-1.0, 0.0], [np.nan, 1.0]])
+    def test_start_must_be_binary(self, x1):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match="0s and 1s"):
+            run_gibbs_chain(tiny_params(), np.array(x1), 2, rng)
         assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
 
     def test_samples_are_binary(self):
