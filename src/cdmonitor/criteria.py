@@ -124,9 +124,9 @@ def _logsumexp(v: np.ndarray) -> np.ndarray:
     return m[..., 0] + np.log(np.exp(v, out=v).sum(axis=-1))
 
 
-# W, b and c of a model or a stack of them, as log_unnormalized_marginal
+# WT, b and c of a model or a stack of them, as log_unnormalized_marginal
 # reads them: a view of the caller's arrays, made without a copy or a check.
-_Layers = namedtuple("_Layers", "W b c")
+_Layers = namedtuple("_Layers", "WT b c")
 
 
 def log_partition(params: RbmParams, work=fresh):
@@ -134,7 +134,8 @@ def log_partition(params: RbmParams, work=fresh):
     of ``log_unnormalized_marginal`` over its states, which sums the other
     layer out in closed form.  The hidden layer (on a tie too) goes through
     the model with its layers swapped, (W^T, c, b), whose marginal at h is
-    c.h + sum_i softplus(b_i + (W^T h)_i).  Enumeration runs in fixed-order
+    c.h + sum_i softplus(b_i + (W^T h)_i); that model's contiguous
+    transpose is W itself.  Enumeration runs in fixed-order
     blocks so the reduction is bit-reproducible; a layer that fits one block
     reuses its state matrix from the previous call.  A stack of R models
     gives an (R,) array, each model's blocks reduced along the last axis as
@@ -143,8 +144,8 @@ def log_partition(params: RbmParams, work=fresh):
     block.  ``work`` is a ``Workspace`` for the per-block temporaries.
     """
     swap = params.num_hidden <= params.num_visible
-    model = _Layers(params.W.mT, params.c, params.b) if swap else _Layers(params.W, params.b, params.c)
-    bits = model.W.shape[-1]  # the model's visible layer, the one enumerated
+    model = _Layers(params.W, params.c, params.b) if swap else _Layers(params.WT, params.b, params.c)
+    bits = model.WT.shape[-2]  # the model's visible layer, the one enumerated
     if bits > ENUMERATION_LIMIT_BITS:
         raise EnumerationInfeasibleError(
             f"the smaller layer has {bits} units, exact enumeration capped at "
@@ -154,17 +155,17 @@ def log_partition(params: RbmParams, work=fresh):
     block = 1 << min(bits, _CHUNK_BITS)
 
     def enumerate_blocks(model):
-        partials = work("lz.partials", (*model.W.shape[:-2], total // block))
+        partials = work("lz.partials", (*model.WT.shape[:-2], total // block))
         for i, start in enumerate(range(0, total, block)):
             states = _all_states(bits) if block == total else _binary_block(bits, start, start + block)
             partials[..., i] = _logsumexp(log_unnormalized_marginal(model, states, work))
         # one block's partial is already log Z: log-sum-exp of one value returns it
         return partials[..., 0] if i == 0 else _logsumexp(partials)
 
-    group = max(1, _STACK_ELEMENTS // (block * model.W.shape[-2]))
-    if model.W.ndim == 2 or len(model.W) <= group:
+    group = max(1, _STACK_ELEMENTS // (block * model.WT.shape[-1]))
+    if model.WT.ndim == 2 or len(model.WT) <= group:
         return _item(enumerate_blocks(model))
-    lz = np.empty(len(model.W))
-    for g in range(0, len(model.W), group):
+    lz = np.empty(len(model.WT))
+    for g in range(0, len(model.WT), group):
         lz[g : g + group] = enumerate_blocks(_Layers(*(a[g : g + group] for a in model)))
     return lz

@@ -149,7 +149,12 @@ def _measure(
     whole chain would (this needs a bit generator with ``advance``, such as
     numpy's default PCG64).  The round-1 uniforms then become draws in one
     ``sample_bernoulli`` call.  The hidden pre-activation of X is computed
-    once: round 1's hidden mean and the data marginal both read it.
+    once: round 1's hidden mean and the data marginal both read it.  That
+    mean, E[h|X], is written into ``batch.h_data`` and marked current, so
+    the next ``train_epoch`` takes it as its positive phase instead of
+    computing it again.  Each ratio diagnostic is the sum over samples of
+    log p~(x_n) - log p~(y_n), not the difference of the two totals, most
+    of which would cancel.
 
     The runs are measured as one stacked program on (R, N, ·) arrays, read
     from the batch's parameters in place; every per-run value has the bits
@@ -169,17 +174,21 @@ def _measure(
         rng.random(out=u_probe)
     pre = work("measure.pre", shape)
     with np.errstate(over="ignore"):
-        h1_mean = hidden_conditional_mean(batch, X, out=work("measure.h1_mean", shape), pre=pre)
+        h1_mean = hidden_conditional_mean(batch, X, out=batch.h_data, pre=pre)
+    batch.h_data_current = True
     sample_bernoulli(h1_mean, h1)
 
-    log_um_x = np.sum(log_unnormalized_marginal(batch, X, work, pre), axis=-1, out=work("measure.log_um_x", shape[:1]))
+    # the data marginal gets its own buffer: the probes' marginals reuse the one it is returned in
+    lum_x = work("measure.lum_x", shape[:2])
+    np.copyto(lum_x, log_unnormalized_marginal(batch, X, work, pre))
 
     def probe_total(h_s: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             Y = visible_conditional_mean(batch, h_s, out=work("measure.y", (*shape[:2], num_visible)))
-        return log_um_x - np.sum(log_unnormalized_marginal(batch, Y, work), axis=-1)
+        diff = np.subtract(lum_x, log_unnormalized_marginal(batch, Y, work), out=work("measure.diff", shape[:2]))
+        return np.sum(diff, axis=-1)
 
-    log_likelihood = log_um_x - count * log_partition(batch, work=work)
+    log_likelihood = np.sum(lum_x, axis=-1) - count * log_partition(batch, work=work)
     recon_mean = mean_reconstruction_log_prob(batch, batch.signs, h1_mean, work)
     columns = {
         "log_likelihood": log_likelihood,
@@ -245,7 +254,7 @@ def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarr
 
 
 # Per-run training memory one RunBatch may hold, about one core's L2
-# cache: a batch of bs runs (30 samples) stacks up to 15 runs, while one
+# cache: a batch of bs runs (30 samples) stacks up to 14 runs, while one
 # lse run (768 samples) alone exceeds it and trains unstacked, since
 # stacking its larger arrays gained nothing.
 BATCH_BYTES = 1 << 18

@@ -70,13 +70,19 @@ class RunBatch:
     Run r's parameters are row r of ``theta``, one flat vector per run:
     ``W`` (R, H, V), ``b`` (R, 1, V) and ``c`` (R, 1, H) are views into it,
     in the stacked form the conditional means of ``rbm`` accept, so one
-    scan checks all of a run's parameters.  ``grad`` holds the epoch's
+    scan checks all of a run's parameters.  ``WT`` (R, V, H) is W^T as a
+    C-contiguous copy, which every x.W^T product reads (see ``rbm``); it is
+    refreshed when the batch is built and by every ``apply_update``, the
+    only writer of ``theta``.  ``grad`` holds the epoch's
     ascent direction in the same layout, with views ``dW``, ``db`` and
     ``dc``.  Run r draws its chain from ``rngs[r]``.  The other arrays are
     an epoch's workspace, allocated here once.  Among them, ``draws`` holds
     one Gibbs round's N*(H+V) uniforms per run as one row, in the order the
     run draws them, and ``h`` (R, N, H) and ``x`` (R, N, V) are its hidden
     and visible parts, where the round's samples replace its uniforms.
+    ``h_data_current`` is True while ``h_data`` holds E[h|X] at the current
+    parameters, as a snapshot leaves it for the next epoch's positive
+    phase; ``apply_update`` clears it.
     """
 
     def __init__(self, params: Sequence[RbmParams], X: np.ndarray, rngs: Sequence[np.random.Generator]) -> None:
@@ -99,7 +105,9 @@ class RunBatch:
         self.dW, self.db, self.dc = _views(self.grad, H, V)
         for r, p in enumerate(params):
             self.W[r], self.b[r, 0], self.c[r, 0] = p.W, p.b, p.c
+        self.WT = self.W.mT.copy()
         self.h_data = np.empty((R, N, H))  # E[h|X]: round 1's mean and the positive phase
+        self.h_data_current = False
         self.h_model = np.empty((R, N, H))  # later rounds' means, then the negative phase
         self.x_mean = np.empty((R, N, V))
         self.draws = np.empty((R, N * (H + V)))
@@ -112,7 +120,7 @@ class RunBatch:
     def bytes_per_run(N: int, V: int, H: int) -> int:
         """Memory one run adds to a batch on an (N, V) training matrix with H hidden units."""
         P = H * V + V + H
-        return 8 * (3 * N * H + 2 * N * V + 2 * P + H * V) + P
+        return 8 * (3 * N * H + 2 * N * V + 2 * P + 2 * H * V) + P
 
     def params(self, r: int) -> RbmParams:
         """A copy of run r's parameters."""
@@ -140,7 +148,8 @@ def apply_update(batch: RunBatch, config: TrainingConfig) -> None:
     Decay applies to W only; biases do not saturate the sigmoids the decay
     exists to protect.  The step is evaluated in the order the formula is
     written, so the new parameters have the bits a fresh evaluation of it
-    gives.  If some runs' parameters are no longer finite,
+    gives.  The step refreshes ``WT`` and marks ``h_data`` stale, even
+    when it raises.  If some runs' parameters are no longer finite,
     NonFiniteParameterError names their positions in ``runs``; the other
     runs stand updated.
     """
@@ -148,6 +157,8 @@ def apply_update(batch: RunBatch, config: TrainingConfig) -> None:
     batch.dW -= batch.decay
     batch.grad *= config.learning_rate
     batch.theta += batch.grad
+    np.copyto(batch.WT, batch.W.mT)
+    batch.h_data_current = False
     if not np.isfinite(batch.theta, out=batch.finite).all():
         raise NonFiniteParameterError(
             "update produced non-finite parameters: parameters contain NaN or Inf",
@@ -186,24 +197,32 @@ def train_epoch(batch: RunBatch, config: TrainingConfig) -> None:
 
     The positive phase reuses round 1's E[h|X], so a CD-n epoch computes
     n+1 hidden conditional means: one per Gibbs round and one for the
-    negative phase.
+    negative phase.  An epoch that follows a snapshot computes n: round 1
+    takes the E[h|X] the snapshot left in ``batch.h_data`` at the same
+    parameters, which has the bits the epoch would compute.
     """
     X, h, x = batch.X, batch.h, batch.x
     with np.errstate(over="ignore"):
         for k in range(config.n):
             # this round's uniforms overwrite the last round's x, read just before
-            h_mean = hidden_conditional_mean(batch, x if k else X, out=batch.h_model if k else batch.h_data)
+            if k:
+                h_mean = hidden_conditional_mean(batch, x, out=batch.h_model)
+            elif batch.h_data_current:
+                h_mean = batch.h_data
+            else:
+                h_mean = hidden_conditional_mean(batch, X, out=batch.h_data)
             for rng, row in zip(batch.rngs, batch.draws, strict=True):
                 rng.random(out=row)
             sample_bernoulli(h_mean, h)
             sample_bernoulli(visible_conditional_mean(batch, h, out=batch.x_mean), x)
         h_model = hidden_conditional_mean(batch, x, out=batch.h_model)
-    # dW = h_data^T X - h_model^T x, db = sum_n (X - x), dc = sum_n (h_data - h_model).
-    # db counts bits, exactly in any order, so it is X's counts minus x's,
-    # x's taken as a product with ones; dc keeps the row-by-row sum.
+    # dW = h_data^T X - h_model^T x, db = sum_n (X - x), dc = sum_n (h_data - h_model),
+    # each sum over n a product with ones.  db counts bits, exactly in any
+    # order, so it is X's counts minus x's.
+    ones = _ones(x.shape[1])
     np.matmul(batch.h_data.mT, X, out=batch.dW)
     batch.dW -= np.matmul(h_model.mT, x, out=batch.decay)
-    db = np.matmul(_ones(x.shape[1]), x, out=batch.db[:, 0])
+    db = np.matmul(ones, x, out=batch.db[:, 0])
     np.subtract(batch.X_count, db, out=db)
-    np.add.reduce(np.subtract(batch.h_data, h_model, out=batch.h_data), axis=1, keepdims=True, out=batch.dc)
+    np.matmul(ones, np.subtract(batch.h_data, h_model, out=batch.h_data), out=batch.dc[:, 0])
     apply_update(batch, config)

@@ -193,3 +193,14 @@ def log_partition_chunked_np(W, b, c, block_bits=10):
         np.maximum(neg_e, -700.0, out=neg_e)
         total += np.exp(neg_e, out=neg_e).sum()
     return s + math.log(total)
+
+
+def log_marginal_weights_ld(W, b, c, X):
+    """``log_marginal_weights_np`` in 80-bit extended precision (numpy's
+    longdouble on x86-64), for references that must hold to better than
+    float64's last bits."""
+    W, b, c, X = (np.asarray(a, dtype=np.longdouble) for a in (W, b, c, X))
+    Hm = np.asarray(all_bits(len(c)), dtype=np.longdouble)
+    neg_e = (X @ b)[:, None] + (Hm @ c)[None, :] + X @ W.T @ Hm.T
+    m = neg_e.max(axis=1)
+    return np.log(np.exp(neg_e - m[:, None]).sum(axis=1)) + m

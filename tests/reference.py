@@ -112,7 +112,7 @@ def train_epoch_per_round(batch: RunBatch, config: TrainingConfig) -> None:
     np.matmul(h_data.mT, X, out=batch.dW)
     batch.dW -= np.matmul(h_model.mT, x)
     batch.db[:, 0] = batch.X_count - x.sum(axis=1)  # bit counts: exact in any order
-    np.add.reduce(h_data - h_model, axis=1, keepdims=True, out=batch.dc)
+    np.matmul(np.ones(X.shape[0]), h_data - h_model, out=batch.dc[:, 0])
     apply_update(batch, config)
 
 
@@ -393,12 +393,13 @@ def measure_full_chain(
     chain = run_gibbs_chain_per_round(params, X, config.training.n, rng)
     h_random = rng.random((count, params.num_hidden))
 
-    log_um_x = np.sum(log_unnormalized_marginal(params, X))
+    lum_x = log_unnormalized_marginal(params, X)
+    log_um_x = np.sum(lum_x)
 
     def probe_total(h_s: np.ndarray) -> float:
         with np.errstate(over="ignore"):
             Y = visible_conditional_mean(params, h_s)
-        return float(log_um_x - np.sum(log_unnormalized_marginal(params, Y)))
+        return float(np.sum(lum_x - log_unnormalized_marginal(params, Y)))
 
     log_xi_random = probe_total(h_random)
     log_xi_complement = probe_total(1.0 - chain.h1)

@@ -2,12 +2,15 @@ import concurrent.futures
 import multiprocessing
 import tracemalloc
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cdmonitor.experiment as experiment
 import cdmonitor.rbm as rbm
+import cdmonitor.training as training
+from cdmonitor.cli import load_config
 from cdmonitor.criteria import MetricsRecord, XiVariant
 from cdmonitor.experiment import (
     ExperimentConfig,
@@ -29,11 +32,14 @@ from cdmonitor.experiment import (
 from cdmonitor.rbm import (
     RbmParams,
     Workspace,
+    log_unnormalized_marginal,
     run_gibbs_chain,
     sample_bernoulli,
+    visible_conditional_mean,
 )
 from cdmonitor.training import RunBatch, TrainingConfig, init_params
 
+import oracles
 from reference import (
     generate_samples_per_sample,
     run_gibbs_chain_per_round,
@@ -44,6 +50,8 @@ from reference import (
     zero_params,
 )
 from test_training import count_calls
+
+PRESET_DIR = Path(__file__).parent.parent / "configs"
 
 
 def tiny_bs_config(**overrides):
@@ -174,6 +182,44 @@ class TestRunExperiment:
         assert [rec.epoch for rec in results[1].series] == [0]
         assert run_bytes(tmp_path / "batch", results[0]) == run_bytes(tmp_path / "solo", solo)
 
+    @pytest.mark.parametrize("measure_every", [1, 3])
+    def test_snapshot_hands_its_hidden_mean_to_the_next_epoch(self, monkeypatch, tmp_path, measure_every):
+        # E[h|X] is computed once per parameter state: a snapshot's is the
+        # next epoch's positive phase.  Run 1 goes non-finite in the update
+        # of epoch 29, which no snapshot follows at measure_every 3, so the
+        # batch select()s run 0 and trains it on at once.  Every run writes
+        # the bytes of a sweep whose epochs never take the snapshot's mean.
+        epochs = 60
+        cfg = tiny_bs_config(training=TrainingConfig(n=1, learning_rate=0.05, epochs=epochs, measure_every=measure_every))
+        real_update, real_epoch, updates = training.apply_update, experiment.train_epoch, [0]
+
+        def poison_run_1(batch, config):
+            updates[0] += 1
+            if updates[0] == 29:
+                batch.grad[1, 0] = np.nan
+            return real_update(batch, config)
+
+        def never_share(batch, config):
+            batch.h_data_current = False
+            return real_epoch(batch, config)
+
+        def sweep_bytes(tag, results):
+            assert [r.aborted for r in results] == [False, True]
+            assert results[1].abort_reason.startswith("epoch 29: ")
+            write_run_csv(tmp_path / f"{tag}1.csv", results[1])
+            return run_bytes(tmp_path / f"{tag}0", results[0]), (tmp_path / f"{tag}1.csv").read_bytes()
+
+        monkeypatch.setattr(training, "apply_update", poison_run_1)
+        with monkeypatch.context() as m:
+            m.setattr(experiment, "train_epoch", never_share)
+            unshared = sweep_bytes("unshared", list(run_experiment(cfg)))
+        updates[0] = 0
+        calls = count_calls(monkeypatch, "hidden_conditional_mean")
+        shared = sweep_bytes("shared", list(run_experiment(cfg)))
+        # states 0 to 59 are each trained from and state 60 is measured
+        assert calls.count((30, 16)) == epochs + 1
+        assert shared == unshared
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_run_bytes_independent_of_batch_and_workers(self, tmp_path, n):
         # a run trained alone, in one batch with the others, and in any
@@ -277,6 +323,34 @@ class TestMeasure:
             for rng, twin in zip(rngs, twins):
                 twin.random(n * N * (H + V) + N * H)
                 assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended-precision longdouble")
+    @pytest.mark.parametrize("preset", ["lse_cd1_lr0.001_wd0.001", "bs_cd1_lr0.01_wd0"])
+    def test_ratio_diagnostics_hold_to_an_80_bit_per_sample_reference(self, preset):
+        # log_xi = sum_n (log p~(x_n) - log p~(y_n)).  On these models, 50
+        # epochs in, the data total is 100 to 630 times |log_xi|, so the
+        # difference of the two totals loses digits the per-sample sum keeps
+        cfg = replace(load_config(PRESET_DIR / f"{preset}.json"), variants_enabled=tuple(XiVariant))
+        params = train_params_to_epoch(cfg, 0, 50)
+        X = experiment.build_dataset(cfg).matrix()
+        record = measure_one(params, X, cfg, np.random.default_rng(0), epoch=50)
+        replay = np.random.default_rng(0)
+        chain = run_gibbs_chain_per_round(params, X, cfg.training.n, replay)
+        h_random = replay.random((len(X), cfg.hidden))
+        log_mx = oracles.log_marginal_weights_ld(params.W, params.b, params.c, X)
+        totals_errors = []
+        for metric, h_s in (
+            ("log_xi_random", h_random),
+            ("log_xi_complement", 1.0 - chain.h1),
+            ("log_xi_complement_mean_h", 1.0 - chain.h1_mean),
+        ):
+            with np.errstate(over="ignore"):
+                Y = visible_conditional_mean(params, h_s)
+            want = np.sum(log_mx - oracles.log_marginal_weights_ld(params.W, params.b, params.c, Y))
+            assert abs(getattr(record, metric) - want) <= 1e-14 * abs(want), metric
+            totals = np.sum(log_unnormalized_marginal(params, X)) - np.sum(log_unnormalized_marginal(params, Y))
+            totals_errors.append(float(abs(totals - want) / abs(want)))
+        assert max(totals_errors) > 1e-14
 
     @pytest.mark.parametrize("dataset, runs", [("bs", 10), ("lse", 1)])
     def test_second_snapshot_allocates_no_array(self, dataset, runs):

@@ -7,7 +7,15 @@ labeled-shifter CD-2 config with all three probe variants enabled, so the
 
 A change to any digest means the program's output bytes changed.  That is
 allowed only as a deliberate re-baseline, with the reason recorded in
-CHANGES.md.  The digests were taken with numpy 2.4.6 and OpenBLAS 0.3.31
+CHANGES.md.  The last one re-pinned every digest but the six
+``config_resolved.json`` ones, once: the visible-to-hidden products began
+to read a contiguous copy of W^T, an epoch's ``dc`` became a product with
+ones and the ratio diagnostics sums of per-sample differences.  Each of
+the first two can move the last bits of the training trajectory, which
+the thresholded training draws carry on through the rest of a run; the
+third moves the last bits of the written ratio diagnostics.
+
+The digests were taken with numpy 2.4.6 and OpenBLAS 0.3.31
 (scipy-openblas, x86_64); another BLAS build may round a matrix product
 differently in the last bit and so change them.  The sigmoid and softplus
 use numpy's exp and log1p, whose SIMD code numpy picks at run time from

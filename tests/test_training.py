@@ -326,7 +326,43 @@ class TestTrainEpoch:
         np.testing.assert_array_equal(a.c, b.c)
 
 
+def assert_contiguous_transpose(holder):
+    """``holder.WT`` is W^T bit for bit, as a C-contiguous array of its own."""
+    assert holder.WT.flags.c_contiguous and not np.shares_memory(holder.WT, holder.W)
+    assert holder.WT.shape == holder.W.mT.shape
+    assert holder.WT.tobytes() == np.ascontiguousarray(holder.W.mT).tobytes()
+
+
 class TestRunBatch:
+    def test_transpose_copy_after_construction_and_select(self):
+        params = [init_params(16, 8, np.random.default_rng(s), 0.3) for s in range(3)]
+        batch = RunBatch(params, generate_bars_and_stripes().matrix(), [np.random.default_rng(s) for s in range(3)])
+        assert_contiguous_transpose(batch)
+        train_epoch(batch, TrainingConfig(learning_rate=0.05))
+        chosen = batch.select([2, 0])
+        assert_contiguous_transpose(chosen)
+        np.testing.assert_array_equal(chosen.WT[0], batch.W[2].T)
+
+    def test_transpose_copy_after_every_update(self):
+        # the update refreshes WT even when it raises: the other runs go on
+        params = [init_params(16, 8, np.random.default_rng(s), 0.3) for s in range(3)]
+        batch = RunBatch(params, generate_bars_and_stripes().matrix(), [np.random.default_rng(s) for s in range(3)])
+        config = TrainingConfig(learning_rate=0.05, weight_decay=0.001)
+        for _ in range(3):
+            train_epoch(batch, config)
+            assert_contiguous_transpose(batch)
+        batch.grad[:] = np.random.default_rng(7).normal(size=batch.grad.shape)
+        batch.grad[1, 5] = np.inf
+        with pytest.raises(NonFiniteParameterError) as info:
+            apply_update(batch, config)
+        assert info.value.runs == (1,)
+        assert_contiguous_transpose(batch)
+
+    def test_transpose_copy_of_params_read_from_a_file(self, tmp_path):
+        path = tmp_path / "params.txt"
+        experiment.write_params_file(path, init_params(19, 10, np.random.default_rng(1), 0.5))
+        assert_contiguous_transpose(experiment.read_params_file(path))
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_stacked_runs_match_runs_trained_alone_bit_for_bit(self, n):
         # each run draws from its own generator and numpy multiplies a
@@ -365,7 +401,7 @@ class TestRunBatch:
 
     def test_bytes_per_run_counts_the_batch_arrays(self):
         batch = RunBatch([zero_params(16, 8)] * 3, np.zeros((30, 16)), [None] * 3)
-        arrays = (batch.theta, batch.grad, batch.h_data, batch.h_model, batch.x_mean,
+        arrays = (batch.theta, batch.grad, batch.WT, batch.h_data, batch.h_model, batch.x_mean,
                   batch.draws, batch.decay, batch.finite)
         assert sum(a.nbytes for a in arrays) == 3 * RunBatch.bytes_per_run(30, 16, 8)
         assert np.shares_memory(batch.h, batch.draws) and np.shares_memory(batch.x, batch.draws)
