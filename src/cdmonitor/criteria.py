@@ -16,10 +16,11 @@ complement of the first hidden sample of the data point's Gibbs chain, or
 the complement of the data point's hidden conditional mean.
 
 The reconstruction probability is computed in log space, as a sum of
-softplus terms of the visible pre-activations, so each term is exact at
-any finite pre-activation: a conditional mean saturated against its data
-bit gives a large finite penalty, never log 0, and the monitor needs no
-guard value for -inf.
+softplus terms of the visible pre-activations, so it is exact at any
+finite pre-activation: a conditional mean saturated against its data bit
+gives a large finite penalty, never log 0, and the monitor needs no guard
+value for -inf.  That sum, like the marginals', is the log of a bounded
+product per sample (``rbm._softplus_sum``).
 
 The exact log partition function enumerates the smaller layer's marginals
 outright; it exists to keep desk-scale models honest, never as a training
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rbm import RbmParams, _item, _row_sum, fresh, log_unnormalized_marginal, softplus
+from .rbm import RbmParams, _column, _item, _softplus_sum, fresh, log_unnormalized_marginal
 
 # Enumeration beyond this many bits in the smaller layer is refused.
 ENUMERATION_LIMIT_BITS = 25
@@ -86,24 +87,30 @@ def mean_reconstruction_log_prob(params: RbmParams, signs: np.ndarray, h_mean: n
 
     With z = b + W^T E[h|x], the visible pre-activation at the hidden mean,
     log P(x_i | z_i) = -softplus((1 - 2 x_i) z_i), which is exact at any
-    finite z_i.  ``signs`` is 1 - 2X, which the caller computes once per
-    data batch; ``h_mean`` is E[h|X], which a Gibbs chain started at X
-    computes in its first round.  ``work`` is a ``Workspace`` for the
-    temporaries.  A stack of models gives an (R,) array of means.
+    finite z_i.  ``signs`` is 1 - 2X^T, a unit-major (V, N) array, which
+    the caller computes once per data batch; ``h_mean`` is E[h|X], (..., N,
+    H), which a Gibbs chain started at X computes in its first round.  z is
+    formed unit-major, (..., V, N), straight out of the product W^T.E[h|X]^T,
+    and its softplus terms are summed down the rows by ``_softplus_sum``
+    (see ``rbm``).  ``work`` is a ``Workspace`` for the temporaries.  A
+    stack of models gives an (R,) array of means.
     """
-    z = np.matmul(h_mean, params.W, out=work("recon.z", (*h_mean.shape[:-1], params.num_visible)))
-    z += params.b
+    N = h_mean.shape[-2]
+    z = np.matmul(params.W.mT, h_mean.mT, out=work("recon.z", (*h_mean.shape[:-2], params.num_visible, N)))
+    z += _column(params.b)
     z *= signs
-    vals = _row_sum(softplus(z, out=work("recon.softplus", z.shape)), work("recon.sum", z.shape[:-1]))
+    vals = _softplus_sum(z, work("recon.sum", (*z.shape[:-2], N)), work)
     # minus the sum over N divided by N, as -vals.mean(axis=-1) computes it,
     # in half its time
-    return _item(-np.add.reduce(vals, axis=-1) / vals.shape[-1])
+    return _item(-np.add.reduce(vals, axis=-1) / N)
 
 
 def _binary_block(num_bits: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the full 2^num_bits enumeration; bit j is column j."""
-    idx = np.arange(start, stop, dtype=np.uint64)[:, None]
-    return ((idx >> np.arange(num_bits, dtype=np.uint64)) & 1).astype(np.float64)
+    """Rows start..stop-1 of the full 2^num_bits enumeration; bit j is column j.
+    The rows are a view of a C-contiguous (num_bits, rows) array, so their
+    transpose, which ``log_unnormalized_marginal`` multiplies, is contiguous."""
+    idx = np.arange(start, stop, dtype=np.uint64)
+    return ((idx >> np.arange(num_bits, dtype=np.uint64)[:, None]) & 1).astype(np.float64).T
 
 
 @functools.lru_cache(maxsize=1)
@@ -135,9 +142,16 @@ def log_partition(params: RbmParams, work=fresh):
     layer out in closed form.  The hidden layer (on a tie too) goes through
     the model with its layers swapped, (W^T, c, b), whose marginal at h is
     c.h + sum_i softplus(b_i + (W^T h)_i); that model's contiguous
-    transpose is W itself.  Enumeration runs in fixed-order
-    blocks so the reduction is bit-reproducible; a layer that fits one block
-    reuses its state matrix from the previous call.  A stack of R models
+    transpose is W itself.  Each block of M states gives the other layer's
+    K pre-activations unit-major, a (K, M) block out of one product with
+    the states' transpose, and ``_softplus_sum`` reduces it down its K rows,
+    the log of one bounded product per state (see ``rbm``).  The states are
+    built as that transpose, a C-contiguous (bits, M) array, which the
+    product reads in 12.0 us against 19.8 us for the transposed view of a
+    row-major block (lse, one OpenBLAS thread).  Enumeration runs in
+    fixed-order blocks so the reduction is bit-reproducible; a layer that
+    fits one block reuses its state matrix from the previous call.  A
+    stack of R models
     gives an (R,) array, each model's blocks reduced along the last axis as
     one model's are; the models go through in groups small enough that a
     block's temporaries hold at most _STACK_ELEMENTS values, or one model's

@@ -149,7 +149,8 @@ def _measure(
     whole chain would (this needs a bit generator with ``advance``, such as
     numpy's default PCG64).  The round-1 uniforms then become draws in one
     ``sample_bernoulli`` call.  The hidden pre-activation of X is computed
-    once: round 1's hidden mean and the data marginal both read it.  That
+    once: round 1's hidden mean and the data marginal both read it, the
+    marginal from a unit-major copy.  That
     mean, E[h|X], is written into ``batch.h_data`` and marked current, so
     the next ``train_epoch`` takes it as its positive phase instead of
     computing it again.  Each ratio diagnostic is the sum over samples of
@@ -172,7 +173,7 @@ def _measure(
         rng.random(out=u)
         rng.bit_generator.advance(skipped)
         rng.random(out=u_probe)
-    pre = work("measure.pre", shape)
+    pre = work("measure.pre", (len(rngs), num_hidden, count))  # unit-major, as the marginal takes it
     with np.errstate(over="ignore"):
         h1_mean = hidden_conditional_mean(batch, X, out=batch.h_data, pre=pre)
     batch.h_data_current = True

@@ -20,20 +20,36 @@ holds them), and then map (N, V) or (R, N, V) inputs to (R, N, ·)
 outputs; a single ``RbmParams`` is the case without R.  numpy multiplies
 such stacks one (N, V) x (V, H) product per model, and a bias product
 (x.b) one matrix-vector product per model, the products an (N, V) input
-and one model make.  A per-sample sum over units (``_row_sum``) is such a
-product too, with a ones column, which on a short last axis is several
-times faster than np.sum (6.5 against 24 us on a (768, 10) array).  So a
-stacked model computes the bits each of its models computes alone.  The kernels take an ``out`` array and the
+and one model make.  So a stacked model computes the bits each of its
+models computes alone.  The kernels take an ``out`` array and the
 composite quantities a ``Workspace``, so that a batch operation repeated
 on the same shapes allocates nothing after its first call.
 
-Every visible-to-hidden product x.W^T reads ``WT``, a C-contiguous copy of
-W^T that the parameter holder keeps beside W: OpenBLAS takes 18.3 us for
-an lse (768, 19) x (19, 10) product through the transposed view W.mT and
-10.4 us through the contiguous copy, which costs 0.7 us to refresh after
-an update.  Every hidden-to-visible product h.W reads W itself, which is
-contiguous in that orientation (9.7 us, against 19.7 us through WT.mT).
-(timeit minimums at one OpenBLAS thread on a 2-vCPU Xeon VM.)
+Every visible-to-hidden product x.W^T of the conditional means reads
+``WT``, a C-contiguous copy of W^T that the parameter holder keeps beside
+W: OpenBLAS takes 18.3 us for an lse (768, 19) x (19, 10) product through
+the transposed view W.mT and 10.4 us through the contiguous copy, which
+costs 0.7 us to refresh after an update.  Every hidden-to-visible product
+h.W reads W itself, which is contiguous in that orientation (9.7 us,
+against 19.7 us through WT.mT).  (timeit minimums at one OpenBLAS thread
+on a 2-vCPU Xeon VM.)
+
+The monitored quantities (the marginal, and through it the ratio
+diagnostics and log Z, and the reconstruction term) are per-sample sums of
+softplus terms over units.  ``_softplus_sum`` takes each as the log of a
+product of factors in (1, 2], whose relative error is at most gamma_K for
+K units, one log per sample instead of K log1p calls.  That product runs
+down the rows of a unit-major (..., K, N) block, so these sums form their
+pre-activations unit-major, straight out of BLAS as the transpose of the
+row-major product: A^T.x^T through np.matmul(A.mT, x.mT), with the
+contiguous A the row-major product x.A reads (WT for the marginal, W for
+the reconstruction).  The marginal's product reads WT (13.5 us for the
+lse (10, 768) block, against 15.2 us through W and 10.6 us row-major).
+On the lse log Z block of 1024 states x 19 units the sum takes 48 us
+against 72 us for the log1p terms and a row sum; a transposed copy of the
+row-major block would cost 14.5 us of that gain, and along a short last
+axis the product costs about twice as much as down the rows.  (The same
+timeit minimums.)
 
 The conditional means evaluate the sigmoid as 1/(1 + e^{-z}).  For
 z < -709.78, e^{-z} overflows to inf and the mean is exactly 0: that is the
@@ -96,26 +112,13 @@ def fresh(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     return np.empty(shape, dtype)
 
 
-def softplus(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """log(1 + e^z) of a float array, as max(z, 0) + log1p(e^{-|z|}).
-
-    The exponent is never positive, so nothing overflows at any finite z.
-    Given ``out`` (of z's shape), the result is written there and z is
-    overwritten as scratch; without it, z is left as it was.
-    """
-    scratch = None if out is None else z
-    out = np.abs(z, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    out += np.maximum(z, 0.0, out=scratch)
-    return out
-
-
 # A 0-d array adds to a small array in about half the time a Python float
 # does, which numpy must convert on every call.
-_ONE = np.array(1.0)
+_ONE, _HALF = np.array(1.0), np.array(0.5)
+_SIGN_BIT = np.array(1 << 63, dtype=np.uint64)  # of a float64, as its bits
 _ONE.setflags(write=False)
+_HALF.setflags(write=False)
+_SIGN_BIT.setflags(write=False)
 
 
 def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
@@ -140,7 +143,8 @@ class RbmParams:
     All entries must be finite at all times, including mid-training.
     WT: W^T as a C-contiguous (visible, hidden) copy, made here once, which
     every x.W^T product reads (see the module docstring).  So the arrays
-    are never written in place: new parameters are a new ``RbmParams``.
+    are never written in place: W, b and c are copies of the arrays given,
+    and all four are read-only.  New parameters are a new ``RbmParams``.
     """
 
     W: np.ndarray
@@ -149,9 +153,9 @@ class RbmParams:
     WT: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        self.c = np.asarray(self.c, dtype=np.float64)
+        self.W = np.array(self.W, dtype=np.float64)
+        self.b = np.array(self.b, dtype=np.float64)
+        self.c = np.array(self.c, dtype=np.float64)
         if self.W.ndim != 2 or self.b.ndim != 1 or self.c.ndim != 1:
             raise DimensionMismatchError(
                 f"expected W 2-d, b 1-d, c 1-d; got shapes "
@@ -169,6 +173,8 @@ class RbmParams:
         ):
             raise NonFiniteParameterError("parameters contain NaN or Inf")
         self.WT = self.W.mT.copy()
+        for a in (self.W, self.b, self.c, self.WT):
+            a.setflags(write=False)
 
     @property
     def num_visible(self) -> int:
@@ -191,15 +197,19 @@ def _item(v):
     return v.item() if np.ndim(v) == 0 else v
 
 
+def _column(v: np.ndarray) -> np.ndarray:
+    """A (K,) vector or a stacked (R, 1, K) one as the (K, 1) or (R, K, 1)
+    column it holds, a view."""
+    return v.reshape(*v.shape[:-2], -1, 1)
+
+
 def _bias_product(x: np.ndarray, bias: np.ndarray, out: np.ndarray) -> np.ndarray:
     """x.bias over the last axis, one matrix-vector product per stacked model.
 
-    ``bias`` is a (K,) vector or a stacked (R, 1, K) one, taken as the
-    (K, 1) or (R, K, 1) column it holds; ``out`` has x's batch shape and
-    is returned.
+    ``bias`` is a (K,) vector or a stacked (R, 1, K) one, taken as its
+    column; ``out`` has x's batch shape and is returned.
     """
-    column = bias.reshape(*bias.shape[:-2], -1, 1)
-    np.matmul(x, column, out=out[..., None])
+    np.matmul(x, _column(bias), out=out[..., None])
     return out
 
 
@@ -211,11 +221,43 @@ def _ones(size: int) -> np.ndarray:
     return ones
 
 
-def _row_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The sum over a's last axis, as a's product with a ones column, one
-    matrix-vector product per stacked model; ``out`` has a's batch shape
-    and is returned."""
-    return _bias_product(a, _ones(a.shape[-1]), out)
+# Units one product of softplus factors spans at most: each factor is at
+# most 2, so a product of 1023 of them is at most 2^1023, a finite double.
+_PRODUCT_UNITS = 1023
+
+
+def _softplus_sum(z: np.ndarray, out: np.ndarray, work=fresh) -> np.ndarray:
+    """sum_k softplus(z_k) = sum_k log(1 + e^{z_k}) down axis -2 of a
+    unit-major (..., K, M) block z, written into ``out`` of shape (..., M)
+    and returned; z is overwritten.
+
+    It is evaluated as sum_k max(z_k, 0) + log prod_k (1 + e^{-|z_k|}).  No
+    exponent is positive, so nothing overflows at any |z| below 2^1023, and
+    every factor lies in (1, 2], so a product of at most _PRODUCT_UNITS of
+    them stays finite; a longer column is reduced in such chunks.  A product of K
+    rounded factors has a relative error of at most gamma_K = Ku/(1 - Ku),
+    with u the unit roundoff (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2002, ch. 3), so its log is as accurate as a sum of K
+    rounded log1p terms, and costs one log per column instead of K.  Both
+    reductions run down the block's rows, adding and multiplying whole
+    contiguous rows in turn; along a short last axis the same product costs
+    about twice as much.  ``work`` is a ``Workspace`` for the temporaries.
+    """
+    # -|z| is z with its sign bit set, one integer pass where np.abs and
+    # np.negative take two; z - (-|z|) is exactly 2 max(z, 0) below
+    # |z| = 2^1023, and halving a sum of those is exact
+    factors = work("softplus.factors", z.shape)
+    np.bitwise_or(z.view(np.uint64), _SIGN_BIT, out=factors.view(np.uint64))
+    z -= factors
+    np.add.reduce(z, axis=-2, out=out)
+    out *= _HALF
+    np.exp(factors, out=factors)
+    factors += _ONE
+    product = work("softplus.product", out.shape)
+    for k in range(0, z.shape[-2], _PRODUCT_UNITS):
+        np.multiply.reduce(factors[..., k : k + _PRODUCT_UNITS, :], axis=-2, out=product)
+        out += np.log(product, out=product)
+    return out
 
 
 def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh, pre: np.ndarray | None = None):
@@ -223,46 +265,51 @@ def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh, pre:
 
     The hidden sum collapses into a product of per-unit factors
     (1 + e^{c_j + (Wx)_j}), which overflows beyond pre-activations of ~700;
-    accumulating their logs, each a softplus, keeps the value finite at
-    any finite pre-activation.  ``x`` may be real-valued
-    in [0, 1]: probe reconstructions are conditional means, and the formula
-    is evaluated verbatim on them.  A stack of models gives each model's
-    values along the leading axis.  Of the model it reads ``WT``, ``b``
-    and ``c`` alone.  ``work`` is a ``Workspace`` to take
-    the temporaries and the returned array from.  ``pre`` is x's hidden
-    pre-activation c + Wx when the caller already has it (as
-    ``hidden_conditional_mean`` leaves it); it is then not computed again,
-    and it is overwritten.
+    ``_softplus_sum`` takes the log of a bounded form of that product, which
+    keeps the value finite at any finite pre-activation.  ``x`` may be
+    real-valued in [0, 1]: probe reconstructions are conditional means, and
+    the formula is evaluated verbatim on them.  A stack of models gives each
+    model's values along the leading axis.  Of the model it reads ``WT``,
+    ``b`` and ``c`` alone.  x comes in row-major, (..., N, V), and its
+    pre-activations are formed unit-major, (..., H, N), straight out of the
+    product (WT)^T.x^T, so that the sum over hidden units runs down the
+    rows; the values come out as (..., N).  ``work`` is a ``Workspace`` to
+    take the temporaries and the returned array from.  ``pre`` is x's hidden
+    pre-activation c + Wx in that unit-major layout when the caller already
+    has it (as ``hidden_conditional_mean`` leaves it); it is then not
+    computed again, and it is overwritten.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_last_dim(x, params.WT.shape[-2], "x")
+    rows = x if x.ndim > 1 else x[None]
     if pre is None:
         # matmul's output rows: the model stack broadcast against x's, then
-        # x's rows (np.broadcast_shapes costs microseconds, so only when needed)
+        # the hidden units (np.broadcast_shapes costs microseconds, so only
+        # when needed)
         stack = params.WT.shape[:-2]
-        if x.ndim > 2 and x.shape[:-2] != stack:
-            stack = np.broadcast_shapes(stack, x.shape[:-2])
-        pre = np.matmul(x, params.WT, out=work("lum.pre", (*stack, *x.shape[-2:-1], params.WT.shape[-1])))
-        pre += params.c
-    batch = pre.shape[:-1]
-    terms = softplus(pre, out=work("lum.softplus", pre.shape))
-    val = _bias_product(x, params.b, work("lum.val", batch))
-    val += _row_sum(terms, work("lum.sum", batch))
-    return _item(val)
+        if rows.ndim > 2 and rows.shape[:-2] != stack:
+            stack = np.broadcast_shapes(stack, rows.shape[:-2])
+        pre = np.matmul(params.WT.mT, rows.mT, out=work("lum.pre", (*stack, params.WT.shape[-1], rows.shape[-2])))
+        pre += _column(params.c)
+    val = _bias_product(rows, params.b, work("lum.val", (*pre.shape[:-2], pre.shape[-1])))
+    val += _softplus_sum(pre, work("lum.sum", val.shape), work)
+    return _item(val if x.ndim > 1 else val[..., 0])
 
 
 def hidden_conditional_mean(
     params: RbmParams, x: np.ndarray, out: np.ndarray | None = None, pre: np.ndarray | None = None
 ) -> np.ndarray:
     """E[h|x]: component j is sigmoid(c_j + (Wx)_j), written into ``out`` if
-    given.  Given ``pre`` as well, the pre-activation c + Wx is copied
-    there, for a caller that takes the hidden softplus terms from it too."""
+    given.  Given ``pre`` as well, an (..., H, N) array for an (..., N, V) x,
+    the pre-activation c + Wx is copied there transposed, unit-major, for a
+    caller that takes the hidden softplus terms of ``log_unnormalized_marginal``
+    from it too."""
     x = np.asarray(x, dtype=np.float64)
     _check_last_dim(x, params.num_visible, "x")
     z = np.matmul(x, params.WT, out=out)
     z += params.c
     if pre is not None:
-        np.copyto(pre, z)
+        np.copyto(pre, z.mT)
     return _sigmoid_inplace(z)
 
 

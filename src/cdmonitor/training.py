@@ -73,7 +73,8 @@ class RunBatch:
     scan checks all of a run's parameters.  ``WT`` (R, V, H) is W^T as a
     C-contiguous copy, which every x.W^T product reads (see ``rbm``); it is
     refreshed when the batch is built and by every ``apply_update``, the
-    only writer of ``theta``.  ``grad`` holds the epoch's
+    only writer of ``theta``.  The views W, b and c are read-only, so that
+    no write can leave ``WT`` stale.  ``grad`` holds the epoch's
     ascent direction in the same layout, with views ``dW``, ``db`` and
     ``dc``.  Run r draws its chain from ``rngs[r]``.  The other arrays are
     an epoch's workspace, allocated here once.  Among them, ``draws`` holds
@@ -97,7 +98,8 @@ class RunBatch:
         self.X = X
         self.num_visible, self.num_hidden = V, H
         self.X_count = X.sum(axis=0)  # per-unit count of on bits in X
-        self.signs = 1.0 - 2.0 * X  # log P(X|z) = -sum softplus(signs * z), read by snapshots
+        # 1 - 2X^T, unit-major (V, N): log P(X|z) = -sum softplus(signs * z), read by snapshots
+        self.signs = np.ascontiguousarray((1.0 - 2.0 * X).T)
         self.rngs = list(rngs)
         self.theta = np.empty((R, H * V + V + H))
         self.grad = np.empty_like(self.theta)
@@ -105,6 +107,8 @@ class RunBatch:
         self.dW, self.db, self.dc = _views(self.grad, H, V)
         for r, p in enumerate(params):
             self.W[r], self.b[r, 0], self.c[r, 0] = p.W, p.b, p.c
+        for a in (self.W, self.b, self.c):
+            a.setflags(write=False)
         self.WT = self.W.mT.copy()
         self.h_data = np.empty((R, N, H))  # E[h|X]: round 1's mean and the positive phase
         self.h_data_current = False
@@ -124,7 +128,7 @@ class RunBatch:
 
     def params(self, r: int) -> RbmParams:
         """A copy of run r's parameters."""
-        return RbmParams(self.W[r].copy(), self.b[r, 0].copy(), self.c[r, 0].copy())
+        return RbmParams(self.W[r], self.b[r, 0], self.c[r, 0])
 
     def select(self, runs: Sequence[int]) -> "RunBatch":
         """A new batch of the runs at positions ``runs``, with their generators."""

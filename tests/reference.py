@@ -23,8 +23,8 @@ that the batched paths combine the primitives correctly, not that the
 primitives themselves are right.  The energy, the
 plain marginal, the exact log-likelihood, log Z enumerated over the larger
 layer (the route ``log_partition`` does not take), the reconstruction term
-with its hidden mean computed for it, and the all-zero model are here too,
-because only tests use them.  So is ``split_csv``, which splits a written
+with its hidden mean computed for it, the per-element softplus and the
+all-zero model are here too, because only tests use them.  So is ``split_csv``, which splits a written
 metric CSV into numbers: the package writes those files and reads none.
 
 Where these functions call the conditional means directly, they silence
@@ -55,7 +55,6 @@ from cdmonitor.rbm import (
     hidden_conditional_mean,
     log_unnormalized_marginal,
     sample_bernoulli,
-    softplus,
     visible_conditional_mean,
 )
 from cdmonitor.training import RunBatch, TrainingConfig, apply_update, train_epoch
@@ -236,6 +235,18 @@ class XiProbe:
             raise ValueError("probe components must lie in [0, 1]")
 
 
+def softplus(z: np.ndarray) -> np.ndarray:
+    """log(1 + e^z) of a float array, element by element, as
+    max(z, 0) + log1p(e^{-|z|}); z is left as it was.
+
+    The exponent is never positive, so nothing overflows at any finite z.
+    The package sums these terms over units as the log of a bounded product
+    (``rbm._softplus_sum``); this is the per-element form the tests hold
+    that sum to.
+    """
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
 def reconstruction_log_prob(params: RbmParams, x: np.ndarray) -> float:
     """log P(x | E[h|x]) for one data vector: -sum_i softplus((1 - 2 x_i) z_i)
     with z = b + W^T E[h|x]."""
@@ -252,7 +263,7 @@ def mean_reconstruction_log_prob(params: RbmParams, X: np.ndarray, h_mean: np.nd
     if h_mean is None:
         with np.errstate(over="ignore"):
             h_mean = hidden_conditional_mean(params, X)
-    return criteria.mean_reconstruction_log_prob(params, 1.0 - 2.0 * X, h_mean)
+    return criteria.mean_reconstruction_log_prob(params, np.ascontiguousarray(1.0 - 2.0 * X.T), h_mean)
 
 
 def exact_log_likelihood(params: RbmParams, data: Dataset) -> float:
@@ -388,12 +399,18 @@ def measure_full_chain(
     epoch: int,
 ) -> MetricsRecord:
     """The snapshot of ``experiment._measure``, computed from the whole
-    CD-n chain and with fresh arrays throughout."""
+    CD-n chain and with fresh arrays throughout.  The data marginal takes
+    X's hidden pre-activation from ``hidden_conditional_mean``, as the
+    snapshot does: its own product W.X^T may round differently in the last
+    bit."""
     count = X.shape[0]
     chain = run_gibbs_chain_per_round(params, X, config.training.n, rng)
     h_random = rng.random((count, params.num_hidden))
 
-    lum_x = log_unnormalized_marginal(params, X)
+    pre = np.empty((params.num_hidden, count))
+    with np.errstate(over="ignore"):
+        hidden_conditional_mean(params, X, pre=pre)
+    lum_x = log_unnormalized_marginal(params, X, pre=pre)
     log_um_x = np.sum(lum_x)
 
     def probe_total(h_s: np.ndarray) -> float:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cdmonitor import criteria
 from cdmonitor.criteria import (
     _STACK_ELEMENTS,
     EnumerationInfeasibleError,
@@ -412,6 +413,32 @@ class TestStackedForms:
             expected = [oracles.reconstruction_log_prob(p.W, p.b, p.c, x) for x in X]
             assert mean == pytest.approx(math.fsum(expected) / len(X), rel=1e-12)
         assert means[1] < -100 < means[0] and means[2] > -100
+
+    @pytest.mark.parametrize("V, H, N", [(16, 8, 30), (19, 10, 768)], ids=["bs", "lse"])
+    def test_reconstruction_per_sample(self, V, H, N):
+        # every per-sample sum of the stacked reconstruction, and so every
+        # mean, has the bits of the model's own, at the snapshot's shapes
+        sums = {}
+
+        class RecordingWorkspace(Workspace):
+            def __call__(self, name, shape, dtype=np.float64):
+                a = super().__call__(name, shape, dtype)
+                if name == "recon.sum":
+                    sums[shape] = a
+                return a
+
+        models, _ = model_stack(V, H)
+        rng = np.random.default_rng(11)
+        X = (rng.random((N, V)) < 0.5).astype(np.float64)
+        batch = RunBatch(models, X, [rng] * 3)
+        with np.errstate(over="ignore"):
+            h = hidden_conditional_mean(batch, X)
+        means = criteria.mean_reconstruction_log_prob(batch, batch.signs, h, RecordingWorkspace())
+        stacked = sums[(3, N)].copy()
+        for r, p in enumerate(models):
+            mean = criteria.mean_reconstruction_log_prob(p, batch.signs, h[r], RecordingWorkspace())
+            np.testing.assert_array_equal(stacked[r], sums[(N,)])
+            assert means[r] == mean
 
     def test_single_model_gives_scalars(self):
         models, _ = model_stack(4, 3, R=1)

@@ -160,19 +160,21 @@ class TestRunExperiment:
         ]
 
     def test_aborted_run_recorded_not_fatal(self, monkeypatch, tmp_path):
-        # run 1 of a two-run batch goes non-finite at epoch 30; run 0 goes on
+        # run 1 of a two-run batch goes non-finite in the update of epoch
+        # 30, through its gradient (the parameters are read-only outside
+        # apply_update); run 0 goes on
         (solo,) = run_experiment(tiny_bs_config(num_runs=1))
-        real = experiment.train_epoch
-        epochs = {"n": 0}
+        real = training.apply_update
+        updates = {"n": 0}
 
         def poison_run_1(batch, config):
-            epochs["n"] += 1
-            if epochs["n"] == 30:
+            updates["n"] += 1
+            if updates["n"] == 30:
                 assert len(batch.rngs) == 2
-                batch.W[1, 0, 0] = np.nan
+                batch.dW[1, 0, 0] = np.nan
             return real(batch, config)
 
-        monkeypatch.setattr(experiment, "train_epoch", poison_run_1)
+        monkeypatch.setattr(training, "apply_update", poison_run_1)
         results = list(run_experiment(tiny_bs_config()))
         assert [r.aborted for r in results] == [False, True]
         assert results[1].abort_reason == (
@@ -325,15 +327,23 @@ class TestMeasure:
                 assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended-precision longdouble")
-    @pytest.mark.parametrize("preset", ["lse_cd1_lr0.001_wd0.001", "bs_cd1_lr0.01_wd0"])
-    def test_ratio_diagnostics_hold_to_an_80_bit_per_sample_reference(self, preset):
+    @pytest.mark.parametrize(
+        "preset, epoch",
+        [
+            pytest.param(preset, epoch, id=preset if epoch == 50 else f"{preset}-{epoch}")
+            for preset in ("lse_cd1_lr0.001_wd0.001", "bs_cd1_lr0.01_wd0")
+            for epoch in (50, 500)
+        ],
+    )
+    def test_ratio_diagnostics_hold_to_an_80_bit_per_sample_reference(self, preset, epoch):
         # log_xi = sum_n (log p~(x_n) - log p~(y_n)).  On these models, 50
         # epochs in, the data total is 100 to 630 times |log_xi|, so the
-        # difference of the two totals loses digits the per-sample sum keeps
+        # difference of the two totals loses digits the per-sample sum keeps;
+        # by epoch 500 |log_xi| has grown and the two agree
         cfg = replace(load_config(PRESET_DIR / f"{preset}.json"), variants_enabled=tuple(XiVariant))
-        params = train_params_to_epoch(cfg, 0, 50)
+        params = train_params_to_epoch(cfg, 0, epoch)
         X = experiment.build_dataset(cfg).matrix()
-        record = measure_one(params, X, cfg, np.random.default_rng(0), epoch=50)
+        record = measure_one(params, X, cfg, np.random.default_rng(0), epoch=epoch)
         replay = np.random.default_rng(0)
         chain = run_gibbs_chain_per_round(params, X, cfg.training.n, replay)
         h_random = replay.random((len(X), cfg.hidden))
@@ -350,7 +360,8 @@ class TestMeasure:
             assert abs(getattr(record, metric) - want) <= 1e-14 * abs(want), metric
             totals = np.sum(log_unnormalized_marginal(params, X)) - np.sum(log_unnormalized_marginal(params, Y))
             totals_errors.append(float(abs(totals - want) / abs(want)))
-        assert max(totals_errors) > 1e-14
+        if epoch == 50:
+            assert max(totals_errors) > 1e-14
 
     @pytest.mark.parametrize("dataset, runs", [("bs", 10), ("lse", 1)])
     def test_second_snapshot_allocates_no_array(self, dataset, runs):

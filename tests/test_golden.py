@@ -7,19 +7,24 @@ labeled-shifter CD-2 config with all three probe variants enabled, so the
 
 A change to any digest means the program's output bytes changed.  That is
 allowed only as a deliberate re-baseline, with the reason recorded in
-CHANGES.md.  The last one re-pinned every digest but the six
-``config_resolved.json`` ones, once: the visible-to-hidden products began
-to read a contiguous copy of W^T, an epoch's ``dc`` became a product with
-ones and the ratio diagnostics sums of per-sample differences.  Each of
-the first two can move the last bits of the training trajectory, which
-the thresholded training draws carry on through the rest of a run; the
-third moves the last bits of the written ratio diagnostics.
+CHANGES.md.  The last one re-pinned the run CSV, ``averaged.csv`` and
+``peaks.txt`` digests, once: every per-sample sum of softplus terms (the
+data and probe marginals, log Z's enumeration blocks and the
+reconstruction term) became the log of a bounded product over
+pre-activations formed unit-major, which moves the last bits of the
+monitored columns.  The training trajectory is untouched, so the params
+and ``config_resolved.json`` digests held.  The one before re-pinned every
+digest but the six ``config_resolved.json`` ones: the visible-to-hidden
+products began to read a contiguous copy of W^T and an epoch's ``dc``
+became a product with ones, which move the last bits of the training
+trajectory that the thresholded training draws carry on through the rest
+of a run.
 
 The digests were taken with numpy 2.4.6 and OpenBLAS 0.3.31
 (scipy-openblas, x86_64); another BLAS build may round a matrix product
-differently in the last bit and so change them.  The sigmoid and softplus
-use numpy's exp and log1p, whose SIMD code numpy picks at run time from
-the CPU: ``numpy.show_runtime()`` found X86_V3, X86_V4, AVX512_ICL and
+differently in the last bit and so change them.  The sigmoid and the
+softplus sums use numpy's exp and log, whose SIMD code numpy picks at run
+time from the CPU: ``numpy.show_runtime()`` found X86_V3, X86_V4, AVX512_ICL and
 AVX512_SPR here.  On a CPU with other extensions these may differ in the
 last bit too.
 """

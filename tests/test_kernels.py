@@ -1,5 +1,6 @@
-"""The elementwise kernels and row sums: exact saturation, silenced
-overflow, the draw count of a chain, and a runtime free of scipy."""
+"""The elementwise kernels and the softplus sums over units: exact
+saturation, silenced overflow, the draw count of a chain, and a runtime
+free of scipy."""
 
 import math
 import os
@@ -12,14 +13,15 @@ import numpy as np
 import pytest
 
 import cdmonitor
+from cdmonitor.criteria import log_partition
 from cdmonitor.datasets import Dataset
 from cdmonitor.experiment import _measure, default_config
 from cdmonitor.rbm import (
     RbmParams,
-    _row_sum,
+    _softplus_sum,
     hidden_conditional_mean,
+    log_unnormalized_marginal,
     run_gibbs_chain,
-    softplus,
     visible_conditional_mean,
 )
 from cdmonitor.training import RunBatch, TrainingConfig
@@ -29,6 +31,7 @@ from reference import (
     mean_reconstruction_log_prob,
     measure_one,
     run_gibbs_chain_per_round,
+    softplus,
     train_epoch_one,
     zero_params,
 )
@@ -69,6 +72,13 @@ class TestSaturation:
         z = np.array([-3.0, 0.5, 40.0])
         softplus(z)
         np.testing.assert_array_equal(z, [-3.0, 0.5, 40.0])
+
+    def test_softplus_sum_is_exact_at_800(self):
+        # columns of two units: a saturated unit adds exactly its
+        # pre-activation or exactly 0
+        z = np.array([[800.0, -800.0, 800.0, 0.0], [-800.0, -800.0, 800.0, -800.0]])
+        got = _softplus_sum(z, np.empty(4))
+        np.testing.assert_array_equal(got, [800.0, 0.0, 1600.0, np.log(2.0)])
 
 
 class TestNoOverflowWarnings:
@@ -120,25 +130,43 @@ class TestNoOverflowWarnings:
 
 
 class TestRowSum:
-    """Per-sample sums over units, as products with a ones column."""
+    """Per-sample sums of softplus terms over units, as the log of a bounded
+    product down a unit-major (..., K, N) block."""
 
     @pytest.mark.parametrize("N, K", [(30, 8), (768, 10), (1024, 19), (7, 19), (31, 16)])
     def test_stacked_rows_have_each_model_s_bits(self, N, K):
-        a = 5.0 * np.random.default_rng(K).random((3, N, K))
-        stacked = _row_sum(a, np.empty((3, N)))
+        z = 10.0 * np.random.default_rng(K).standard_normal((3, K, N))
+        stacked = _softplus_sum(z.copy(), np.empty((3, N)))
         for r in range(3):
-            np.testing.assert_array_equal(stacked[r], _row_sum(a[r].copy(), np.empty(N)))
+            np.testing.assert_array_equal(stacked[r], _softplus_sum(z[r].copy(), np.empty(N)))
 
     @pytest.mark.parametrize("K", [1, 8, 10, 19])
     def test_each_row_agrees_with_fsum(self, K):
-        a = np.random.default_rng(K).standard_normal((2, 50, K)) ** 2
-        got = _row_sum(a, np.empty((2, 50)))
+        # of the per-element log1p terms, to the product's bound: a relative
+        # error of gamma_K in the product is an absolute one in its log
+        z = 10.0 * np.random.default_rng(K).standard_normal((2, K, 50))
+        got = _softplus_sum(z.copy(), np.empty((2, 50)))
         for r, n in np.ndindex(2, 50):
-            assert got[r, n] == pytest.approx(math.fsum(a[r, n]), rel=1e-14, abs=0)
+            assert got[r, n] == pytest.approx(math.fsum(softplus(z[r, :, n])), rel=1e-14, abs=1e-14)
 
     def test_one_vector(self):
-        out = np.empty(())
-        assert _row_sum(np.array([0.5, 0.25, 2.0]), out) is out and out == 2.75
+        out = np.empty(1)
+        assert _softplus_sum(np.array([[0.5], [-0.25], [2.0]]), out) is out
+        assert out[0] == pytest.approx(math.fsum(softplus(np.array([0.5, -0.25, 2.0]))), rel=1e-15)
+
+    def test_more_units_than_one_product_holds(self):
+        # pre-activations near 0 make 1500 factors near 2, whose one product
+        # (about 2^1400) would overflow; the reduced layer has 1500 units in
+        # the marginal and in every block log_partition enumerates over the
+        # 3 visible units
+        rng = np.random.default_rng(12)
+        p = RbmParams(rng.normal(0.0, 0.05, (1500, 3)), rng.normal(0.0, 1.0, 3), rng.normal(0.0, 0.1, 1500))
+        X = binary_rows(8, 3, seed=1)
+        want = X @ p.b + softplus(X @ p.W.T + p.c).sum(axis=-1)
+        np.testing.assert_allclose(log_unnormalized_marginal(p, X), want, rtol=1e-12)
+        states = np.array(list(np.ndindex(2, 2, 2)), dtype=np.float64)
+        logs = states @ p.b + softplus(states @ p.W.T + p.c).sum(axis=-1)
+        assert log_partition(p) == pytest.approx(np.logaddexp.reduce(logs), rel=1e-12)
 
 
 @pytest.mark.parametrize("batch", [(), (7,)])

@@ -363,6 +363,24 @@ class TestRunBatch:
         experiment.write_params_file(path, init_params(19, 10, np.random.default_rng(1), 0.5))
         assert_contiguous_transpose(experiment.read_params_file(path))
 
+    def test_parameters_cannot_be_written_in_place(self):
+        # every x.W^T product reads WT, so a write to W outside apply_update
+        # would leave it stale: RbmParams and a RunBatch's W, b and c are
+        # read-only, and RbmParams copies what it is given
+        W = np.random.default_rng(2).normal(size=(8, 16))
+        params = RbmParams(W, np.zeros(16), np.zeros(8))
+        W[0, 0] = 1.0
+        assert params.W[0, 0] != 1.0
+        batch = RunBatch([params], generate_bars_and_stripes().matrix(), [np.random.default_rng(0)])
+        for array in (params.W, params.b, params.c, params.WT, batch.W, batch.b, batch.c):
+            with pytest.raises(ValueError, match="read-only"):
+                array[..., 0] = np.nan
+        assert np.isfinite(batch.theta).all()
+        batch.grad[:] = 1.0
+        apply_update(batch, TrainingConfig(learning_rate=0.5))
+        assert batch.W[0, 0, 0] == params.W[0, 0] + 0.5
+        assert_contiguous_transpose(batch)
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_stacked_runs_match_runs_trained_alone_bit_for_bit(self, n):
         # each run draws from its own generator and numpy multiplies a
