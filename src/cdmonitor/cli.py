@@ -7,7 +7,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 run-level failure (too many aborted runs),
 2 usage or config error, including an output path that cannot be written
-(checked before any work).
+(checked before any work) and any other error the OS reports.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import logging
 import sys
 import typing
 from pathlib import Path
+from stat import S_ISDIR
 
 import numpy as np
 
@@ -124,21 +125,16 @@ def config_to_json(config: ExperimentConfig) -> str:
 
 def _check_output_file(path) -> None:
     """Reject an output file whose directory does not exist, or that is a
-    directory, before any work is done."""
+    directory, before any work is done.  A path the OS cannot look up (a name
+    too long, say) raises its OSError, which newer Pythons' Path.is_dir hides."""
     out = Path(path)
     if not out.parent.is_dir():
         raise ValueError(f"cannot write {out}: directory {out.parent} does not exist")
-    if out.is_dir():
-        raise ValueError(f"cannot write {out}: it is a directory")
-
-
-def _check_output_dir(path) -> None:
-    """Reject an output directory that cannot be created because it, or
-    one of its parents, exists and is not a directory."""
-    out = Path(path)
-    existing = next(p for p in (out, *out.parents) if p.exists())
-    if not existing.is_dir():
-        raise ValueError(f"cannot create output directory {out}: {existing} is not a directory")
+    try:
+        if S_ISDIR(out.stat().st_mode):
+            raise ValueError(f"cannot write {out}: it is a directory")
+    except FileNotFoundError:
+        pass
 
 
 def cmd_dataset(args) -> int:
@@ -156,7 +152,6 @@ def cmd_train(args) -> int:
     epochs, every = config.training.epochs, config.training.measure_every
     msg = f"epochs ({epochs}) below 2 * measure_every ({every}): a peak report needs 3 measurements"
     _require(epochs >= 2 * every, msg)
-    _check_output_dir(args.out)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -235,7 +230,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,8 +35,8 @@ from .training import RunBatch, TrainingConfig, init_params, train_epoch
 
 logger = logging.getLogger(__name__)
 
-# (hidden units, desk-scale epochs) per dataset; the data fix the visible units.
-DATASET_LAYOUTS = {"bs": (8, 10000), "lse": (10, 20000)}
+# (generator, hidden units, desk-scale epochs) per dataset; the data fix the visible units.
+DATASET_LAYOUTS = {"bs": (generate_bars_and_stripes, 8, 10000), "lse": (generate_labeled_shifter, 10, 20000)}
 
 # Centered moving-average width used for reported peaks; raw argmax is
 # reported alongside.
@@ -90,7 +90,7 @@ def default_config(dataset: str, **overrides) -> ExperimentConfig:
     """Desk-scale config for a dataset; keyword overrides are applied on top."""
     if dataset not in DATASET_LAYOUTS:
         raise ValueError(f"dataset must be one of {sorted(DATASET_LAYOUTS)}, got {dataset!r}")
-    hidden, epochs = DATASET_LAYOUTS[dataset]
+    _, hidden, epochs = DATASET_LAYOUTS[dataset]
     training = overrides.pop("training", None) or TrainingConfig(epochs=epochs)
     return ExperimentConfig(dataset=dataset, hidden=hidden, training=training, **overrides)
 
@@ -115,9 +115,7 @@ class PeakReport:
 
 
 def build_dataset(config: ExperimentConfig) -> Dataset:
-    if config.dataset == "bs":
-        return generate_bars_and_stripes()
-    return generate_labeled_shifter()
+    return DATASET_LAYOUTS[config.dataset][0]()
 
 
 def _run_rngs(base_seed: int, run_index: int):
@@ -155,7 +153,8 @@ def _measure(
     the next ``train_epoch`` takes it as its positive phase instead of
     computing it again.  Each ratio diagnostic is the sum over samples of
     log p~(x_n) - log p~(y_n), not the difference of the two totals, most
-    of which would cancel.
+    of which would cancel.  The snapshot enters ``np.errstate(over="ignore")``
+    once, around all of its calls (see ``rbm``).
 
     The runs are measured as one stacked program on (R, N, ·) arrays, read
     from the batch's parameters in place; every per-run value has the bits
@@ -174,32 +173,30 @@ def _measure(
         rng.bit_generator.advance(skipped)
         rng.random(out=u_probe)
     pre = work("measure.pre", (len(rngs), num_hidden, count))  # unit-major, as the marginal takes it
-    with np.errstate(over="ignore"):
-        h1_mean = hidden_conditional_mean(batch, X, out=batch.h_data, pre=pre)
-    batch.h_data_current = True
-    sample_bernoulli(h1_mean, h1)
-
     # the data marginal gets its own buffer: the probes' marginals reuse the one it is returned in
     lum_x = work("measure.lum_x", shape[:2])
-    np.copyto(lum_x, log_unnormalized_marginal(batch, X, work, pre))
 
     def probe_total(h_s: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            Y = visible_conditional_mean(batch, h_s, out=work("measure.y", (*shape[:2], num_visible)))
+        Y = visible_conditional_mean(batch, h_s, out=work("measure.y", (*shape[:2], num_visible)))
         diff = np.subtract(lum_x, log_unnormalized_marginal(batch, Y, work), out=work("measure.diff", shape[:2]))
         return np.sum(diff, axis=-1)
 
-    log_likelihood = np.sum(lum_x, axis=-1) - count * log_partition(batch, work=work)
-    recon_mean = mean_reconstruction_log_prob(batch, batch.signs, h1_mean, work)
-    columns = {
-        "log_likelihood": log_likelihood,
-        "log_xi_random": probe_total(h_probe),
-        "log_xi_complement": probe_total(np.subtract(1.0, h1, out=h_probe)),
-        "log_recon_mean": recon_mean,
-        "log_likelihood_mean": log_likelihood / count,
-    }
-    if config.mean_h_enabled:
-        columns["log_xi_complement_mean_h"] = probe_total(np.subtract(1.0, h1_mean, out=h_probe))
+    with np.errstate(over="ignore"):
+        h1_mean = hidden_conditional_mean(batch, X, out=batch.h_data, pre=pre)
+        batch.h_data_current = True
+        sample_bernoulli(h1_mean, h1)
+        np.copyto(lum_x, log_unnormalized_marginal(batch, X, work, pre))
+        log_likelihood = np.sum(lum_x, axis=-1) - count * log_partition(batch, work=work)
+        recon_mean = mean_reconstruction_log_prob(batch, batch.signs, h1_mean, work)
+        columns = {
+            "log_likelihood": log_likelihood,
+            "log_xi_random": probe_total(h_probe),
+            "log_xi_complement": probe_total(np.subtract(1.0, h1, out=h_probe)),
+            "log_recon_mean": recon_mean,
+            "log_likelihood_mean": log_likelihood / count,
+        }
+        if config.mean_h_enabled:
+            columns["log_xi_complement_mean_h"] = probe_total(np.subtract(1.0, h1_mean, out=h_probe))
     rows = zip(*(values.tolist() for values in columns.values()))
     return [MetricsRecord(epoch=epoch, **dict(zip(columns, row))) for row in rows]
 
@@ -326,12 +323,10 @@ def average_runs(results: list[RunResult]) -> list[MetricsRecord]:
 
 
 def smooth_series(values, window: int) -> np.ndarray:
-    """Centered moving average, truncated at the edges; window=1 is identity."""
+    """Centered moving average, truncated at the edges; window 1 copies, but -0.0 becomes 0.0."""
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
     v = np.asarray(values, dtype=np.float64)
-    if window == 1:
-        return v.copy()
     radius = window // 2
     out = np.empty_like(v)
     for i in range(v.size):

@@ -57,7 +57,8 @@ intended saturated value, but numpy reports the overflow.  Entering
 ``np.errstate(over="ignore")`` costs over a microsecond, close to a whole
 batch-1 conditional mean, so the means do not enter it; every batch
 operation that calls them (a Gibbs chain, a training epoch, a snapshot)
-enters it once around all of its calls instead.
+enters it once around all of its calls instead; the rest of a snapshot
+(softplus sums, log-sum-exp) exponentiates no positive value.
 """
 
 from __future__ import annotations
@@ -203,16 +204,6 @@ def _column(v: np.ndarray) -> np.ndarray:
     return v.reshape(*v.shape[:-2], -1, 1)
 
 
-def _bias_product(x: np.ndarray, bias: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """x.bias over the last axis, one matrix-vector product per stacked model.
-
-    ``bias`` is a (K,) vector or a stacked (R, 1, K) one, taken as its
-    column; ``out`` has x's batch shape and is returned.
-    """
-    np.matmul(x, _column(bias), out=out[..., None])
-    return out
-
-
 @functools.lru_cache(maxsize=8)
 def _ones(size: int) -> np.ndarray:
     """A read-only vector of ``size`` ones, kept for the next call."""
@@ -291,7 +282,8 @@ def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh, pre:
             stack = np.broadcast_shapes(stack, rows.shape[:-2])
         pre = np.matmul(params.WT.mT, rows.mT, out=work("lum.pre", (*stack, params.WT.shape[-1], rows.shape[-2])))
         pre += _column(params.c)
-    val = _bias_product(rows, params.b, work("lum.val", (*pre.shape[:-2], pre.shape[-1])))
+    val = work("lum.val", (*pre.shape[:-2], pre.shape[-1]))
+    np.matmul(rows, _column(params.b), out=val[..., None])
     val += _softplus_sum(pre, work("lum.sum", val.shape), work)
     return _item(val if x.ndim > 1 else val[..., 0])
 

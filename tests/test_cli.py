@@ -179,6 +179,8 @@ class TestConfigLoading:
             (dict(training={"weight_decay": float("nan")}), "training.weight_decay must be a finite number"),
             (dict(training={"learning_rate": float("inf")}), "training.learning_rate must be a finite number"),
             (dict(training={"learning_rate": 10**400}), "training.learning_rate must be a finite number"),
+            (dict(num_runs=0), "num_runs must be >= 1, got 0"),
+            (dict(dataset="mnist"), "dataset must be one of ['bs', 'lse'], got 'mnist'"),
         ],
     )
     def test_non_string_dataset_and_non_finite_numbers_exit_2(self, tmp_path, capsys, overrides, message):
@@ -414,7 +416,7 @@ class TestSampleCommand:
         # weights of std 1 keep the chain mixing over many states
         params, out = tmp_path / "params.txt", tmp_path / "s.txt"
         visible = build_dataset(default_config(dataset)).visible_len
-        hidden, _ = DATASET_LAYOUTS[dataset]
+        _, hidden, _ = DATASET_LAYOUTS[dataset]
         write_params_file(params, init_params(visible, hidden, np.random.default_rng(3), 1.0))
         rc = main(["sample", "--params", str(params), "--count", "200", "--burn-in", "50",
                    "--thin", "3", "--seed", "5", "--out", str(out)])
@@ -463,6 +465,22 @@ class TestOutputLocation:
         rc = main(["train", "--config", str(config), "--out", str(out)])
         self.assert_rejected(capsys, rc, blocker)
         assert blocker.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("command", ["dataset", "sample", "train"])
+    def test_name_the_os_refuses(self, tmp_path, capsys, monkeypatch, command):
+        # a file-name component longer than the 255 bytes Linux and macOS allow
+        for work in ("build_dataset", "generate_samples", "run_experiment"):
+            monkeypatch.setattr(cli, work, _must_not_run)
+        params, out = tmp_path / "params.txt", tmp_path / ("o" * 300)
+        write_params_file(params, init_params(16, 8, np.random.default_rng(3), 1.0))
+        argv = {
+            "dataset": ["dataset", "bs", str(out)],
+            "sample": ["sample", "--params", str(params), "--count", "3", "--out", str(out)],
+            "train": ["train", "--config", str(write_config(tmp_path)), "--out", str(out)],
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        self.assert_rejected(capsys, main(argv), out)
+        assert sorted(tmp_path.iterdir()) == before
 
 
 # Functions that bench/layers.py reads spans of, by "module.function".  Its

@@ -118,6 +118,19 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="only 0/1 entries"):
             Dataset(name="x", samples=np.array(samples))
 
+    @pytest.mark.parametrize("samples", [[0, 1], [[[0, 1]]]])
+    def test_dataset_must_be_a_matrix(self, samples):
+        with pytest.raises(ValueError, match=r"must be an \(N, V\) matrix"):
+            Dataset(name="x", samples=np.array(samples))
+
+    @pytest.mark.parametrize("name", ["two words", "tab\tname", "line\n"])
+    def test_name_with_whitespace_not_written(self, tmp_path, name):
+        # the header's fields are separated by spaces
+        path = tmp_path / "x.txt"
+        with pytest.raises(ValueError, match="may not contain whitespace"):
+            write_dataset(Dataset(name=name, samples=np.array([[0, 1]])), path)
+        assert not path.exists()
+
     def test_dataset_accepts_float_and_bool_bits(self):
         for samples in (np.array([[0.0, 1.0]]), np.array([[False, True]])):
             data = Dataset(name="x", samples=samples)

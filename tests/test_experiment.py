@@ -1,5 +1,6 @@
 import concurrent.futures
 import multiprocessing
+import re
 import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -183,6 +184,26 @@ class TestRunExperiment:
         assert results[1].final_params is None
         assert [rec.epoch for rec in results[1].series] == [0]
         assert run_bytes(tmp_path / "batch", results[0]) == run_bytes(tmp_path / "solo", solo)
+
+    def test_batch_stops_when_every_run_aborts(self, monkeypatch):
+        # both runs go non-finite in the update of epoch 60, after the
+        # snapshot of epoch 50; no epoch is trained after that
+        real = training.apply_update
+        updates = {"n": 0}
+
+        def poison_all(batch, config):
+            updates["n"] += 1
+            if updates["n"] == 60:
+                batch.dW[:, 0, 0] = np.nan
+            return real(batch, config)
+
+        monkeypatch.setattr(training, "apply_update", poison_all)
+        results = list(run_experiment(tiny_bs_config()))
+        assert updates["n"] == 60
+        assert [r.aborted for r in results] == [True, True]
+        assert [r.abort_reason.startswith("epoch 60: ") for r in results] == [True, True]
+        assert [r.final_params for r in results] == [None, None]
+        assert [[rec.epoch for rec in r.series] for r in results] == [[0, 50], [0, 50]]
 
     @pytest.mark.parametrize("measure_every", [1, 3])
     def test_snapshot_hands_its_hidden_mean_to_the_next_epoch(self, monkeypatch, tmp_path, measure_every):
@@ -593,6 +614,8 @@ class TestDetectPeak:
     def test_smooth_series_values(self):
         out = smooth_series([0.0, 3.0, 6.0, 9.0, 12.0], window=3)
         np.testing.assert_allclose(out, [1.5, 3.0, 6.0, 9.0, 10.5])
+        values = np.array([0.1, -2.5e-300, 1e308, -np.inf, 5e-324, 0.0])
+        assert smooth_series(values, window=1).tobytes() == values.tobytes()
 
 
 class TestGenerateSamples:
@@ -843,6 +866,18 @@ class TestParamsFile:
         path = tmp_path / "bad.txt"
         path.write_text("")
         with pytest.raises(ParamsFormatError):
+            read_params_file(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("2\n0.5 0.5\n0.1 0.1\n0.0\n", "header must be 'V H', got '2'"),
+        ("2 x\n0.5 0.5\n0.1 0.1\n0.0\n", "non-integer header '2 x'"),
+        ("2 0\n0.1 0.1\n\n", "layer sizes must be positive, got 2 0"),
+        ("2 1\n0.5\n0.1 0.1\n0.0\n", "row lengths inconsistent with header 2 1"),
+    ], ids=["header-fields", "header-integers", "layer-sizes", "row-lengths"])
+    def test_malformed_file_rejected_naming_the_fault(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParamsFormatError, match=re.escape(f"{path}: {message}")):
             read_params_file(path)
 
 

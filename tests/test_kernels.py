@@ -111,7 +111,7 @@ class TestNoOverflowWarnings:
 
     def test_measure(self):
         # every data bit a saturated conditional contradicts costs exactly 800 nats
-        config = default_config("bs", variants_enabled=tuple(cdmonitor.XiVariant))
+        config = default_config("bs", variants_enabled=tuple(cdmonitor.criteria.XiVariant))
         params, X = saturated_params(16, 8), binary_rows(30, 16)
         record = measure_one(params, X, config, np.random.default_rng(2), epoch=0)
         assert record.log_recon_mean == oracle_recon_mean(params, X) < -800.0

@@ -26,6 +26,11 @@ class TestRbmParams:
         with pytest.raises(DimensionMismatchError):
             RbmParams(np.zeros((2, 3)), np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("W, b, c", [((2, 3, 1), (3,), (2,)), ((2, 3), (1, 3), (2,)), ((2, 3), (3,), ())])
+    def test_layer_dimensions_enforced(self, W, b, c):
+        with pytest.raises(DimensionMismatchError, match="expected W 2-d, b 1-d, c 1-d"):
+            RbmParams(np.zeros(W), np.zeros(b), np.zeros(c))
+
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteParameterError):
             RbmParams(np.array([[np.nan]]), np.zeros(1), np.zeros(1))
@@ -114,6 +119,16 @@ class TestUnnormalizedMarginal:
         pre = p.c + p.W @ y
         expected = p.b @ y + np.sum(np.log1p(np.exp(pre)))
         assert val == pytest.approx(expected, rel=1e-12)
+
+    def test_one_model_over_stacked_rows(self):
+        # a (3, N, V) x broadcasts one model over its leading axis
+        rng = np.random.default_rng(8)
+        p = RbmParams(*oracles.random_params(rng, 6, 5))
+        Y = rng.random((3, 4, 6))
+        got = log_unnormalized_marginal(p, Y)
+        assert got.shape == (3, 4)
+        for r in range(3):
+            np.testing.assert_array_equal(got[r], log_unnormalized_marginal(p, Y[r]))
 
     def test_log_domain_stable_for_large_preactivations(self):
         V, H = 3, 4
