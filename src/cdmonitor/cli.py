@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 run-level failure (too many aborted runs),
 2 usage or config error, including an output path that cannot be written
-(checked before any work) and any other error the OS reports.
+(checked before any work), any other error the OS reports and an
+allocation numpy refuses.
 """
 
 from __future__ import annotations
@@ -230,10 +231,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Ordered collection of binary visible vectors."""
+    """Ordered collection of binary visible vectors; ``==`` is identity, as
+    for ``rbm.RbmParams``."""
 
     name: str
     samples: np.ndarray  # (N, V) uint8, entries 0/1

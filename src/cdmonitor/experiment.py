@@ -35,8 +35,16 @@ from .training import RunBatch, TrainingConfig, init_params, train_epoch
 
 logger = logging.getLogger(__name__)
 
-# (generator, hidden units, desk-scale epochs) per dataset; the data fix the visible units.
-DATASET_LAYOUTS = {"bs": (generate_bars_and_stripes, 8, 10000), "lse": (generate_labeled_shifter, 10, 20000)}
+
+class _Layouts(dict):
+    """(generator, hidden units, desk-scale epochs) per dataset; the data fix
+    the visible units.  Indexing it is the one check of a dataset name."""
+
+    def __missing__(self, name):
+        raise ValueError(f"dataset must be one of {sorted(self)}, got {name!r}")
+
+
+DATASET_LAYOUTS = _Layouts(bs=(generate_bars_and_stripes, 8, 10000), lse=(generate_labeled_shifter, 10, 20000))
 
 # Centered moving-average width used for reported peaks; raw argmax is
 # reported alongside.
@@ -68,8 +76,7 @@ class ExperimentConfig:
     variants_enabled: tuple[XiVariant, ...] = DEFAULT_VARIANTS
 
     def __post_init__(self) -> None:
-        if self.dataset not in DATASET_LAYOUTS:
-            raise ValueError(f"dataset must be one of {sorted(DATASET_LAYOUTS)}, got {self.dataset!r}")
+        DATASET_LAYOUTS[self.dataset]  # raises for an unknown name
         if self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if self.num_runs < 1:
@@ -88,8 +95,6 @@ class ExperimentConfig:
 
 def default_config(dataset: str, **overrides) -> ExperimentConfig:
     """Desk-scale config for a dataset; keyword overrides are applied on top."""
-    if dataset not in DATASET_LAYOUTS:
-        raise ValueError(f"dataset must be one of {sorted(DATASET_LAYOUTS)}, got {dataset!r}")
     _, hidden, epochs = DATASET_LAYOUTS[dataset]
     training = overrides.pop("training", None) or TrainingConfig(epochs=epochs)
     return ExperimentConfig(dataset=dataset, hidden=hidden, training=training, **overrides)

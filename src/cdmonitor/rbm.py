@@ -63,7 +63,6 @@ enters it once around all of its calls instead; the rest of a snapshot
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,10 +86,10 @@ class NonFiniteParameterError(FloatingPointError):
 
 
 class Workspace:
-    """Scratch arrays kept between calls, one per (name, shape, dtype).
+    """Scratch float64 arrays kept between calls, one per (name, shape).
 
     ``work(name, shape)`` returns the array handed out before under that
-    name, shape and dtype, and a new one the first time, so a batch
+    name and shape, and a new one the first time, so a batch
     operation that runs many times on the same shapes (a metric snapshot)
     allocates nothing after its first call, even where one call site takes
     two shapes in turn (the marginal of the data and of an enumeration
@@ -101,16 +100,16 @@ class Workspace:
     def __init__(self) -> None:
         self._arrays: dict[tuple, np.ndarray] = {}
 
-    def __call__(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        a = self._arrays.get((name, shape, dtype))
+    def __call__(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        a = self._arrays.get((name, shape))
         if a is None:
-            a = self._arrays[name, shape, dtype] = np.empty(shape, dtype)
+            a = self._arrays[name, shape] = np.empty(shape)
         return a
 
 
-def fresh(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+def fresh(name: str, shape: tuple[int, ...]) -> np.ndarray:
     """The workspace of callers that keep none: a new array on every call."""
-    return np.empty(shape, dtype)
+    return np.empty(shape)
 
 
 # A 0-d array adds to a small array in about half the time a Python float
@@ -135,7 +134,7 @@ def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
     return np.reciprocal(z, out=z)
 
 
-@dataclass
+@dataclass(eq=False)
 class RbmParams:
     """Weights and biases of a binary RBM.
 
@@ -146,12 +145,13 @@ class RbmParams:
     every x.W^T product reads (see the module docstring).  So the arrays
     are never written in place: W, b and c are copies of the arrays given,
     and all four are read-only.  New parameters are a new ``RbmParams``.
+    ``==`` is identity: an elementwise comparison of arrays has no truth value.
     """
 
     W: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    WT: np.ndarray = field(init=False, repr=False, compare=False)
+    WT: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.W = np.array(self.W, dtype=np.float64)
@@ -202,14 +202,6 @@ def _column(v: np.ndarray) -> np.ndarray:
     """A (K,) vector or a stacked (R, 1, K) one as the (K, 1) or (R, K, 1)
     column it holds, a view."""
     return v.reshape(*v.shape[:-2], -1, 1)
-
-
-@functools.lru_cache(maxsize=8)
-def _ones(size: int) -> np.ndarray:
-    """A read-only vector of ``size`` ones, kept for the next call."""
-    ones = np.ones(size)
-    ones.setflags(write=False)
-    return ones
 
 
 # Units one product of softplus factors spans at most: each factor is at

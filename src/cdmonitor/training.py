@@ -23,7 +23,6 @@ from .rbm import (
     DimensionMismatchError,
     NonFiniteParameterError,
     RbmParams,
-    _ones,
     hidden_conditional_mean,
     sample_bernoulli,
     visible_conditional_mean,
@@ -77,7 +76,8 @@ class RunBatch:
     no write can leave ``WT`` stale.  ``grad`` holds the epoch's
     ascent direction in the same layout, with views ``dW``, ``db`` and
     ``dc``.  Run r draws its chain from ``rngs[r]``.  The other arrays are
-    an epoch's workspace, allocated here once.  Among them, ``draws`` holds
+    an epoch's workspace, allocated here once.  Among them, ``ones`` holds
+    N read-only ones, with which db and dc sum over samples, ``draws`` holds
     one Gibbs round's N*(H+V) uniforms per run as one row, in the order the
     run draws them, and ``h`` (R, N, H) and ``x`` (R, N, V) are its hidden
     and visible parts, where the round's samples replace its uniforms.
@@ -98,6 +98,8 @@ class RunBatch:
         self.X = X
         self.num_visible, self.num_hidden = V, H
         self.X_count = X.sum(axis=0)  # per-unit count of on bits in X
+        self.ones = np.ones(N)
+        self.ones.setflags(write=False)
         # 1 - 2X^T, unit-major (V, N): log P(X|z) = -sum softplus(signs * z), read by snapshots
         self.signs = np.ascontiguousarray((1.0 - 2.0 * X).T)
         self.rngs = list(rngs)
@@ -221,12 +223,11 @@ def train_epoch(batch: RunBatch, config: TrainingConfig) -> None:
             sample_bernoulli(visible_conditional_mean(batch, h, out=batch.x_mean), x)
         h_model = hidden_conditional_mean(batch, x, out=batch.h_model)
     # dW = h_data^T X - h_model^T x, db = sum_n (X - x), dc = sum_n (h_data - h_model),
-    # each sum over n a product with ones.  db counts bits, exactly in any
-    # order, so it is X's counts minus x's.
-    ones = _ones(x.shape[1])
+    # each sum over n a product with the batch's ones.  db counts bits,
+    # exactly in any order, so it is X's counts minus x's.
     np.matmul(batch.h_data.mT, X, out=batch.dW)
     batch.dW -= np.matmul(h_model.mT, x, out=batch.decay)
-    db = np.matmul(ones, x, out=batch.db[:, 0])
+    db = np.matmul(batch.ones, x, out=batch.db[:, 0])
     np.subtract(batch.X_count, db, out=db)
-    np.matmul(ones, np.subtract(batch.h_data, h_model, out=batch.h_data), out=batch.dc[:, 0])
+    np.matmul(batch.ones, np.subtract(batch.h_data, h_model, out=batch.h_data), out=batch.dc[:, 0])
     apply_update(batch, config)

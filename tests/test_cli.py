@@ -408,6 +408,17 @@ class TestSampleCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_refused_allocation_exits_2(self, tmp_path, capsys):
+        # 10^15 samples of 16 float64 bits are 114 PiB, which numpy refuses
+        # before it touches any memory
+        params, out = tmp_path / "params.txt", tmp_path / "s.txt"
+        write_params_file(params, init_params(16, 8, np.random.default_rng(3), 1.0))
+        rc = main(["sample", "--params", str(params), "--count", str(10**15), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("dataset, digest", [
         ("bs", "35d569044188be47e52c1c7738e89ba933b84728f160c4ab55baf974d05c53a9"),
         ("lse", "d33291973a296d09c0df2a389b02fbeba5aaa5668191a79d568e9185703217d1"),

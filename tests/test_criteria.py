@@ -384,9 +384,9 @@ class TestStackedForms:
         sizes = []
 
         class RecordingWorkspace(Workspace):
-            def __call__(self, name, shape, dtype=np.float64):
+            def __call__(self, name, shape):
                 sizes.append(math.prod(shape))
-                return super().__call__(name, shape, dtype)
+                return super().__call__(name, shape)
 
         models, batch = model_stack(16, 13)
         got = log_partition(batch, work=RecordingWorkspace())
@@ -421,8 +421,8 @@ class TestStackedForms:
         sums = {}
 
         class RecordingWorkspace(Workspace):
-            def __call__(self, name, shape, dtype=np.float64):
-                a = super().__call__(name, shape, dtype)
+            def __call__(self, name, shape):
+                a = super().__call__(name, shape)
                 if name == "recon.sum":
                     sums[shape] = a
                 return a

@@ -131,6 +131,11 @@ class TestFileFormat:
             write_dataset(Dataset(name=name, samples=np.array([[0, 1]])), path)
         assert not path.exists()
 
+    def test_equality_is_identity(self):
+        # a generated == would compare the samples, whose result has no truth value
+        a, b = (Dataset(name="x", samples=np.array([[0, 1], [1, 0]])) for _ in range(2))
+        assert a == a and not a == b and a != b
+
     def test_dataset_accepts_float_and_bool_bits(self):
         for samples in (np.array([[0.0, 1.0]]), np.array([[False, True]])):
             data = Dataset(name="x", samples=samples)

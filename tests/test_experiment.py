@@ -86,8 +86,13 @@ def record(epoch, value, mean_h=None):
 
 class TestExperimentConfig:
     def test_unknown_dataset(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("dataset must be one of ['bs', 'lse'], got 'mnist'")):
             ExperimentConfig(dataset="mnist", hidden=8, training=TrainingConfig())
+
+    def test_default_config_names_the_datasets_in_the_same_words(self):
+        with pytest.raises(ValueError) as raised:
+            default_config("mnist")
+        assert str(raised.value) == "dataset must be one of ['bs', 'lse'], got 'mnist'"
 
     def test_required_variants(self):
         with pytest.raises(ValueError):
@@ -392,8 +397,8 @@ class TestMeasure:
         handed_out = []
 
         class RecordingWorkspace(Workspace):
-            def __call__(self, name, shape, dtype=np.float64):
-                handed_out.append(super().__call__(name, shape, dtype))
+            def __call__(self, name, shape):
+                handed_out.append(super().__call__(name, shape))
                 return handed_out[-1]
 
         cfg = default_config(dataset, variants_enabled=tuple(XiVariant))

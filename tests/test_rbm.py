@@ -41,6 +41,11 @@ class TestRbmParams:
         p = tiny_params()
         assert p.num_visible == 2 and p.num_hidden == 2
 
+    def test_equality_is_identity(self):
+        # a generated == would compare the arrays, whose result has no truth value
+        p, q = tiny_params(), tiny_params()
+        assert p == p and not p == q and p != q
+
 
 class TestEnergy:
     def test_all_zero_params(self):
