@@ -92,14 +92,14 @@ def mean_reconstruction_log_prob(params: RbmParams, signs: np.ndarray, h_mean: n
     H), which a Gibbs chain started at X computes in its first round.  z is
     formed unit-major, (..., V, N), straight out of the product W^T.E[h|X]^T,
     and its softplus terms are summed down the rows by ``_softplus_sum``
-    (see ``rbm``).  ``work`` is a ``Workspace`` for the temporaries.  A
-    stack of models gives an (R,) array of means.
+    (see ``rbm``).  ``work`` is a ``Workspace`` for the (..., V, N) blocks.
+    A stack of models gives a new (R,) array of means.
     """
     N = h_mean.shape[-2]
     z = np.matmul(params.W.mT, h_mean.mT, out=work("recon.z", (*h_mean.shape[:-2], params.num_visible, N)))
     z += _column(params.b)
     z *= signs
-    vals = _softplus_sum(z, work("recon.sum", (*z.shape[:-2], N)), work)
+    vals = _softplus_sum(z, work)
     # minus the sum over N divided by N, as -vals.mean(axis=-1) computes it,
     # in half its time
     return _item(-np.add.reduce(vals, axis=-1) / N)
@@ -152,8 +152,8 @@ def log_partition(params: RbmParams, work=fresh):
     fixed-order blocks so the reduction is bit-reproducible; a layer that
     fits one block reuses its state matrix from the previous call.  A
     stack of R models
-    gives an (R,) array, each model's blocks reduced along the last axis as
-    one model's are; the models go through in groups small enough that a
+    gives a new (R,) array, each model's blocks reduced along the last axis
+    as one model's are; the models go through in groups small enough that a
     block's temporaries hold at most _STACK_ELEMENTS values, or one model's
     block.  ``work`` is a ``Workspace`` for the per-block temporaries.
     """
@@ -169,12 +169,12 @@ def log_partition(params: RbmParams, work=fresh):
     block = 1 << min(bits, _CHUNK_BITS)
 
     def enumerate_blocks(model):
-        partials = work("lz.partials", (*model.WT.shape[:-2], total // block))
-        for i, start in enumerate(range(0, total, block)):
+        partials = []
+        for start in range(0, total, block):
             states = _all_states(bits) if block == total else _binary_block(bits, start, start + block)
-            partials[..., i] = _logsumexp(log_unnormalized_marginal(model, states, work))
+            partials.append(_logsumexp(log_unnormalized_marginal(model, states, work)))
         # one block's partial is already log Z: log-sum-exp of one value returns it
-        return partials[..., 0] if i == 0 else _logsumexp(partials)
+        return partials[0] if len(partials) == 1 else _logsumexp(np.stack(partials, axis=-1))
 
     group = max(1, _STACK_ELEMENTS // (block * model.WT.shape[-1]))
     if model.WT.ndim == 2 or len(model.WT) <= group:

@@ -164,8 +164,9 @@ def _measure(
     The runs are measured as one stacked program on (R, N, ·) arrays, read
     from the batch's parameters in place; every per-run value has the bits
     the run's snapshot has alone (see ``rbm``).  ``work`` is a
-    ``Workspace`` for every temporary, so a batch's snapshots after its
-    first allocate nothing.
+    ``Workspace`` for every block-sized temporary, so a batch's snapshots
+    after its first allocate no block; the marginals and sums come back as
+    arrays of their own.
     """
     X = batch.X
     count, num_visible = X.shape
@@ -178,19 +179,16 @@ def _measure(
         rng.bit_generator.advance(skipped)
         rng.random(out=u_probe)
     pre = work("measure.pre", (len(rngs), num_hidden, count))  # unit-major, as the marginal takes it
-    # the data marginal gets its own buffer: the probes' marginals reuse the one it is returned in
-    lum_x = work("measure.lum_x", shape[:2])
 
     def probe_total(h_s: np.ndarray) -> np.ndarray:
         Y = visible_conditional_mean(batch, h_s, out=work("measure.y", (*shape[:2], num_visible)))
-        diff = np.subtract(lum_x, log_unnormalized_marginal(batch, Y, work), out=work("measure.diff", shape[:2]))
-        return np.sum(diff, axis=-1)
+        return np.sum(lum_x - log_unnormalized_marginal(batch, Y, work), axis=-1)
 
     with np.errstate(over="ignore"):
         h1_mean = hidden_conditional_mean(batch, X, out=batch.h_data, pre=pre)
         batch.h_data_current = True
         sample_bernoulli(h1_mean, h1)
-        np.copyto(lum_x, log_unnormalized_marginal(batch, X, work, pre))
+        lum_x = log_unnormalized_marginal(batch, X, work, pre)
         log_likelihood = np.sum(lum_x, axis=-1) - count * log_partition(batch, work=work)
         recon_mean = mean_reconstruction_log_prob(batch, batch.signs, h1_mean, work)
         columns = {

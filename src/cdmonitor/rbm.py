@@ -11,9 +11,8 @@ Because the layers are conditionally independent given each other, both
 P(h|x) and P(x|h) factorize into per-unit sigmoids, and the hidden layer can
 be summed out in closed form.
 
-All operations but the sampler's Gibbs chain accept arbitrary leading batch
-dimensions: a (V,) vector and an (N, V) matrix of row vectors are both
-valid inputs.  They also accept a
+All operations but the sampler's Gibbs chain accept a (V,) vector and an
+(N, V) matrix of row vectors alike.  They also accept a
 stack of R models in place of one (``W`` of shape (R, H, V), ``WT``
 (R, V, H), ``b`` (R, 1, V), ``c`` (R, 1, H), as ``training.RunBatch``
 holds them), and then map (N, V) or (R, N, V) inputs to (R, N, ·)
@@ -21,9 +20,10 @@ outputs; a single ``RbmParams`` is the case without R.  numpy multiplies
 such stacks one (N, V) x (V, H) product per model, and a bias product
 (x.b) one matrix-vector product per model, the products an (N, V) input
 and one model make.  So a stacked model computes the bits each of its
-models computes alone.  The kernels take an ``out`` array and the
-composite quantities a ``Workspace``, so that a batch operation repeated
-on the same shapes allocates nothing after its first call.
+models computes alone.  The kernels take an ``out`` array, and the
+composite quantities take their block-sized scratch from a ``Workspace``
+and return arrays of their own, so that a batch operation repeated on
+the same shapes allocates no block after its first call.
 
 Every visible-to-hidden product x.W^T of the conditional means reads
 ``WT``, a C-contiguous copy of W^T that the parameter holder keeps beside
@@ -91,10 +91,13 @@ class Workspace:
     ``work(name, shape)`` returns the array handed out before under that
     name and shape, and a new one the first time, so a batch
     operation that runs many times on the same shapes (a metric snapshot)
-    allocates nothing after its first call, even where one call site takes
+    allocates no block after its first call, even where one call site takes
     two shapes in turn (the marginal of the data and of an enumeration
-    block).  An array a function returns from a workspace is valid until
-    that function's next call with the same workspace and shapes.
+    block).  It holds scratch only: no function returns a workspace array.
+    Blocks such as the (10, 16, 256) enumeration block of a stack of 10 bs
+    models lie above glibc's mmap threshold, so a new one per call would be
+    mapped and faulted in every time (133 page faults a snapshot, which
+    then took 1.4 times as long, on a 2-vCPU VM).
     """
 
     def __init__(self) -> None:
@@ -209,10 +212,10 @@ def _column(v: np.ndarray) -> np.ndarray:
 _PRODUCT_UNITS = 1023
 
 
-def _softplus_sum(z: np.ndarray, out: np.ndarray, work=fresh) -> np.ndarray:
+def _softplus_sum(z: np.ndarray, work=fresh) -> np.ndarray:
     """sum_k softplus(z_k) = sum_k log(1 + e^{z_k}) down axis -2 of a
-    unit-major (..., K, M) block z, written into ``out`` of shape (..., M)
-    and returned; z is overwritten.
+    unit-major (..., K, M) block z, returned as a new (..., M) array; z is
+    overwritten.
 
     It is evaluated as sum_k max(z_k, 0) + log prod_k (1 + e^{-|z_k|}).  No
     exponent is positive, so nothing overflows at any |z| below 2^1023, and
@@ -224,7 +227,8 @@ def _softplus_sum(z: np.ndarray, out: np.ndarray, work=fresh) -> np.ndarray:
     rounded log1p terms, and costs one log per column instead of K.  Both
     reductions run down the block's rows, adding and multiplying whole
     contiguous rows in turn; along a short last axis the same product costs
-    about twice as much.  ``work`` is a ``Workspace`` for the temporaries.
+    about twice as much.  ``work`` is a ``Workspace`` for the (..., K, M)
+    block of factors.
     """
     # -|z| is z with its sign bit set, one integer pass where np.abs and
     # np.negative take two; z - (-|z|) is exactly 2 max(z, 0) below
@@ -232,15 +236,14 @@ def _softplus_sum(z: np.ndarray, out: np.ndarray, work=fresh) -> np.ndarray:
     factors = work("softplus.factors", z.shape)
     np.bitwise_or(z.view(np.uint64), _SIGN_BIT, out=factors.view(np.uint64))
     z -= factors
-    np.add.reduce(z, axis=-2, out=out)
-    out *= _HALF
+    sums = np.add.reduce(z, axis=-2)
+    sums *= _HALF
     np.exp(factors, out=factors)
     factors += _ONE
-    product = work("softplus.product", out.shape)
     for k in range(0, z.shape[-2], _PRODUCT_UNITS):
-        np.multiply.reduce(factors[..., k : k + _PRODUCT_UNITS, :], axis=-2, out=product)
-        out += np.log(product, out=product)
-    return out
+        product = np.multiply.reduce(factors[..., k : k + _PRODUCT_UNITS, :], axis=-2)
+        sums += np.log(product, out=product)
+    return sums
 
 
 def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh, pre: np.ndarray | None = None):
@@ -251,13 +254,14 @@ def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh, pre:
     ``_softplus_sum`` takes the log of a bounded form of that product, which
     keeps the value finite at any finite pre-activation.  ``x`` may be
     real-valued in [0, 1]: probe reconstructions are conditional means, and
-    the formula is evaluated verbatim on them.  A stack of models gives each
-    model's values along the leading axis.  Of the model it reads ``WT``,
+    the formula is evaluated verbatim on them.  A stack of R models gives
+    each model's values along the leading axis, for (N, V) rows shared by
+    all or (R, N, V) rows, one set per model.  Of the model it reads ``WT``,
     ``b`` and ``c`` alone.  x comes in row-major, (..., N, V), and its
     pre-activations are formed unit-major, (..., H, N), straight out of the
     product (WT)^T.x^T, so that the sum over hidden units runs down the
-    rows; the values come out as (..., N).  ``work`` is a ``Workspace`` to
-    take the temporaries and the returned array from.  ``pre`` is x's hidden
+    rows; the values come out as a new (..., N) array.  ``work`` is a
+    ``Workspace`` for the (..., H, N) blocks.  ``pre`` is x's hidden
     pre-activation c + Wx in that unit-major layout when the caller already
     has it (as ``hidden_conditional_mean`` leaves it); it is then not
     computed again, and it is overwritten.
@@ -266,17 +270,11 @@ def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh, pre:
     _check_last_dim(x, params.WT.shape[-2], "x")
     rows = x if x.ndim > 1 else x[None]
     if pre is None:
-        # matmul's output rows: the model stack broadcast against x's, then
-        # the hidden units (np.broadcast_shapes costs microseconds, so only
-        # when needed)
-        stack = params.WT.shape[:-2]
-        if rows.ndim > 2 and rows.shape[:-2] != stack:
-            stack = np.broadcast_shapes(stack, rows.shape[:-2])
-        pre = np.matmul(params.WT.mT, rows.mT, out=work("lum.pre", (*stack, params.WT.shape[-1], rows.shape[-2])))
+        stack, H = params.WT.shape[:-2], params.WT.shape[-1]
+        pre = np.matmul(params.WT.mT, rows.mT, out=work("lum.pre", (*stack, H, rows.shape[-2])))
         pre += _column(params.c)
-    val = work("lum.val", (*pre.shape[:-2], pre.shape[-1]))
-    np.matmul(rows, _column(params.b), out=val[..., None])
-    val += _softplus_sum(pre, work("lum.sum", val.shape), work)
+    val = np.matmul(rows, _column(params.b))[..., 0]
+    val += _softplus_sum(pre, work)
     return _item(val if x.ndim > 1 else val[..., 0])
 
 
@@ -368,7 +366,7 @@ def run_gibbs_chain(
     first _CACHED_MEANS = 2048 states the chain visits, about 330 B each at
     H = 14, V = 19 (the key, an (H,) or (V,) array and the dict slot), so
     the two take about 1.35 MB.  Past that a new state's mean is computed
-    into a buffer the call allocates once, and not stored.  The overflow of
+    as a new array on each visit, and not stored.  The overflow of
     saturated sigmoids is silenced once around all rounds.
     """
     if n < 1:
@@ -385,22 +383,19 @@ def run_gibbs_chain(
     hidden_u, visible_u = uniforms[:, : params.num_hidden], uniforms[:, params.num_hidden :]
     h = np.empty(params.num_hidden, dtype=bool)
     visibles = np.empty((n, params.num_visible), dtype=bool)
-    h_spare, x_spare = np.empty(params.num_hidden), np.empty(params.num_visible)
     with np.errstate(over="ignore"):
         for u_h, u_x, x_next in zip(hidden_u, visible_u, visibles):
             key = x.tobytes()
             h_mean = hidden_means.get(key)
             if h_mean is None:
+                h_mean = hidden_conditional_mean(params, x.astype(np.float64))
                 if len(hidden_means) < _CACHED_MEANS:
-                    h_mean = hidden_means[key] = hidden_conditional_mean(params, x.astype(np.float64))
-                else:
-                    h_mean = hidden_conditional_mean(params, x.astype(np.float64), out=h_spare)
+                    hidden_means[key] = h_mean
             key = sample_bernoulli(h_mean, u_h, out=h).tobytes()
             x_mean = means.get(key)
             if x_mean is None:
+                x_mean = visible_conditional_mean(params, h.astype(np.float64))
                 if len(means) < _CACHED_MEANS:
-                    x_mean = means[key] = visible_conditional_mean(params, h.astype(np.float64))
-                else:
-                    x_mean = visible_conditional_mean(params, h.astype(np.float64), out=x_spare)
+                    means[key] = x_mean
             x = sample_bernoulli(x_mean, u_x, out=x_next)
     return visibles.astype(np.float64)

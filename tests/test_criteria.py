@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cdmonitor import criteria
+from cdmonitor import criteria, rbm
 from cdmonitor.criteria import (
     _STACK_ELEMENTS,
     EnumerationInfeasibleError,
@@ -415,30 +415,56 @@ class TestStackedForms:
         assert means[1] < -100 < means[0] and means[2] > -100
 
     @pytest.mark.parametrize("V, H, N", [(16, 8, 30), (19, 10, 768)], ids=["bs", "lse"])
-    def test_reconstruction_per_sample(self, V, H, N):
+    def test_reconstruction_per_sample(self, monkeypatch, V, H, N):
         # every per-sample sum of the stacked reconstruction, and so every
         # mean, has the bits of the model's own, at the snapshot's shapes
         sums = {}
+        softplus_sum = criteria._softplus_sum
 
-        class RecordingWorkspace(Workspace):
-            def __call__(self, name, shape):
-                a = super().__call__(name, shape)
-                if name == "recon.sum":
-                    sums[shape] = a
-                return a
+        def recorded(z, work):
+            a = sums[z.shape[:-2]] = softplus_sum(z, work)
+            return a
 
+        monkeypatch.setattr(criteria, "_softplus_sum", recorded)
         models, _ = model_stack(V, H)
         rng = np.random.default_rng(11)
         X = (rng.random((N, V)) < 0.5).astype(np.float64)
         batch = RunBatch(models, X, [rng] * 3)
         with np.errstate(over="ignore"):
             h = hidden_conditional_mean(batch, X)
-        means = criteria.mean_reconstruction_log_prob(batch, batch.signs, h, RecordingWorkspace())
-        stacked = sums[(3, N)].copy()
+        means = criteria.mean_reconstruction_log_prob(batch, batch.signs, h)
         for r, p in enumerate(models):
-            mean = criteria.mean_reconstruction_log_prob(p, batch.signs, h[r], RecordingWorkspace())
-            np.testing.assert_array_equal(stacked[r], sums[(N,)])
+            mean = criteria.mean_reconstruction_log_prob(p, batch.signs, h[r])
+            np.testing.assert_array_equal(sums[(3,)][r], sums[()])
             assert means[r] == mean
+
+    def test_no_result_is_a_workspace_array(self):
+        # a workspace holds scratch only: every array these functions
+        # return is their own, so no later call can overwrite it
+        handed_out = []
+
+        class RecordingWorkspace(Workspace):
+            def __call__(self, name, shape):
+                handed_out.append(super().__call__(name, shape))
+                return handed_out[-1]
+
+        work = RecordingWorkspace()
+        models, _ = model_stack(16, 8)
+        rng = np.random.default_rng(12)
+        X = (rng.random((5, 16)) < 0.5).astype(np.float64)
+        batch = RunBatch(models, X, [rng] * 3)
+        with np.errstate(over="ignore"):
+            h = hidden_conditional_mean(batch, X)
+        results = [
+            log_unnormalized_marginal(batch, X, work),
+            log_unnormalized_marginal(batch, rng.random((3, 5, 16)), work),
+            criteria.mean_reconstruction_log_prob(batch, batch.signs, h, work),
+            log_partition(batch, work=work),
+            rbm._softplus_sum(rng.standard_normal((3, 8, 5)), work),
+        ]
+        assert handed_out
+        for result in results:
+            assert not any(np.shares_memory(result, a) for a in handed_out)
 
     def test_single_model_gives_scalars(self):
         models, _ = model_stack(4, 3, R=1)

@@ -391,9 +391,10 @@ class TestMeasure:
 
     @pytest.mark.parametrize("dataset, runs", [("bs", 10), ("lse", 1)])
     def test_second_snapshot_allocates_no_array(self, dataset, runs):
-        # every temporary comes from the workspace, which hands the second
-        # snapshot only arrays it handed the first, though the marginal
-        # serves the data and log_partition's blocks in different shapes
+        # every block-sized temporary comes from the workspace, which hands
+        # the second snapshot only arrays it handed the first, though the
+        # marginal serves the data and log_partition's blocks in different
+        # shapes; the per-sample sums and totals are new arrays each call
         handed_out = []
 
         class RecordingWorkspace(Workspace):
@@ -684,24 +685,17 @@ class TestGenerateSamples:
     def test_cached_means_give_the_reference_bits(self, monkeypatch, hidden, visible):
         # the 8000 rounds visit more visible states than hidden_means holds
         # at V = 16, and more hidden ones than means holds at H = 14 (the
-        # miss-count tests below): so H = 4, V = 16 takes the spare-buffer
-        # E[h|x] route while every hidden state is stored, H = 14 both spare
-        # buffers, and H = 4, V = 8 neither
+        # miss-count tests below): so H = 4, V = 16 computes E[h|x] past a
+        # full cache while every hidden state is stored, H = 14 both means,
+        # and H = 4, V = 8 neither
         params = self.diffuse_params(hidden, visible)
-        spare = []  # whether each hidden mean of the chain went to its spare buffer
-        original = rbm.hidden_conditional_mean
-
-        def recorded(params, x, out=None, pre=None):
-            spare.append(out is not None)
-            return original(params, x, out, pre)
-
-        monkeypatch.setattr(rbm, "hidden_conditional_mean", recorded)
+        calls = count_calls(monkeypatch, "hidden_conditional_mean")
         got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
         got = generate_samples(params, 2000, 0, 4, got_rng)
+        assert (len(calls) > rbm._CACHED_MEANS) == (visible == 16)
         want = generate_samples_per_sample(params, 2000, 0, 4, want_rng)
         assert got.tobytes() == want.tobytes()
         assert got_rng.random() == want_rng.random()
-        assert any(spare) == (visible == 16)
 
     @pytest.mark.parametrize("hidden", [4, 14])
     def test_one_visible_mean_per_cached_hidden_state(self, monkeypatch, hidden):

@@ -125,16 +125,6 @@ class TestUnnormalizedMarginal:
         expected = p.b @ y + np.sum(np.log1p(np.exp(pre)))
         assert val == pytest.approx(expected, rel=1e-12)
 
-    def test_one_model_over_stacked_rows(self):
-        # a (3, N, V) x broadcasts one model over its leading axis
-        rng = np.random.default_rng(8)
-        p = RbmParams(*oracles.random_params(rng, 6, 5))
-        Y = rng.random((3, 4, 6))
-        got = log_unnormalized_marginal(p, Y)
-        assert got.shape == (3, 4)
-        for r in range(3):
-            np.testing.assert_array_equal(got[r], log_unnormalized_marginal(p, Y[r]))
-
     def test_log_domain_stable_for_large_preactivations(self):
         V, H = 3, 4
         big = RbmParams(np.zeros((H, V)), np.full(V, 700.0), np.full(H, 700.0))
