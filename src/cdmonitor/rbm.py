@@ -14,12 +14,12 @@ be summed out in closed form.
 All operations but the sampler's Gibbs chain accept a (V,) vector and an
 (N, V) matrix of row vectors alike.  They also accept a
 stack of R models in place of one (``W`` of shape (R, H, V), ``WT``
-(R, V, H), ``b`` (R, 1, V), ``c`` (R, 1, H), as ``training.RunBatch``
-holds them), and then map (N, V) or (R, N, V) inputs to (R, N, ·)
-outputs; a single ``RbmParams`` is the case without R.  numpy multiplies
-such stacks one (N, V) x (V, H) product per model, and a bias product
-(x.b) one matrix-vector product per model, the products an (N, V) input
-and one model make.  So a stacked model computes the bits each of its
+(R, V, H), ``b`` and ``neg_b`` (R, 1, V), ``c`` and ``neg_c`` (R, 1, H),
+as ``training.RunBatch`` holds them), and then map (N, V) or (R, N, V)
+inputs to (R, N, ·) outputs; a single ``RbmParams`` is the case without
+R.  numpy multiplies such stacks one (N, V) x (V, H) product per model,
+and a bias product (x.b) one matrix-vector product per model, the
+products an (N, V) input and one model make.  So a stacked model computes the bits each of its
 models computes alone.  The kernels take an ``out`` array, and the
 composite quantities take their block-sized scratch from a ``Workspace``
 and return arrays of their own, so that a batch operation repeated on
@@ -51,9 +51,15 @@ row-major block would cost 14.5 us of that gain, and along a short last
 axis the product costs about twice as much as down the rows.  (The same
 timeit minimums.)
 
-The conditional means evaluate the sigmoid as 1/(1 + e^{-z}).  For
-z < -709.78, e^{-z} overflows to inf and the mean is exactly 0: that is the
-intended saturated value, but numpy reports the overflow.  Entering
+Every parameter holder keeps its biases negated as well, read beside
+``WT``: ``neg_b`` = -b and ``neg_c`` = -c.  A conditional mean forms the
+product z, then -c - z in one pass over it, which is -(z + c) bit for bit
+(rounding to nearest is symmetric in sign, so only the sign of an exact
+zero can differ), and takes the sigmoid of that negated pre-activation as
+exp, +1 and reciprocal: one pass fewer than adding the bias and negating
+the sum.  W and ``WT`` are not negated.  Where the negated pre-activation
+exceeds 709.78, its exp overflows to inf and the mean is exactly 0: that is
+the intended saturated value, but numpy reports the overflow.  Entering
 ``np.errstate(over="ignore")`` costs over a microsecond, close to a whole
 batch-1 conditional mean, so the means do not enter it; every batch
 operation that calls them (a Gibbs chain, a training epoch, a snapshot)
@@ -124,14 +130,14 @@ _HALF.setflags(write=False)
 _SIGN_BIT.setflags(write=False)
 
 
-def _sigmoid_inplace(z: np.ndarray) -> np.ndarray:
-    """1/(1 + e^{-z}), written over the caller's freshly built array z.
+def _sigmoid_of_negated(z: np.ndarray) -> np.ndarray:
+    """1/(1 + e^z), the sigmoid of -z, written over the caller's freshly
+    built array z of negated pre-activations.
 
-    Exactly 0 below z = -709.78, where e^{-z} overflows (see the module
-    docstring), and exactly 1 above z = 36.8, where e^{-z} is below half an
-    ulp of 1.
+    Exactly 0 where the pre-activation -z is below -709.78 (z > 709.78),
+    where e^z overflows (see the module docstring), and exactly 1 where -z
+    is above 36.8 (z < -36.8), where e^z is below half an ulp of 1.
     """
-    np.negative(z, out=z)
     np.exp(z, out=z)
     z += _ONE
     return np.reciprocal(z, out=z)
@@ -144,10 +150,11 @@ class RbmParams:
     W: (hidden, visible) weight matrix; row j holds the weights of hidden
     unit j.  b: visible bias, length visible.  c: hidden bias, length hidden.
     All entries must be finite at all times, including mid-training.
-    WT: W^T as a C-contiguous (visible, hidden) copy, made here once, which
-    every x.W^T product reads (see the module docstring).  So the arrays
-    are never written in place: W, b and c are copies of the arrays given,
-    and all four are read-only.  New parameters are a new ``RbmParams``.
+    WT: W^T as a C-contiguous (visible, hidden) copy, and neg_b, neg_c: -b
+    and -c, made here once, which the conditional means read (see the
+    module docstring).  So the arrays are never written in place: W, b and
+    c are copies of the arrays given, and all six are read-only.  New
+    parameters are a new ``RbmParams``.
     ``==`` is identity: an elementwise comparison of arrays has no truth value.
     """
 
@@ -155,6 +162,8 @@ class RbmParams:
     b: np.ndarray
     c: np.ndarray
     WT: np.ndarray = field(init=False, repr=False)
+    neg_b: np.ndarray = field(init=False, repr=False)
+    neg_c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.W = np.array(self.W, dtype=np.float64)
@@ -177,7 +186,8 @@ class RbmParams:
         ):
             raise NonFiniteParameterError("parameters contain NaN or Inf")
         self.WT = self.W.mT.copy()
-        for a in (self.W, self.b, self.c, self.WT):
+        self.neg_b, self.neg_c = np.negative(self.b), np.negative(self.c)
+        for a in (self.W, self.b, self.c, self.WT, self.neg_b, self.neg_c):
             a.setflags(write=False)
 
     @property
@@ -268,6 +278,10 @@ def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh, pre:
     """
     x = np.asarray(x, dtype=np.float64)
     _check_last_dim(x, params.WT.shape[-2], "x")
+    if x.ndim > params.WT.ndim:
+        raise DimensionMismatchError(
+            f"x has shape {x.shape}, expected (V,), (N, V) or, for a stack of R models, (R, N, V)"
+        )
     rows = x if x.ndim > 1 else x[None]
     if pre is None:
         stack, H = params.WT.shape[:-2], params.WT.shape[-1]
@@ -283,16 +297,17 @@ def hidden_conditional_mean(
 ) -> np.ndarray:
     """E[h|x]: component j is sigmoid(c_j + (Wx)_j), written into ``out`` if
     given.  Given ``pre`` as well, an (..., H, N) array for an (..., N, V) x,
-    the pre-activation c + Wx is copied there transposed, unit-major, for a
-    caller that takes the hidden softplus terms of ``log_unnormalized_marginal``
-    from it too."""
+    the pre-activation c + Wx is negated back from -c - Wx into it,
+    transposed, unit-major, in the same pass as the copy, for a caller that
+    takes the hidden softplus terms of ``log_unnormalized_marginal`` from it
+    too; only the sign of an exact zero can differ from c + Wx."""
     x = np.asarray(x, dtype=np.float64)
     _check_last_dim(x, params.num_visible, "x")
     z = np.matmul(x, params.WT, out=out)
-    z += params.c
+    np.subtract(params.neg_c, z, out=z)
     if pre is not None:
-        np.copyto(pre, z.mT)
-    return _sigmoid_inplace(z)
+        np.negative(z.mT, out=pre)
+    return _sigmoid_of_negated(z)
 
 
 def visible_conditional_mean(params: RbmParams, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -300,8 +315,8 @@ def visible_conditional_mean(params: RbmParams, h: np.ndarray, out: np.ndarray |
     h = np.asarray(h, dtype=np.float64)
     _check_last_dim(h, params.num_hidden, "h")
     z = np.matmul(h, params.W, out=out)
-    z += params.b
-    return _sigmoid_inplace(z)
+    np.subtract(params.neg_b, z, out=z)
+    return _sigmoid_of_negated(z)
 
 
 def sample_bernoulli(mean, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -347,8 +362,10 @@ def run_gibbs_chain(
     draw gives, in the same order (a round's H hidden, then its V visible
     ones): they fill one (n, H+V) array, and each round thresholds its own
     slice with ``sample_bernoulli`` into bool buffers, an (H,) one reused
-    for h and row k of an (n, V) one for x.  The (n, V) array is cast to
-    float once, on return.
+    for h and row k of an (n, V) one for x.  The bool h and x go to the
+    conditional means as they are: each mean's ``np.asarray`` makes the
+    float 0/1 vector a cast would, so the chain makes no copy of its own.
+    The (n, V) array is cast to float once, on return.
 
     E[x|h] depends only on the binary draw h, and E[h|x] only on the
     vector x the round starts from (x1, then the previous visible draw).
@@ -356,9 +373,9 @@ def run_gibbs_chain(
     visits at most 2^10 = 1024 hidden states, and one on a bs model trained
     2000 epochs visits under 1800 visible states.  So ``means`` maps the
     ``tobytes()`` of the bool draw h (H bytes) to the mean
-    ``visible_conditional_mean`` returned for h as a float 0/1 vector,
+    ``visible_conditional_mean`` returned for h,
     ``hidden_means`` maps the bool x's (V bytes) to the mean
-    ``hidden_conditional_mean`` returned for x so cast, and a round whose h
+    ``hidden_conditional_mean`` returned for x, and a round whose h
     or x is there thresholds the stored mean.  Each stored mean comes from
     that call on the same 0/1 vector, so the draws are bit for bit those of
     a chain that computes every mean.  Successive calls may share the
@@ -388,13 +405,13 @@ def run_gibbs_chain(
             key = x.tobytes()
             h_mean = hidden_means.get(key)
             if h_mean is None:
-                h_mean = hidden_conditional_mean(params, x.astype(np.float64))
+                h_mean = hidden_conditional_mean(params, x)
                 if len(hidden_means) < _CACHED_MEANS:
                     hidden_means[key] = h_mean
             key = sample_bernoulli(h_mean, u_h, out=h).tobytes()
             x_mean = means.get(key)
             if x_mean is None:
-                x_mean = visible_conditional_mean(params, h.astype(np.float64))
+                x_mean = visible_conditional_mean(params, h)
                 if len(means) < _CACHED_MEANS:
                     means[key] = x_mean
             x = sample_bernoulli(x_mean, u_x, out=x_next)

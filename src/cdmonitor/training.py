@@ -70,10 +70,13 @@ class RunBatch:
     ``W`` (R, H, V), ``b`` (R, 1, V) and ``c`` (R, 1, H) are views into it,
     in the stacked form the conditional means of ``rbm`` accept, so one
     scan checks all of a run's parameters.  ``WT`` (R, V, H) is W^T as a
-    C-contiguous copy, which every x.W^T product reads (see ``rbm``); it is
-    refreshed when the batch is built and by every ``apply_update``, the
-    only writer of ``theta``.  The views W, b and c are read-only, so that
-    no write can leave ``WT`` stale.  ``grad`` holds the epoch's
+    C-contiguous copy, which every x.W^T product reads, and ``neg_bias``
+    (R, V+H) holds the runs' biases negated, -theta[:, H*V:], with views
+    ``neg_b`` (R, 1, V) and ``neg_c`` (R, 1, H), which the conditional means
+    subtract from (see ``rbm``).  Both are refreshed when the batch is built
+    and by every ``apply_update``, the only writer of ``theta``.  The views
+    W, b and c are read-only, so that no write can leave ``WT`` or
+    ``neg_bias`` stale.  ``grad`` holds the epoch's
     ascent direction in the same layout, with views ``dW``, ``db`` and
     ``dc``.  Run r draws its chain from ``rngs[r]``.  The other arrays are
     an epoch's workspace, allocated here once.  Among them, ``ones`` holds
@@ -112,6 +115,9 @@ class RunBatch:
         for a in (self.W, self.b, self.c):
             a.setflags(write=False)
         self.WT = self.W.mT.copy()
+        self.neg_bias = np.negative(self.theta[:, H * V :])
+        self.neg_b = self.neg_bias[:, :V].reshape(R, 1, V)
+        self.neg_c = self.neg_bias[:, V:].reshape(R, 1, H)
         self.h_data = np.empty((R, N, H))  # E[h|X]: round 1's mean and the positive phase
         self.h_data_current = False
         self.h_model = np.empty((R, N, H))  # later rounds' means, then the negative phase
@@ -124,9 +130,11 @@ class RunBatch:
 
     @staticmethod
     def bytes_per_run(N: int, V: int, H: int) -> int:
-        """Memory one run adds to a batch on an (N, V) training matrix with H hidden units."""
+        """Memory one run adds to a batch on an (N, V) training matrix with H
+        hidden units: its rows of ``theta``, ``grad``, ``WT``, ``neg_bias``,
+        the epoch's workspace and the bool ``finite``."""
         P = H * V + V + H
-        return 8 * (3 * N * H + 2 * N * V + 2 * P + 2 * H * V) + P
+        return 8 * (3 * N * H + 2 * N * V + 2 * P + 2 * H * V + V + H) + P
 
     def params(self, r: int) -> RbmParams:
         """A copy of run r's parameters."""
@@ -154,8 +162,9 @@ def apply_update(batch: RunBatch, config: TrainingConfig) -> None:
     Decay applies to W only; biases do not saturate the sigmoids the decay
     exists to protect.  The step is evaluated in the order the formula is
     written, so the new parameters have the bits a fresh evaluation of it
-    gives.  The step refreshes ``WT`` and marks ``h_data`` stale, even
-    when it raises.  If some runs' parameters are no longer finite,
+    gives.  The step refreshes ``WT`` and, with one ``np.negative`` over
+    both biases, ``neg_bias``, and marks ``h_data`` stale, even when it
+    raises.  If some runs' parameters are no longer finite,
     NonFiniteParameterError names their positions in ``runs``; the other
     runs stand updated.
     """
@@ -164,6 +173,7 @@ def apply_update(batch: RunBatch, config: TrainingConfig) -> None:
     batch.grad *= config.learning_rate
     batch.theta += batch.grad
     np.copyto(batch.WT, batch.W.mT)
+    np.negative(batch.theta[:, batch.num_hidden * batch.num_visible :], out=batch.neg_bias)
     batch.h_data_current = False
     if not np.isfinite(batch.theta, out=batch.finite).all():
         raise NonFiniteParameterError(

@@ -14,7 +14,7 @@ import pytest
 
 import cdmonitor
 from cdmonitor.criteria import log_partition
-from cdmonitor.datasets import Dataset
+from cdmonitor.datasets import Dataset, generate_bars_and_stripes
 from cdmonitor.experiment import _measure, default_config
 from cdmonitor.rbm import (
     RbmParams,
@@ -24,7 +24,7 @@ from cdmonitor.rbm import (
     run_gibbs_chain,
     visible_conditional_mean,
 )
-from cdmonitor.training import RunBatch, TrainingConfig
+from cdmonitor.training import RunBatch, TrainingConfig, init_params, train_epoch
 
 import oracles
 from reference import (
@@ -79,6 +79,80 @@ class TestSaturation:
         z = np.array([[800.0, -800.0, 800.0, 0.0], [-800.0, -800.0, 800.0, -800.0]])
         got = _softplus_sum(z)
         np.testing.assert_array_equal(got, [800.0, 0.0, 1600.0, np.log(2.0)])
+
+
+def old_route_means(holder, x, h):
+    """The conditional means by the direct route, the reference for the
+    negated-bias one: the bias added to the product, the sum negated, then
+    exp, +1 and reciprocal.  Returns E[h|x], E[x|h] and x's hidden
+    pre-activation, row-major."""
+
+    def sigmoid(z):
+        np.negative(z, out=z)
+        with np.errstate(over="ignore"):
+            np.exp(z, out=z)
+        z += 1.0
+        return np.reciprocal(z, out=z)
+
+    pre = np.matmul(x, holder.WT) + holder.c
+    return sigmoid(pre.copy()), sigmoid(np.matmul(h, holder.W) + holder.b), pre
+
+
+def assert_means_match_the_old_route(holder, x, h):
+    """Both means bit for bit; for rows, x's unit-major ``pre`` equal up to
+    the sign of zero; and the marginal from the new ``pre``, from none and
+    from the old route's pre-activation bit for bit."""
+    want_h, want_x, want_pre = old_route_means(holder, x, h)
+    unit_major = want_pre[:, None] if x.ndim == 1 else want_pre.mT
+    pre = np.empty(unit_major.shape) if x.ndim > 1 else None
+    with np.errstate(over="ignore"):
+        assert hidden_conditional_mean(holder, x, pre=pre).tobytes() == want_h.tobytes()
+        assert visible_conditional_mean(holder, h).tobytes() == want_x.tobytes()
+    want = np.asarray(log_unnormalized_marginal(holder, x, pre=np.ascontiguousarray(unit_major)))
+    assert np.asarray(log_unnormalized_marginal(holder, x)).tobytes() == want.tobytes()
+    if pre is not None:
+        np.testing.assert_array_equal(pre, unit_major)
+        assert log_unnormalized_marginal(holder, x, pre=pre).tobytes() == want.tobytes()
+
+
+class TestNegatedBiases:
+    """The means subtract the product from the negated biases, -c - x.W^T,
+    which is -(x.W^T + c) bit for bit: rounding is symmetric in sign."""
+
+    @staticmethod
+    def params_with_exact_zeros(V=7, H=6):
+        # hidden units 0-1 and visible units 0-1 saturate at +-800; units 2-3
+        # of each layer cancel exactly on the first of the rows; the rest
+        # are random
+        rng = np.random.default_rng(11)
+        W = rng.normal(0.0, 2.0, (H, V))
+        X, Hs = binary_rows(6, V, seed=1), binary_rows(6, H, seed=2)
+        b, c = rng.normal(size=V), rng.normal(size=H)
+        b[:2], c[:2] = (800.0, -800.0), (-800.0, 800.0)
+        b[2:4], c[2:4] = -(Hs @ W)[0, 2:4], -(X @ W.T.copy())[0, 2:4]
+        return RbmParams(W, b, c), X, Hs
+
+    def test_one_model_on_vectors_and_rows(self):
+        params, X, Hs = self.params_with_exact_zeros()
+        _, _, pre = old_route_means(params, X, Hs)
+        assert (pre[0, 2:4] == 0.0).all() and (np.abs(pre[:, :2]) > 790.0).all()
+        assert ((Hs @ params.W + params.b)[0, 2:4] == 0.0).all()
+        assert_means_match_the_old_route(params, X[0], Hs[0])
+        assert_means_match_the_old_route(params, X, Hs)
+
+    @pytest.mark.parametrize("params", [zero_params(7, 6), saturated_params(7, 6), saturated_params(7, 6, -800.0)])
+    def test_all_zero_and_saturated_models(self, params):
+        assert_means_match_the_old_route(params, binary_rows(5, 7), binary_rows(5, 6, seed=3))
+
+    def test_stacked_bs_runs_after_updates(self):
+        X = generate_bars_and_stripes().matrix()
+        params = [init_params(16, 8, np.random.default_rng(s), 0.3) for s in range(3)]
+        batch = RunBatch(params, X, [np.random.default_rng(30 + s) for s in range(3)])
+        for _ in range(4):
+            train_epoch(batch, TrainingConfig(learning_rate=0.05, weight_decay=0.001))
+        hiddens = binary_rows(3 * 30, 8, seed=4).reshape(3, 30, 8)
+        assert_means_match_the_old_route(batch, X, hiddens)
+        assert_means_match_the_old_route(batch, binary_rows(3 * 30, 16, seed=5).reshape(3, 30, 16), hiddens)
 
 
 class TestNoOverflowWarnings:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cdmonitor import rbm
 from cdmonitor.rbm import (
     DimensionMismatchError,
     NonFiniteParameterError,
@@ -131,6 +132,12 @@ class TestUnnormalizedMarginal:
         assert np.isfinite(log_unnormalized_marginal(big, np.ones(V)))
         small = RbmParams(np.zeros((H, V)), np.full(V, -700.0), np.full(H, -700.0))
         assert np.isfinite(log_unnormalized_marginal(small, np.ones(V)))
+
+    def test_rows_of_more_dimensions_than_the_model_rejected(self):
+        # one model takes (V,) or (N, V) rows; (R, N, V) rows need a stack of R
+        p = RbmParams(*oracles.random_params(np.random.default_rng(4), 6, 3))
+        with pytest.raises(DimensionMismatchError, match=r"\(V,\), \(N, V\) or.*\(R, N, V\)"):
+            log_unnormalized_marginal(p, np.zeros((3, 4, 6)))
 
 
 class TestConditionals:
@@ -299,6 +306,29 @@ class TestGibbsChain:
         p = RbmParams(*oracles.random_params(np.random.default_rng(8), 5, 3))
         run_gibbs_chain(p, np.zeros(5), n, np.random.default_rng(9))
         assert calls == [(3,), (5,)] * n
+
+    def test_means_take_the_bool_draws(self, monkeypatch):
+        # the chain hands its bool x and h to the public means uncast; their
+        # np.asarray makes the float 0/1 vector a cast would
+        seen = []
+
+        def recording(name):
+            original = getattr(rbm, name)
+
+            def record(params, v, *args, **kwargs):
+                seen.append((name, v.dtype, v.shape))
+                return original(params, v, *args, **kwargs)
+
+            monkeypatch.setattr(rbm, name, record)
+
+        recording("hidden_conditional_mean")
+        recording("visible_conditional_mean")
+        p = RbmParams(*oracles.random_params(np.random.default_rng(8), 5, 3))
+        got = run_gibbs_chain(p, np.zeros(5), 6, np.random.default_rng(9))
+        assert {name for name, _, _ in seen} == {"hidden_conditional_mean", "visible_conditional_mean"}
+        assert all(dtype == bool and shape in {(3,), (5,)} for _, dtype, shape in seen)
+        want = run_gibbs_chain_per_round(p, np.zeros(5), 6, np.random.default_rng(9)).visibles
+        assert got.tobytes() == want.tobytes()
 
     def test_identical_seeds_identical_chains(self):
         p = tiny_params()

@@ -333,46 +333,65 @@ def assert_contiguous_transpose(holder):
     assert holder.WT.tobytes() == np.ascontiguousarray(holder.W.mT).tobytes()
 
 
+def assert_negated_biases(holder):
+    """``holder.neg_b`` and ``neg_c`` are -b and -c bit for bit, in arrays
+    of their own."""
+    for neg, bias in ((holder.neg_b, holder.b), (holder.neg_c, holder.c)):
+        assert neg.shape == bias.shape and not np.shares_memory(neg, bias)
+        assert neg.tobytes() == np.negative(bias).tobytes()
+
+
 class TestRunBatch:
     def test_transpose_copy_after_construction_and_select(self):
         params = [init_params(16, 8, np.random.default_rng(s), 0.3) for s in range(3)]
         batch = RunBatch(params, generate_bars_and_stripes().matrix(), [np.random.default_rng(s) for s in range(3)])
         assert_contiguous_transpose(batch)
+        assert_negated_biases(batch)
         train_epoch(batch, TrainingConfig(learning_rate=0.05))
         chosen = batch.select([2, 0])
         assert_contiguous_transpose(chosen)
+        assert_negated_biases(chosen)
         np.testing.assert_array_equal(chosen.WT[0], batch.W[2].T)
+        np.testing.assert_array_equal(chosen.neg_c[0], -batch.c[2])
+        # one array holds both negated biases: the update refreshes it in one pass
+        assert np.shares_memory(chosen.neg_b, chosen.neg_bias) and np.shares_memory(chosen.neg_c, chosen.neg_bias)
 
     def test_transpose_copy_after_every_update(self):
-        # the update refreshes WT even when it raises: the other runs go on
+        # the update refreshes WT and the negated biases even when it
+        # raises: the other runs go on
         params = [init_params(16, 8, np.random.default_rng(s), 0.3) for s in range(3)]
         batch = RunBatch(params, generate_bars_and_stripes().matrix(), [np.random.default_rng(s) for s in range(3)])
         config = TrainingConfig(learning_rate=0.05, weight_decay=0.001)
         for _ in range(3):
             train_epoch(batch, config)
             assert_contiguous_transpose(batch)
+            assert_negated_biases(batch)
         batch.grad[:] = np.random.default_rng(7).normal(size=batch.grad.shape)
         batch.grad[1, 5] = np.inf
         with pytest.raises(NonFiniteParameterError) as info:
             apply_update(batch, config)
         assert info.value.runs == (1,)
         assert_contiguous_transpose(batch)
+        assert_negated_biases(batch)
 
     def test_transpose_copy_of_params_read_from_a_file(self, tmp_path):
         path = tmp_path / "params.txt"
         experiment.write_params_file(path, init_params(19, 10, np.random.default_rng(1), 0.5))
         assert_contiguous_transpose(experiment.read_params_file(path))
+        assert_negated_biases(experiment.read_params_file(path))
 
     def test_parameters_cannot_be_written_in_place(self):
-        # every x.W^T product reads WT, so a write to W outside apply_update
-        # would leave it stale: RbmParams and a RunBatch's W, b and c are
-        # read-only, and RbmParams copies what it is given
+        # every x.W^T product reads WT and every mean the negated biases, so
+        # a write to W, b or c outside apply_update would leave them stale:
+        # RbmParams and a RunBatch's W, b and c are read-only, and RbmParams
+        # copies what it is given
         W = np.random.default_rng(2).normal(size=(8, 16))
         params = RbmParams(W, np.zeros(16), np.zeros(8))
         W[0, 0] = 1.0
         assert params.W[0, 0] != 1.0
         batch = RunBatch([params], generate_bars_and_stripes().matrix(), [np.random.default_rng(0)])
-        for array in (params.W, params.b, params.c, params.WT, batch.W, batch.b, batch.c):
+        held = (params.W, params.b, params.c, params.WT, params.neg_b, params.neg_c)
+        for array in (*held, batch.W, batch.b, batch.c):
             with pytest.raises(ValueError, match="read-only"):
                 array[..., 0] = np.nan
         assert np.isfinite(batch.theta).all()
@@ -380,6 +399,7 @@ class TestRunBatch:
         apply_update(batch, TrainingConfig(learning_rate=0.5))
         assert batch.W[0, 0, 0] == params.W[0, 0] + 0.5
         assert_contiguous_transpose(batch)
+        assert_negated_biases(batch)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_stacked_runs_match_runs_trained_alone_bit_for_bit(self, n):
@@ -419,8 +439,8 @@ class TestRunBatch:
 
     def test_bytes_per_run_counts_the_batch_arrays(self):
         batch = RunBatch([zero_params(16, 8)] * 3, np.zeros((30, 16)), [None] * 3)
-        arrays = (batch.theta, batch.grad, batch.WT, batch.h_data, batch.h_model, batch.x_mean,
-                  batch.draws, batch.decay, batch.finite)
+        arrays = (batch.theta, batch.grad, batch.WT, batch.neg_bias, batch.h_data, batch.h_model,
+                  batch.x_mean, batch.draws, batch.decay, batch.finite)
         assert sum(a.nbytes for a in arrays) == 3 * RunBatch.bytes_per_run(30, 16, 8)
         assert np.shares_memory(batch.h, batch.draws) and np.shares_memory(batch.x, batch.draws)
 
