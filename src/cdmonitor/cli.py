@@ -5,10 +5,11 @@ Subcommands:
     train    run a multi-seed training sweep from a JSON config
     sample   draw visible samples from a saved parameter file
 
-Exit codes: 0 success, 1 run-level failure (too many aborted runs),
-2 usage or config error, including an output path that cannot be written
-(checked before any work), any other error the OS reports and an
-allocation numpy refuses.
+Exit codes, each ending with one line on stderr and no traceback:
+0 success; 1 too many aborted runs; 2 a usage or config error, an output
+path that cannot be written (checked before any work), any other error
+the OS reports or an allocation numpy refuses; 3 a worker process of the
+pool lost, naming the runs the pool held; 130 an interrupt (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .datasets import Dataset, write_dataset
 from .experiment import (
     DATASET_LAYOUTS,
     ExperimentConfig,
+    WorkerLostError,
     average_runs,
     build_dataset,
     default_config,
@@ -234,3 +236,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except WorkerLostError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130

@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import enum
 import functools
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rbm import RbmParams, _column, _item, _softplus_sum, fresh, log_unnormalized_marginal
+from .rbm import RbmParams, _item, _softplus_sum, fresh, log_unnormalized_marginal
 
 # Enumeration beyond this many bits in the smaller layer is refused.
 ENUMERATION_LIMIT_BITS = 25
@@ -86,18 +85,18 @@ def mean_reconstruction_log_prob(params: RbmParams, signs: np.ndarray, h_mean: n
     conditional evaluated at its hidden mean.
 
     With z = b + W^T E[h|x], the visible pre-activation at the hidden mean,
-    log P(x_i | z_i) = -softplus((1 - 2 x_i) z_i), which is exact at any
-    finite z_i.  ``signs`` is 1 - 2X^T, a unit-major (V, N) array, which
-    the caller computes once per data batch; ``h_mean`` is E[h|X], (..., N,
-    H), which a Gibbs chain started at X computes in its first round.  z is
-    formed unit-major, (..., V, N), straight out of the product W^T.E[h|X]^T,
-    and its softplus terms are summed down the rows by ``_softplus_sum``
-    (see ``rbm``).  ``work`` is a ``Workspace`` for the (..., V, N) blocks.
-    A stack of models gives a new (R,) array of means.
+    log P(x_i | z_i) = -softplus((1 - 2 x_i) z_i) = -softplus((2 x_i - 1)
+    (-z_i)), which is exact at any finite z_i.  ``signs`` is 2X^T - 1, a
+    unit-major (V, N) array, which the caller computes once per data batch;
+    ``h_mean`` is the hidden block [1; E[h|X]^T], (..., H+1, N), whose
+    E[h|X] a Gibbs chain started at X computes in its first round.  -z is
+    one product with the visible mean's operand ``neg_visible``, unit-major
+    (..., V, N), and its softplus terms are summed down the rows by
+    ``_softplus_sum`` (see ``rbm``).  ``work`` is a ``Workspace`` for the
+    (..., V, N) blocks.  A stack of models gives a new (R,) array of means.
     """
-    N = h_mean.shape[-2]
-    z = np.matmul(params.W.mT, h_mean.mT, out=work("recon.z", (*h_mean.shape[:-2], params.num_visible, N)))
-    z += _column(params.b)
+    N = h_mean.shape[-1]
+    z = np.matmul(params.neg_visible, h_mean, out=work("recon.z", (*h_mean.shape[:-2], params.num_visible, N)))
     z *= signs
     vals = _softplus_sum(z, work)
     # minus the sum over N divided by N, as -vals.mean(axis=-1) computes it,
@@ -106,18 +105,20 @@ def mean_reconstruction_log_prob(params: RbmParams, signs: np.ndarray, h_mean: n
 
 
 def _binary_block(num_bits: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the full 2^num_bits enumeration; bit j is column j.
-    The rows are a view of a C-contiguous (num_bits, rows) array, so their
-    transpose, which ``log_unnormalized_marginal`` multiplies, is contiguous."""
+    """States start..stop-1 of the full 2^num_bits enumeration as the
+    unit-major block [s^T; 1], (num_bits+1, rows) and C-contiguous; bit j
+    of state k is row j of column k."""
     idx = np.arange(start, stop, dtype=np.uint64)
-    return ((idx >> np.arange(num_bits, dtype=np.uint64)[:, None]) & 1).astype(np.float64).T
+    block = np.ones((num_bits + 1, stop - start))
+    np.bitwise_and(idx >> np.arange(num_bits, dtype=np.uint64)[:, None], 1, out=block[:-1], casting="unsafe")
+    return block
 
 
 @functools.lru_cache(maxsize=1)
 def _all_states(num_bits: int) -> np.ndarray:
     """The whole 2^num_bits enumeration as one read-only block, kept for the
     next call.  Only enumerations of one block (at most _CHUNK_BITS bits) are
-    cached, so the cache holds at most 2^16 rows."""
+    cached, so the cache holds at most 2^16 states."""
     states = _binary_block(num_bits, 0, 1 << num_bits)
     states.setflags(write=False)
     return states
@@ -131,35 +132,28 @@ def _logsumexp(v: np.ndarray) -> np.ndarray:
     return m[..., 0] + np.log(np.exp(v, out=v).sum(axis=-1))
 
 
-# WT, b and c of a model or a stack of them, as log_unnormalized_marginal
-# reads them: a view of the caller's arrays, made without a copy or a check.
-_Layers = namedtuple("_Layers", "WT b c")
-
-
 def log_partition(params: RbmParams, work=fresh):
     """log Z by exhaustive enumeration over the smaller layer: the log-sum-exp
     of ``log_unnormalized_marginal`` over its states, which sums the other
     layer out in closed form.  The hidden layer (on a tie too) goes through
-    the model with its layers swapped, (W^T, c, b), whose marginal at h is
-    c.h + sum_i softplus(b_i + (W^T h)_i); that model's contiguous
-    transpose is W itself.  Each block of M states gives the other layer's
-    K pre-activations unit-major, a (K, M) block out of one product with
-    the states' transpose, and ``_softplus_sum`` reduces it down its K rows,
-    the log of one bounded product per state (see ``rbm``).  The states are
-    built as that transpose, a C-contiguous (bits, M) array, which the
-    product reads in 12.0 us against 19.8 us for the transposed view of a
-    row-major block (lse, one OpenBLAS thread).  Enumeration runs in
-    fixed-order blocks so the reduction is bit-reproducible; a layer that
-    fits one block reuses its state matrix from the previous call.  A
-    stack of R models
-    gives a new (R,) array, each model's blocks reduced along the last axis
-    as one model's are; the models go through in groups small enough that a
-    block's temporaries hold at most _STACK_ELEMENTS values, or one model's
-    block.  ``work`` is a ``Workspace`` for the per-block temporaries.
+    the model with its layers swapped, whose theta is theta^T with both
+    axes reversed, [[c', 0], [W'^T, b']] for c, W and b with their units in
+    reverse order: its marginal at h is c.h + sum_i softplus(b_i + (W^T
+    h)_i), and the reversal only renames the states enumerated.  The
+    states come as unit-major blocks [s^T; 1] of M states.  Enumeration
+    runs in fixed-order blocks so the reduction is bit-reproducible; a
+    layer that fits one block reuses its states from the previous call.  A
+    stack of R models gives a new (R,) array, each model's blocks reduced
+    along the last axis as one model's are; the models go through in groups
+    small enough that a block's temporaries hold at most _STACK_ELEMENTS
+    values, or one model's block.  More than ENUMERATION_LIMIT_BITS units
+    in the smaller layer raise ``EnumerationInfeasibleError``.  ``work`` is
+    a ``Workspace`` for the per-block temporaries.
     """
-    swap = params.num_hidden <= params.num_visible
-    model = _Layers(params.W, params.c, params.b) if swap else _Layers(params.WT, params.b, params.c)
-    bits = model.WT.shape[-2]  # the model's visible layer, the one enumerated
+    theta = params.theta
+    if params.num_hidden <= params.num_visible:
+        theta = np.ascontiguousarray(theta.mT[..., ::-1, ::-1])
+    bits = theta.shape[-1] - 1  # the model's visible layer, the one enumerated
     if bits > ENUMERATION_LIMIT_BITS:
         raise EnumerationInfeasibleError(
             f"the smaller layer has {bits} units, exact enumeration capped at "
@@ -176,10 +170,10 @@ def log_partition(params: RbmParams, work=fresh):
         # one block's partial is already log Z: log-sum-exp of one value returns it
         return partials[0] if len(partials) == 1 else _logsumexp(np.stack(partials, axis=-1))
 
-    group = max(1, _STACK_ELEMENTS // (block * model.WT.shape[-1]))
-    if model.WT.ndim == 2 or len(model.WT) <= group:
-        return _item(enumerate_blocks(model))
-    lz = np.empty(len(model.WT))
-    for g in range(0, len(model.WT), group):
-        lz[g : g + group] = enumerate_blocks(_Layers(*(a[g : g + group] for a in model)))
+    group = max(1, _STACK_ELEMENTS // (block * theta.shape[-2]))
+    if theta.ndim == 2 or len(theta) <= group:
+        return _item(enumerate_blocks(theta))
+    lz = np.empty(len(theta))
+    for g in range(0, len(theta), group):
+        lz[g : g + group] = enumerate_blocks(theta[g : g + group])
     return lz

@@ -60,6 +60,10 @@ class ExperimentError(RuntimeError):
     """A sweep-level failure (bad run collection, mismatched grids, ...)."""
 
 
+class WorkerLostError(ExperimentError):
+    """A worker process of a sweep's pool ended before returning its results."""
+
+
 class ParamsFormatError(ValueError):
     """A parameter file does not conform to the text format."""
 
@@ -144,62 +148,68 @@ def _measure(
     is a function of the evolving model, so nothing is cached across
     epochs.  Each snapshot draws a CD-n chain from X and then the
     random-hidden uniforms, in that order, to keep the measurement stream
-    reproducible.  Of the chain only round 1 is read (its hidden mean and
-    hidden sample), so only that much is computed: each run draws round 1's
-    N*H hidden uniforms, skips with ``bit_generator.advance`` the N*V
-    visible uniforms of round 1 and the N*(H+V) of each later round, and
-    draws the probe uniforms, which leaves each generator where drawing the
-    whole chain would (this needs a bit generator with ``advance``, such as
-    numpy's default PCG64).  The round-1 uniforms then become draws in one
-    ``sample_bernoulli`` call.  The hidden pre-activation of X is computed
-    once: round 1's hidden mean and the data marginal both read it, the
-    marginal from a unit-major copy.  That
-    mean, E[h|X], is written into ``batch.h_data`` and marked current, so
-    the next ``train_epoch`` takes it as its positive phase instead of
-    computing it again.  Each ratio diagnostic is the sum over samples of
-    log p~(x_n) - log p~(y_n), not the difference of the two totals, most
-    of which would cancel.  The snapshot enters ``np.errstate(over="ignore")``
-    once, around all of its calls (see ``rbm``).
+    reproducible; both layers' uniforms go to units unit by unit, as an
+    epoch's do (see ``training.train_epoch``).  Of the chain only round 1
+    is read (its hidden mean and hidden sample), so only that much is
+    computed: each run draws round 1's N*H hidden uniforms, skips with
+    ``bit_generator.advance`` the N*V visible uniforms of round 1 and the
+    N*(H+V) of each later round, and draws the probe uniforms, which leaves
+    each generator where drawing the whole chain would (this needs a bit
+    generator with ``advance``, such as numpy's default PCG64).  The
+    round-1 uniforms become draws in one ``sample_bernoulli`` call.
 
-    The runs are measured as one stacked program on (R, N, ·) arrays, read
+    X's hidden pre-activation is computed once: round 1's hidden mean and
+    the data marginal both read it.  That mean, E[h|X], is written into
+    ``batch.h_data`` and marked current, so the next ``train_epoch`` takes
+    it as its positive phase, bit for bit what it would compute.  Every
+    probe h_s is a hidden block [1; h_s^T] and its reconstruction a
+    visible block [E[x|h_s]^T; 1], in the layout of ``rbm``.  Each ratio
+    diagnostic is the sum over samples of log p~(x_n) - log p~(y_n), not
+    the difference of the two totals, most of which would cancel.  The
+    snapshot enters ``np.errstate(over="ignore")`` once, around all of its
+    calls (see ``rbm``).
+
+    The runs are measured as one stacked program on (R, ·, N) arrays, read
     from the batch's parameters in place; every per-run value has the bits
-    the run's snapshot has alone (see ``rbm``).  ``work`` is a
-    ``Workspace`` for every block-sized temporary, so a batch's snapshots
-    after its first allocate no block; the marginals and sums come back as
-    arrays of their own.
+    the run's snapshot has alone.  ``work`` is a ``Workspace`` for every
+    block-sized temporary, so a batch's snapshots after its first allocate
+    no block; the marginals and sums come back as arrays of their own.
     """
-    X = batch.X
-    count, num_visible = X.shape
+    count, num_visible = batch.X.shape
     num_hidden = batch.num_hidden
-    shape = (len(rngs), count, num_hidden)
-    h1, h_probe = work("measure.h1", shape), work("measure.h_probe", shape)
+    h1 = work("measure.h1", (len(rngs), num_hidden, count))
+    probe = work("measure.probe", (len(rngs), num_hidden + 1, count))
+    Y = work("measure.y", (len(rngs), num_visible + 1, count))
+    probe[:, 0] = Y[:, -1] = 1.0
     skipped = count * num_visible + (config.training.n - 1) * count * (num_hidden + num_visible)
-    for rng, u, u_probe in zip(rngs, h1, h_probe, strict=True):
+    for rng, u, u_probe in zip(rngs, h1, probe[:, 1:], strict=True):
         rng.random(out=u)
         rng.bit_generator.advance(skipped)
         rng.random(out=u_probe)
-    pre = work("measure.pre", (len(rngs), num_hidden, count))  # unit-major, as the marginal takes it
+    pre = work("measure.pre", h1.shape)
 
-    def probe_total(h_s: np.ndarray) -> np.ndarray:
-        Y = visible_conditional_mean(batch, h_s, out=work("measure.y", (*shape[:2], num_visible)))
+    def probe_total(complement_of=None) -> np.ndarray:
+        # the probe block's ratio total, after writing 1 - complement_of into its rows 1: if given
+        if complement_of is not None:
+            np.subtract(1.0, complement_of, out=probe[:, 1:])
+        visible_conditional_mean(batch, probe, out=Y[:, :-1])
         return np.sum(lum_x - log_unnormalized_marginal(batch, Y, work), axis=-1)
 
     with np.errstate(over="ignore"):
-        h1_mean = hidden_conditional_mean(batch, X, out=batch.h_data, pre=pre)
+        h1_mean = hidden_conditional_mean(batch, batch.XT1, out=batch.h_data[:, 1:], pre=pre)
         batch.h_data_current = True
         sample_bernoulli(h1_mean, h1)
-        lum_x = log_unnormalized_marginal(batch, X, work, pre)
+        lum_x = log_unnormalized_marginal(batch, batch.XT1, work, pre)
         log_likelihood = np.sum(lum_x, axis=-1) - count * log_partition(batch, work=work)
-        recon_mean = mean_reconstruction_log_prob(batch, batch.signs, h1_mean, work)
         columns = {
             "log_likelihood": log_likelihood,
-            "log_xi_random": probe_total(h_probe),
-            "log_xi_complement": probe_total(np.subtract(1.0, h1, out=h_probe)),
-            "log_recon_mean": recon_mean,
+            "log_xi_random": probe_total(),
+            "log_xi_complement": probe_total(h1),
+            "log_recon_mean": mean_reconstruction_log_prob(batch, batch.signs, batch.h_data, work),
             "log_likelihood_mean": log_likelihood / count,
         }
         if config.mean_h_enabled:
-            columns["log_xi_complement_mean_h"] = probe_total(np.subtract(1.0, h1_mean, out=h_probe))
+            columns["log_xi_complement_mean_h"] = probe_total(h1_mean)
     rows = zip(*(values.tolist() for values in columns.values()))
     return [MetricsRecord(epoch=epoch, **dict(zip(columns, row))) for row in rows]
 
@@ -274,7 +284,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Iterator[RunResul
     batch per worker, and the next batch as each batch's results are
     yielded, so no more batches are in it than it has workers and none
     waits in its queue, where a shutdown cannot cancel it: closing the
-    iterator early waits only for the batches running then.  A run's
+    iterator early waits only for the batches running then.  The pool is
+    shut down on every way out; a worker that ends abruptly breaks it and
+    raises WorkerLostError, naming the runs in the pool then.  A run's
     result does not depend on its batch or worker, so ``jobs`` changes no
     output.
     """
@@ -287,17 +299,21 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Iterator[RunResul
         for batch in batches:
             yield from run_single(config, batch, X)
         return
-    from concurrent.futures import ProcessPoolExecutor  # costly to import; only sweeps use it
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # costly to import; only sweeps use it
 
     pool = ProcessPoolExecutor(max_workers=workers)
+    running = []  # (batch, future) of each batch in the pool, in order
     try:
-        running = [pool.submit(run_single, config, batch, X) for batch in batches[:workers]]
-        for batch in batches[workers:]:
-            results = running.pop(0).result()
-            running.append(pool.submit(run_single, config, batch, X))
-            yield from results
-        for future in running:
+        for k, batch in enumerate(batches):
+            running.append((batch, pool.submit(run_single, config, batch, X)))
+            if k + 1 >= workers:
+                yield from running[0][1].result()
+                running.pop(0)
+        for _, future in running:
             yield from future.result()
+    except BrokenExecutor:
+        lost = [r for batch, _ in running for r in batch]
+        raise WorkerLostError(f"a worker process ended abruptly while the pool held runs {lost}") from None
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -11,60 +11,51 @@ Because the layers are conditionally independent given each other, both
 P(h|x) and P(x|h) factorize into per-unit sigmoids, and the hidden layer can
 be summed out in closed form.
 
-All operations but the sampler's Gibbs chain accept a (V,) vector and an
-(N, V) matrix of row vectors alike.  They also accept a
-stack of R models in place of one (``W`` of shape (R, H, V), ``WT``
-(R, V, H), ``b`` and ``neg_b`` (R, 1, V), ``c`` and ``neg_c`` (R, 1, H),
-as ``training.RunBatch`` holds them), and then map (N, V) or (R, N, V)
-inputs to (R, N, ·) outputs; a single ``RbmParams`` is the case without
-R.  numpy multiplies such stacks one (N, V) x (V, H) product per model,
-and a bias product (x.b) one matrix-vector product per model, the
-products an (N, V) input and one model make.  So a stacked model computes the bits each of its
-models computes alone.  The kernels take an ``out`` array, and the
-composite quantities take their block-sized scratch from a ``Workspace``
-and return arrays of their own, so that a batch operation repeated on
-the same shapes allocates no block after its first call.
+Layout.  Each layer has an always-on unit whose weights are the other
+layer's biases, so a model is one (H+1, V+1) matrix
 
-Every visible-to-hidden product x.W^T of the conditional means reads
-``WT``, a C-contiguous copy of W^T that the parameter holder keeps beside
-W: OpenBLAS takes 18.3 us for an lse (768, 19) x (19, 10) product through
-the transposed view W.mT and 10.4 us through the contiguous copy, which
-costs 0.7 us to refresh after an update.  Every hidden-to-visible product
-h.W reads W itself, which is contiguous in that orientation (9.7 us,
-against 19.7 us through WT.mT).  (timeit minimums at one OpenBLAS thread
-on a 2-vCPU Xeon VM.)
+    theta = [[b, 0],
+             [W, c]]
 
-The monitored quantities (the marginal, and through it the ratio
+with the hidden always-on unit as row 0 and the visible one as column V;
+the corner theta[0, V] is exactly 0.  A layer enters a product unit-major
+with its always-on unit: visible states as [x^T; 1], (V+1, N), or [x; 1]
+for one state, hidden states as [1; h^T], (H+1, N), or [1; h].  Beside
+theta, each parameter holder keeps the means' negated operands as
+read-only C-contiguous arrays of their own: ``neg_hidden`` = -theta[1:],
+(H, V+1), and ``neg_visible`` = -theta[:, :V]^T, (V, H+1).  A conditional
+mean is one product of an operand with the other layer's block, the
+negated pre-activation with its bias in it, then exp, +1 and reciprocal,
+giving an (H, N) or (V, N) block, or an (H,) or (V,) vector.  An operand
+whose unit axis (the last for a vector, else axis -2) is not the layer's
+size plus one raises ``DimensionMismatchError`` before any product.
+
+Stacks.  Every operation but the sampler's Gibbs chain also takes a stack
+of R models in place of one (theta (R, H+1, V+1), ``neg_hidden`` (R, H,
+V+1), ``neg_visible`` (R, V, H+1), as ``training.RunBatch`` holds them),
+with blocks shared by all models or one per model, and gives (R, ·, N)
+results; a single ``RbmParams`` is the case without R.  numpy multiplies
+such stacks one model's matrix at a time, so a stacked model computes the
+bits each of its models computes alone.
+
+Bits.  Rounding to nearest is symmetric in sign, so a product with a
+negated operand is the negated product bit for bit.  Where a negated
+pre-activation exceeds 709.78, its exp overflows to inf and the mean is
+exactly 0, the intended saturated value.  numpy reports the overflow; the
+means do not silence it, but every batch operation that calls them (a
+Gibbs chain, an epoch, a snapshot) enters ``np.errstate(over="ignore")``
+once around all of its calls.  No other snapshot step exponentiates a
+positive value.
+
+Sums.  The monitored quantities (the marginal, and through it the ratio
 diagnostics and log Z, and the reconstruction term) are per-sample sums of
 softplus terms over units.  ``_softplus_sum`` takes each as the log of a
-product of factors in (1, 2], whose relative error is at most gamma_K for
-K units, one log per sample instead of K log1p calls.  That product runs
-down the rows of a unit-major (..., K, N) block, so these sums form their
-pre-activations unit-major, straight out of BLAS as the transpose of the
-row-major product: A^T.x^T through np.matmul(A.mT, x.mT), with the
-contiguous A the row-major product x.A reads (WT for the marginal, W for
-the reconstruction).  The marginal's product reads WT (13.5 us for the
-lse (10, 768) block, against 15.2 us through W and 10.6 us row-major).
-On the lse log Z block of 1024 states x 19 units the sum takes 48 us
-against 72 us for the log1p terms and a row sum; a transposed copy of the
-row-major block would cost 14.5 us of that gain, and along a short last
-axis the product costs about twice as much as down the rows.  (The same
-timeit minimums.)
-
-Every parameter holder keeps its biases negated as well, read beside
-``WT``: ``neg_b`` = -b and ``neg_c`` = -c.  A conditional mean forms the
-product z, then -c - z in one pass over it, which is -(z + c) bit for bit
-(rounding to nearest is symmetric in sign, so only the sign of an exact
-zero can differ), and takes the sigmoid of that negated pre-activation as
-exp, +1 and reciprocal: one pass fewer than adding the bias and negating
-the sum.  W and ``WT`` are not negated.  Where the negated pre-activation
-exceeds 709.78, its exp overflows to inf and the mean is exactly 0: that is
-the intended saturated value, but numpy reports the overflow.  Entering
-``np.errstate(over="ignore")`` costs over a microsecond, close to a whole
-batch-1 conditional mean, so the means do not enter it; every batch
-operation that calls them (a Gibbs chain, a training epoch, a snapshot)
-enters it once around all of its calls instead; the rest of a snapshot
-(softplus sums, log-sum-exp) exponentiates no positive value.
+product of factors in (1, 2] down the rows of a unit-major (..., K, N)
+block, whose relative error is at most gamma_K for K units.  The kernels
+take an ``out`` array, and the composite quantities take their block-sized
+scratch from a ``Workspace`` and return arrays of their own, so that a
+batch operation repeated on the same shapes allocates no block after its
+first call.
 """
 
 from __future__ import annotations
@@ -143,6 +134,13 @@ def _sigmoid_of_negated(z: np.ndarray) -> np.ndarray:
     return np.reciprocal(z, out=z)
 
 
+def _negate_operands(theta: np.ndarray, neg_hidden: np.ndarray, neg_visible: np.ndarray) -> None:
+    """Write -theta[..., 1:, :] into ``neg_hidden`` and -theta[..., :, :V]^T
+    into ``neg_visible``: the operands of the hidden and visible means."""
+    np.negative(theta[..., 1:, :], out=neg_hidden)
+    np.negative(theta[..., :-1].mT, out=neg_visible)
+
+
 @dataclass(eq=False)
 class RbmParams:
     """Weights and biases of a binary RBM.
@@ -150,45 +148,40 @@ class RbmParams:
     W: (hidden, visible) weight matrix; row j holds the weights of hidden
     unit j.  b: visible bias, length visible.  c: hidden bias, length hidden.
     All entries must be finite at all times, including mid-training.
-    WT: W^T as a C-contiguous (visible, hidden) copy, and neg_b, neg_c: -b
-    and -c, made here once, which the conditional means read (see the
-    module docstring).  So the arrays are never written in place: W, b and
-    c are copies of the arrays given, and all six are read-only.  New
-    parameters are a new ``RbmParams``.
+    ``theta`` is the (H+1, V+1) matrix [[b, 0], [W, c]] the values given are
+    copied into, and W, b and c are views of it; ``neg_hidden`` and
+    ``neg_visible`` are the negated operands the conditional means read
+    (see the module docstring).  All six are read-only, so that none can
+    go stale; new parameters are a new ``RbmParams``.
     ``==`` is identity: an elementwise comparison of arrays has no truth value.
     """
 
     W: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    WT: np.ndarray = field(init=False, repr=False)
-    neg_b: np.ndarray = field(init=False, repr=False)
-    neg_c: np.ndarray = field(init=False, repr=False)
+    theta: np.ndarray = field(init=False, repr=False)
+    neg_hidden: np.ndarray = field(init=False, repr=False)
+    neg_visible: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.W = np.array(self.W, dtype=np.float64)
-        self.b = np.array(self.b, dtype=np.float64)
-        self.c = np.array(self.c, dtype=np.float64)
-        if self.W.ndim != 2 or self.b.ndim != 1 or self.c.ndim != 1:
+        W, b, c = (np.asarray(a, dtype=np.float64) for a in (self.W, self.b, self.c))
+        if W.ndim != 2 or b.ndim != 1 or c.ndim != 1:
             raise DimensionMismatchError(
-                f"expected W 2-d, b 1-d, c 1-d; got shapes "
-                f"{self.W.shape}, {self.b.shape}, {self.c.shape}"
+                f"expected W 2-d, b 1-d, c 1-d; got shapes {W.shape}, {b.shape}, {c.shape}"
             )
-        if self.W.shape != (self.c.size, self.b.size):
+        if W.shape != (c.size, b.size):
             raise DimensionMismatchError(
-                f"W shape {self.W.shape} inconsistent with "
-                f"b (len {self.b.size}) and c (len {self.c.size})"
+                f"W shape {W.shape} inconsistent with b (len {b.size}) and c (len {c.size})"
             )
-        if not (
-            np.isfinite(self.W).all()
-            and np.isfinite(self.b).all()
-            and np.isfinite(self.c).all()
-        ):
+        theta = np.zeros((c.size + 1, b.size + 1))
+        theta[0, :-1], theta[1:, :-1], theta[1:, -1] = b, W, c
+        if not np.isfinite(theta).all():
             raise NonFiniteParameterError("parameters contain NaN or Inf")
-        self.WT = self.W.mT.copy()
-        self.neg_b, self.neg_c = np.negative(self.b), np.negative(self.c)
-        for a in (self.W, self.b, self.c, self.WT, self.neg_b, self.neg_c):
+        self.neg_hidden, self.neg_visible = np.empty((c.size, b.size + 1)), np.empty((b.size, c.size + 1))
+        _negate_operands(theta, self.neg_hidden, self.neg_visible)
+        for a in (theta, self.neg_hidden, self.neg_visible):
             a.setflags(write=False)
+        self.theta, self.W, self.b, self.c = theta, theta[1:, :-1], theta[0, :-1], theta[1:, -1]
 
     @property
     def num_visible(self) -> int:
@@ -199,22 +192,18 @@ class RbmParams:
         return self.c.size
 
 
-def _check_last_dim(v: np.ndarray, size: int, what: str) -> None:
-    if v.ndim < 1 or v.shape[-1] != size:
+def _check_units(v: np.ndarray, size: int, what: str) -> None:
+    """Raise unless v's unit axis (the last for a vector, else -2) has ``size`` units."""
+    if v.ndim < 1 or v.shape[-2 if v.ndim > 1 else -1] != size:
         raise DimensionMismatchError(
-            f"{what} has shape {v.shape}, expected last dimension {size}"
+            f"{what} has shape {v.shape}, expected ({size},) or ({size}, N): "
+            f"unit-major, with the layer's always-on unit"
         )
 
 
 def _item(v):
     """A 0-d result as a Python scalar, any other as the array it is."""
     return v.item() if np.ndim(v) == 0 else v
-
-
-def _column(v: np.ndarray) -> np.ndarray:
-    """A (K,) vector or a stacked (R, 1, K) one as the (K, 1) or (R, K, 1)
-    column it holds, a view."""
-    return v.reshape(*v.shape[:-2], -1, 1)
 
 
 # Units one product of softplus factors spans at most: each factor is at
@@ -256,67 +245,66 @@ def _softplus_sum(z: np.ndarray, work=fresh) -> np.ndarray:
     return sums
 
 
-def log_unnormalized_marginal(params: RbmParams, x: np.ndarray, work=fresh, pre: np.ndarray | None = None):
+def log_unnormalized_marginal(params, x: np.ndarray, work=fresh, pre: np.ndarray | None = None):
     """log sum_h e^{-E(x, h)} = b.x + sum_j softplus(c_j + (Wx)_j).
 
-    The hidden sum collapses into a product of per-unit factors
-    (1 + e^{c_j + (Wx)_j}), which overflows beyond pre-activations of ~700;
-    ``_softplus_sum`` takes the log of a bounded form of that product, which
-    keeps the value finite at any finite pre-activation.  ``x`` may be
+    x is a visible block [x^T; 1], (V+1, N), or a vector [x; 1], and may be
     real-valued in [0, 1]: probe reconstructions are conditional means, and
-    the formula is evaluated verbatim on them.  A stack of R models gives
-    each model's values along the leading axis, for (N, V) rows shared by
-    all or (R, N, V) rows, one set per model.  Of the model it reads ``WT``,
-    ``b`` and ``c`` alone.  x comes in row-major, (..., N, V), and its
-    pre-activations are formed unit-major, (..., H, N), straight out of the
-    product (WT)^T.x^T, so that the sum over hidden units runs down the
-    rows; the values come out as a new (..., N) array.  ``work`` is a
-    ``Workspace`` for the (..., H, N) blocks.  ``pre`` is x's hidden
-    pre-activation c + Wx in that unit-major layout when the caller already
-    has it (as ``hidden_conditional_mean`` leaves it); it is then not
-    computed again, and it is overwritten.
+    the formula is evaluated verbatim on them.  ``params`` is a parameter
+    holder or a theta array itself, of one model or a stack of R, for which
+    x is shared by all or (R, V+1, N), one block per model.  One product
+    theta.x gives b.x in its row 0 and the hidden pre-activations c + Wx,
+    unit-major, in rows 1:; ``_softplus_sum`` reduces those down the rows,
+    finite at any finite pre-activation.  ``pre`` is x's hidden
+    pre-activation in that layout, (..., H, N) or (H,) for a vector, when
+    the caller already has it (as ``hidden_conditional_mean`` leaves it);
+    then only row 0 is multiplied out, and ``pre`` is overwritten.  Returns
+    a new (..., N) array, a float for one vector and one model; x of more
+    dimensions than theta raises ``DimensionMismatchError``.  ``work`` is
+    a ``Workspace`` for the (..., H+1, N) blocks.
     """
+    theta = params if isinstance(params, np.ndarray) else params.theta
     x = np.asarray(x, dtype=np.float64)
-    _check_last_dim(x, params.WT.shape[-2], "x")
-    if x.ndim > params.WT.ndim:
+    _check_units(x, theta.shape[-1], "x")
+    if x.ndim > theta.ndim:
         raise DimensionMismatchError(
-            f"x has shape {x.shape}, expected (V,), (N, V) or, for a stack of R models, (R, N, V)"
+            f"x has shape {x.shape}, expected (V+1,), (V+1, N) or, for a stack of R models, (R, V+1, N)"
         )
-    rows = x if x.ndim > 1 else x[None]
+    block = x if x.ndim > 1 else x[:, None]
     if pre is None:
-        stack, H = params.WT.shape[:-2], params.WT.shape[-1]
-        pre = np.matmul(params.WT.mT, rows.mT, out=work("lum.pre", (*stack, H, rows.shape[-2])))
-        pre += _column(params.c)
-    val = np.matmul(rows, _column(params.b))[..., 0]
-    val += _softplus_sum(pre, work)
+        product = np.matmul(theta, block, out=work("lum.product", (*theta.shape[:-1], block.shape[-1])))
+        bias, pre = product[..., 0, :], product[..., 1:, :]
+    else:
+        bias = np.matmul(theta[..., :1, :], block)[..., 0, :]
+        pre = pre if pre.ndim > 1 else pre[:, None]
+    val = _softplus_sum(pre, work)
+    val += bias
     return _item(val if x.ndim > 1 else val[..., 0])
 
 
 def hidden_conditional_mean(
-    params: RbmParams, x: np.ndarray, out: np.ndarray | None = None, pre: np.ndarray | None = None
+    params, x: np.ndarray, out: np.ndarray | None = None, pre: np.ndarray | None = None
 ) -> np.ndarray:
-    """E[h|x]: component j is sigmoid(c_j + (Wx)_j), written into ``out`` if
-    given.  Given ``pre`` as well, an (..., H, N) array for an (..., N, V) x,
-    the pre-activation c + Wx is negated back from -c - Wx into it,
-    transposed, unit-major, in the same pass as the copy, for a caller that
-    takes the hidden softplus terms of ``log_unnormalized_marginal`` from it
-    too; only the sign of an exact zero can differ from c + Wx."""
+    """E[h|x] of a visible block [x^T; 1], (..., V+1, N), as an (..., H, N)
+    block, or of a vector [x; 1] as an (H,) vector: component j is
+    sigmoid(c_j + (Wx)_j), written into ``out`` if given.  Given ``pre``
+    too, an array of the result's shape, the pre-activation c + Wx is
+    written into it."""
     x = np.asarray(x, dtype=np.float64)
-    _check_last_dim(x, params.num_visible, "x")
-    z = np.matmul(x, params.WT, out=out)
-    np.subtract(params.neg_c, z, out=z)
+    _check_units(x, params.neg_hidden.shape[-1], "x")
+    z = np.matmul(params.neg_hidden, x, out=out)
     if pre is not None:
-        np.negative(z.mT, out=pre)
+        np.negative(z, out=pre)
     return _sigmoid_of_negated(z)
 
 
-def visible_conditional_mean(params: RbmParams, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """E[x|h]: component i is sigmoid(b_i + (W^T h)_i), written into ``out`` if given."""
+def visible_conditional_mean(params, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """E[x|h] of a hidden block [1; h^T], (..., H+1, N), as an (..., V, N)
+    block, or of a vector [1; h] as a (V,) vector: component i is
+    sigmoid(b_i + (W^T h)_i), written into ``out`` if given."""
     h = np.asarray(h, dtype=np.float64)
-    _check_last_dim(h, params.num_hidden, "h")
-    z = np.matmul(h, params.W, out=out)
-    np.subtract(params.neg_b, z, out=z)
-    return _sigmoid_of_negated(z)
+    _check_units(h, params.neg_visible.shape[-1], "h")
+    return _sigmoid_of_negated(np.matmul(params.neg_visible, h, out=out))
 
 
 def sample_bernoulli(mean, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -360,12 +348,10 @@ def run_gibbs_chain(
     All n rounds' uniforms come from one ``rng.random`` call, which with
     numpy's default PCG64 generator gives the doubles that one call per
     draw gives, in the same order (a round's H hidden, then its V visible
-    ones): they fill one (n, H+V) array, and each round thresholds its own
-    slice with ``sample_bernoulli`` into bool buffers, an (H,) one reused
-    for h and row k of an (n, V) one for x.  The bool h and x go to the
-    conditional means as they are: each mean's ``np.asarray`` makes the
-    float 0/1 vector a cast would, so the chain makes no copy of its own.
-    The (n, V) array is cast to float once, on return.
+    ones).  Each round thresholds its slice with ``sample_bernoulli`` into
+    bool buffers holding the always-on units, an (H+1,) [1; h] and row k
+    of an (n, V+1) [x; 1], which go to the means as they are; the draws
+    are cast to float once, on return.
 
     E[x|h] depends only on the binary draw h, and E[h|x] only on the
     vector x the round starts from (x1, then the previous visible draw).
@@ -389,30 +375,34 @@ def run_gibbs_chain(
     if n < 1:
         raise ValueError(f"chain length n must be >= 1, got {n}")
     x1 = np.asarray(x1, dtype=np.float64)
-    if x1.shape != (params.num_visible,):
-        raise DimensionMismatchError(f"x1 has shape {x1.shape}, expected ({params.num_visible},)")
-    x = x1 == 1.0
-    if not (x | (x1 == 0.0)).all():
+    H, V = params.num_hidden, params.num_visible
+    if x1.shape != (V,):
+        raise DimensionMismatchError(f"x1 has shape {x1.shape}, expected ({V},)")
+    x = np.ones(V + 1, dtype=bool)
+    np.equal(x1, 1.0, out=x[:V])
+    if not (x[:V] | (x1 == 0.0)).all():
         raise ValueError("x1 must hold only 0s and 1s")
     means = {} if means is None else means
     hidden_means = {} if hidden_means is None else hidden_means
-    uniforms = rng.random((n, params.num_hidden + params.num_visible))
-    hidden_u, visible_u = uniforms[:, : params.num_hidden], uniforms[:, params.num_hidden :]
-    h = np.empty(params.num_hidden, dtype=bool)
-    visibles = np.empty((n, params.num_visible), dtype=bool)
+    uniforms = rng.random((n, H + V))
+    h = np.ones(H + 1, dtype=bool)
+    h_draw = h[1:]
+    visibles = np.ones((n, V + 1), dtype=bool)
+    rounds = zip(uniforms[:, :H], uniforms[:, H:], visibles, visibles[:, :V])
+    key = x[:V].tobytes()
     with np.errstate(over="ignore"):
-        for u_h, u_x, x_next in zip(hidden_u, visible_u, visibles):
-            key = x.tobytes()
+        for u_h, u_x, x_next, x_draw in rounds:
             h_mean = hidden_means.get(key)
             if h_mean is None:
                 h_mean = hidden_conditional_mean(params, x)
                 if len(hidden_means) < _CACHED_MEANS:
                     hidden_means[key] = h_mean
-            key = sample_bernoulli(h_mean, u_h, out=h).tobytes()
+            key = sample_bernoulli(h_mean, u_h, out=h_draw).tobytes()
             x_mean = means.get(key)
             if x_mean is None:
                 x_mean = visible_conditional_mean(params, h)
                 if len(means) < _CACHED_MEANS:
                     means[key] = x_mean
-            x = sample_bernoulli(x_mean, u_x, out=x_next)
-    return visibles.astype(np.float64)
+            key = sample_bernoulli(x_mean, u_x, out=x_draw).tobytes()
+            x = x_next
+    return visibles[:, :V].astype(np.float64)

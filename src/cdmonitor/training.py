@@ -23,6 +23,7 @@ from .rbm import (
     DimensionMismatchError,
     NonFiniteParameterError,
     RbmParams,
+    _negate_operands,
     hidden_conditional_mean,
     sample_bernoulli,
     visible_conditional_mean,
@@ -66,24 +67,27 @@ def init_params(
 class RunBatch:
     """R training runs on one (N, V) training matrix X, advanced together in place.
 
-    Run r's parameters are row r of ``theta``, one flat vector per run:
-    ``W`` (R, H, V), ``b`` (R, 1, V) and ``c`` (R, 1, H) are views into it,
-    in the stacked form the conditional means of ``rbm`` accept, so one
-    scan checks all of a run's parameters.  ``WT`` (R, V, H) is W^T as a
-    C-contiguous copy, which every x.W^T product reads, and ``neg_bias``
-    (R, V+H) holds the runs' biases negated, -theta[:, H*V:], with views
-    ``neg_b`` (R, 1, V) and ``neg_c`` (R, 1, H), which the conditional means
-    subtract from (see ``rbm``).  Both are refreshed when the batch is built
-    and by every ``apply_update``, the only writer of ``theta``.  The views
-    W, b and c are read-only, so that no write can leave ``WT`` or
-    ``neg_bias`` stale.  ``grad`` holds the epoch's
-    ascent direction in the same layout, with views ``dW``, ``db`` and
-    ``dc``.  Run r draws its chain from ``rngs[r]``.  The other arrays are
-    an epoch's workspace, allocated here once.  Among them, ``ones`` holds
-    N read-only ones, with which db and dc sum over samples, ``draws`` holds
-    one Gibbs round's N*(H+V) uniforms per run as one row, in the order the
-    run draws them, and ``h`` (R, N, H) and ``x`` (R, N, V) are its hidden
-    and visible parts, where the round's samples replace its uniforms.
+    Layout (see ``rbm``): ``theta`` (R, H+1, V+1) stacks the runs'
+    [[b, 0], [W, c]] matrices, so one scan checks all of a run's
+    parameters.  ``neg_hidden`` (R, H, V+1) and ``neg_visible`` (R, V, H+1)
+    are the negated operands the conditional means read, read-only views
+    of arrays that the batch's construction and every ``apply_update``, the
+    only writer of ``theta``, refresh.  ``grad`` holds the epoch's ascent
+    direction in theta's layout, its corner 0.  ``X1`` = [X, 1] (N, V+1),
+    ``XT1`` = [X^T; 1] (V+1, N) and ``weights``, 1 on theta's W block and 0
+    elsewhere, are read-only constants; ``signs`` = 2X^T - 1 (V, N) is the
+    reconstruction's.  Run r draws its chain from ``rngs[r]``.
+
+    The other arrays are an epoch's workspace, allocated here once.
+    ``draws`` holds one Gibbs round of each run as an (H+V+2, N) block
+    [1; h^T; x^T; 1]: ``hidden`` (R, H+1, N) is [1; h^T] and ``visible``
+    (R, V+1, N) is [x^T; 1], each contiguous with its ones row, and the
+    round's N*(H+V) uniforms fill the rows between, unit by unit, where
+    the round's samples replace them; ``uniforms`` (R, N*(H+V)) views
+    those rows of each run as one contiguous row.  ``h_data`` (R, H+1, N)
+    is [1; E[h|X]^T], round 1's mean and the positive phase.  ``h_model``
+    (R, H, N), later rounds' hidden means, and ``x_mean`` (R, V, N) share
+    one buffer: a round thresholds each before it writes the other.
     ``h_data_current`` is True while ``h_data`` holds E[h|X] at the current
     parameters, as a snapshot leaves it for the next epoch's positive
     phase; ``apply_update`` clears it.
@@ -100,85 +104,73 @@ class RunBatch:
             raise DimensionMismatchError(f"every run's W must be ({H}, {V}) to match X {X.shape}")
         self.X = X
         self.num_visible, self.num_hidden = V, H
-        self.X_count = X.sum(axis=0)  # per-unit count of on bits in X
-        self.ones = np.ones(N)
-        self.ones.setflags(write=False)
-        # 1 - 2X^T, unit-major (V, N): log P(X|z) = -sum softplus(signs * z), read by snapshots
-        self.signs = np.ascontiguousarray((1.0 - 2.0 * X).T)
+        self.X1 = np.ones((N, V + 1))
+        self.X1[:, :V] = X
+        self.XT1 = np.ascontiguousarray(self.X1.T)
+        self.signs = np.ascontiguousarray(2.0 * X.T - 1.0)
         self.rngs = list(rngs)
-        self.theta = np.empty((R, H * V + V + H))
-        self.grad = np.empty_like(self.theta)
-        self.W, self.b, self.c = _views(self.theta, H, V)
-        self.dW, self.db, self.dc = _views(self.grad, H, V)
-        for r, p in enumerate(params):
-            self.W[r], self.b[r, 0], self.c[r, 0] = p.W, p.b, p.c
-        for a in (self.W, self.b, self.c):
-            a.setflags(write=False)
-        self.WT = self.W.mT.copy()
-        self.neg_bias = np.negative(self.theta[:, H * V :])
-        self.neg_b = self.neg_bias[:, :V].reshape(R, 1, V)
-        self.neg_c = self.neg_bias[:, V:].reshape(R, 1, H)
-        self.h_data = np.empty((R, N, H))  # E[h|X]: round 1's mean and the positive phase
+        self.theta = np.stack([p.theta for p in params])
+        self.grad = np.zeros_like(self.theta)
+        self.product = np.empty_like(self.theta)  # the negative phase, then the decay
+        self.weights = np.zeros((H + 1, V + 1))
+        self.weights[1:, :V] = 1.0
+        self._operands = np.empty((R, H, V + 1)), np.empty((R, V, H + 1))
+        _negate_operands(self.theta, *self._operands)
+        self.neg_hidden, self.neg_visible = (a.view() for a in self._operands)
+        self.h_data = np.ones((R, H + 1, N))
         self.h_data_current = False
-        self.h_model = np.empty((R, N, H))  # later rounds' means, then the negative phase
-        self.x_mean = np.empty((R, N, V))
-        self.draws = np.empty((R, N * (H + V)))
-        self.h = self.draws[:, : N * H].reshape(R, N, H)
-        self.x = self.draws[:, N * H :].reshape(R, N, V)
-        self.decay = np.empty((R, H, V))
+        means = np.empty(R * max(H, V) * N)
+        self.h_model, self.x_mean = means[: R * H * N].reshape(R, H, N), means[: R * V * N].reshape(R, V, N)
+        self.draws = np.ones((R, H + V + 2, N))
+        self.hidden, self.visible = self.draws[:, : H + 1], self.draws[:, H + 1 :]
+        self.uniforms = self.draws.reshape(R, -1)[:, N:-N]
         self.finite = np.empty(self.theta.shape, dtype=bool)
+        for a in (self.X1, self.XT1, self.weights, self.neg_hidden, self.neg_visible):
+            a.setflags(write=False)
 
     @staticmethod
     def bytes_per_run(N: int, V: int, H: int) -> int:
         """Memory one run adds to a batch on an (N, V) training matrix with H
-        hidden units: its rows of ``theta``, ``grad``, ``WT``, ``neg_bias``,
+        hidden units: its ``theta``, ``grad``, ``product``, negated operands,
         the epoch's workspace and the bool ``finite``."""
-        P = H * V + V + H
-        return 8 * (3 * N * H + 2 * N * V + 2 * P + 2 * H * V + V + H) + P
+        P = (H + 1) * (V + 1)
+        return 8 * (3 * P + H * (V + 1) + V * (H + 1) + (H + 1 + max(H, V) + H + V + 2) * N) + P
 
     def params(self, r: int) -> RbmParams:
         """A copy of run r's parameters."""
-        return RbmParams(self.W[r], self.b[r, 0], self.c[r, 0])
+        theta = self.theta[r]
+        return RbmParams(theta[1:, :-1], theta[0, :-1], theta[1:, -1])
 
     def select(self, runs: Sequence[int]) -> "RunBatch":
         """A new batch of the runs at positions ``runs``, with their generators."""
         return RunBatch([self.params(r) for r in runs], self.X, [self.rngs[r] for r in runs])
 
 
-def _views(theta: np.ndarray, H: int, V: int):
-    """(W, b, c) views of flat per-run parameter rows, shapes (R, H, V), (R, 1, V), (R, 1, H)."""
-    R, HV = theta.shape[0], H * V
-    return (
-        theta[:, :HV].reshape(R, H, V),
-        theta[:, HV : HV + V].reshape(R, 1, V),
-        theta[:, HV + V :].reshape(R, 1, H),
-    )
-
-
 def apply_update(batch: RunBatch, config: TrainingConfig) -> None:
     """One ascent step of every run, in place: W <- W + LR*(dW - WD*W),
     biases without decay, then one finiteness scan per run.
 
-    Decay applies to W only; biases do not saturate the sigmoids the decay
-    exists to protect.  The step is evaluated in the order the formula is
-    written, so the new parameters have the bits a fresh evaluation of it
-    gives.  The step refreshes ``WT`` and, with one ``np.negative`` over
-    both biases, ``neg_bias``, and marks ``h_data`` stale, even when it
-    raises.  If some runs' parameters are no longer finite,
-    NonFiniteParameterError names their positions in ``runs``; the other
-    runs stand updated.
+    Decay applies to the W block only, as theta times ``weights`` (1 there,
+    0 on the biases and the corner); biases do not saturate the sigmoids
+    the decay exists to protect.  The step is evaluated in the order the
+    formula is written, so the new parameters have the bits a fresh
+    evaluation of it gives; theta's corner moves by LR times the
+    gradient's, which is 0.  The step refreshes the negated operands and
+    marks ``h_data`` stale, even when it raises.  If some runs' parameters
+    are no longer finite, NonFiniteParameterError names their positions in
+    ``runs``; the other runs stand updated.
     """
-    np.multiply(batch.W, config.weight_decay, out=batch.decay)
-    batch.dW -= batch.decay
+    decay = np.multiply(batch.theta, batch.weights, out=batch.product)
+    decay *= config.weight_decay
+    batch.grad -= decay
     batch.grad *= config.learning_rate
     batch.theta += batch.grad
-    np.copyto(batch.WT, batch.W.mT)
-    np.negative(batch.theta[:, batch.num_hidden * batch.num_visible :], out=batch.neg_bias)
+    _negate_operands(batch.theta, *batch._operands)
     batch.h_data_current = False
     if not np.isfinite(batch.theta, out=batch.finite).all():
         raise NonFiniteParameterError(
             "update produced non-finite parameters: parameters contain NaN or Inf",
-            runs=np.flatnonzero(~batch.finite.all(axis=1)).tolist(),
+            runs=np.flatnonzero(~batch.finite.all(axis=(1, 2))).tolist(),
         )
 
 
@@ -196,20 +188,25 @@ def train_epoch(batch: RunBatch, config: TrainingConfig) -> None:
 
     The whole training set advances through one shared Gibbs schedule.
     Each run draws from its own generator, per round the N*H hidden
-    uniforms and then the N*V visible uniforms.  The per-sample estimator
+    uniforms and then the N*V visible uniforms, each layer's unit by unit
+    (uniform j*N + n goes to unit j of sample n).  The per-sample estimator
     run over the dataset in order draws each sample's H then V uniforms in
     turn instead, so the two give the same step in distribution, and bit
     for bit only when N = 1.  A round's uniforms do not depend on the
     model, so each run draws all N*(H+V) of them with one generator call
-    into its row of ``batch.draws``; numpy's default generator gives the
-    same doubles that way as one call per layer, and ``sample_bernoulli``
-    turns them into the round's draws in place.
+    into the rows of its ``batch.draws`` block between the ones rows;
+    numpy's default generator gives the same doubles that way as one call
+    per layer, and ``sample_bernoulli`` turns them into the round's draws
+    in place.
 
     The R runs are stacked: every conditional mean, draw and product
-    is one call on (R, N, ·) arrays, which numpy evaluates one run's matrix
+    is one call on (R, ·, N) arrays, which numpy evaluates one run's matrix
     at a time, so each run's step has the bits it has when the run is
     trained alone, in any batch.  The chain, the gradient and the step are
-    written into the batch's buffers.
+    written into the batch's buffers.  The whole gradient, dW with db and
+    dc in theta's layout, is [1; h_data^T].[X, 1] - [1; h_model^T].[x^T;
+    1]^T: its row 0 is db, bit counts, exact in any order, its column V is
+    dc, and its corner is N - N = 0.
 
     The positive phase reuses round 1's E[h|X], so a CD-n epoch computes
     n+1 hidden conditional means: one per Gibbs round and one for the
@@ -217,27 +214,22 @@ def train_epoch(batch: RunBatch, config: TrainingConfig) -> None:
     takes the E[h|X] the snapshot left in ``batch.h_data`` at the same
     parameters, which has the bits the epoch would compute.
     """
-    X, h, x = batch.X, batch.h, batch.x
+    hidden, visible = batch.hidden, batch.visible
     with np.errstate(over="ignore"):
         for k in range(config.n):
             # this round's uniforms overwrite the last round's x, read just before
             if k:
-                h_mean = hidden_conditional_mean(batch, x, out=batch.h_model)
+                h_mean = hidden_conditional_mean(batch, visible, out=batch.h_model)
             elif batch.h_data_current:
-                h_mean = batch.h_data
+                h_mean = batch.h_data[:, 1:]
             else:
-                h_mean = hidden_conditional_mean(batch, X, out=batch.h_data)
-            for rng, row in zip(batch.rngs, batch.draws, strict=True):
+                h_mean = hidden_conditional_mean(batch, batch.XT1, out=batch.h_data[:, 1:])
+            for rng, row in zip(batch.rngs, batch.uniforms, strict=True):
                 rng.random(out=row)
-            sample_bernoulli(h_mean, h)
-            sample_bernoulli(visible_conditional_mean(batch, h, out=batch.x_mean), x)
-        h_model = hidden_conditional_mean(batch, x, out=batch.h_model)
-    # dW = h_data^T X - h_model^T x, db = sum_n (X - x), dc = sum_n (h_data - h_model),
-    # each sum over n a product with the batch's ones.  db counts bits,
-    # exactly in any order, so it is X's counts minus x's.
-    np.matmul(batch.h_data.mT, X, out=batch.dW)
-    batch.dW -= np.matmul(h_model.mT, x, out=batch.decay)
-    db = np.matmul(batch.ones, x, out=batch.db[:, 0])
-    np.subtract(batch.X_count, db, out=db)
-    np.matmul(batch.ones, np.subtract(batch.h_data, h_model, out=batch.h_data), out=batch.dc[:, 0])
+            sample_bernoulli(h_mean, hidden[:, 1:])
+            sample_bernoulli(visible_conditional_mean(batch, hidden, out=batch.x_mean), visible[:, :-1])
+        # the negative phase's mean takes the place of the last h draw
+        hidden_conditional_mean(batch, visible, out=hidden[:, 1:])
+    np.matmul(batch.h_data, batch.X1, out=batch.grad)
+    batch.grad -= np.matmul(hidden, visible.mT, out=batch.product)
     apply_update(batch, config)

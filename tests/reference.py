@@ -27,9 +27,13 @@ with its hidden mean computed for it, the per-element softplus and the
 all-zero model are here too, because only tests use them.  So is ``split_csv``, which splits a written
 metric CSV into numbers: the package writes those files and reads none.
 
-Where these functions call the conditional means directly, they silence
-the overflow of saturated sigmoids with ``np.errstate`` as the package's
-batch operations do.
+The package's kernels take unit-major blocks with each layer's always-on
+unit (``rbm``); ``visible_block`` and ``hidden_block`` build them from
+row-major vectors and matrices, and ``hidden_mean``, ``visible_mean`` and
+``log_marginal`` are the means and the marginal on row-major input, for
+the tests that state quantities per row.  Where these functions call the
+conditional means directly, they silence the overflow of saturated
+sigmoids with ``np.errstate`` as the package's batch operations do.
 """
 
 from dataclasses import dataclass, replace
@@ -49,8 +53,8 @@ from cdmonitor.criteria import (
 from cdmonitor.datasets import Dataset
 from cdmonitor.experiment import ExperimentConfig, ExperimentError, _measure, build_dataset, run_single
 from cdmonitor.rbm import (
+    DimensionMismatchError,
     RbmParams,
-    _check_last_dim,
     fresh,
     hidden_conditional_mean,
     log_unnormalized_marginal,
@@ -69,10 +73,56 @@ class GradientEstimate:
     dc: np.ndarray
 
 
+def visible_block(x: np.ndarray) -> np.ndarray:
+    """[x; 1] of a (V,) vector, or [x^T; 1], (..., V+1, N), of (..., N, V) rows."""
+    x = np.asarray(x, dtype=np.float64)
+    rows = x[None] if x.ndim == 1 else x
+    block = np.ones((*rows.shape[:-2], rows.shape[-1] + 1, rows.shape[-2]))
+    block[..., :-1, :] = rows.mT
+    return block[..., 0] if x.ndim == 1 else block
+
+
+def hidden_block(h: np.ndarray) -> np.ndarray:
+    """[1; h] of an (H,) vector, or [1; h^T], (..., H+1, N), of (..., N, H) rows."""
+    h = np.asarray(h, dtype=np.float64)
+    rows = h[None] if h.ndim == 1 else h
+    block = np.ones((*rows.shape[:-2], rows.shape[-1] + 1, rows.shape[-2]))
+    block[..., 1:, :] = rows.mT
+    return block[..., 0] if h.ndim == 1 else block
+
+
+def _rows(block: np.ndarray) -> np.ndarray:
+    """A unit-major (..., K, N) result as (..., N, K) rows; a vector as it is."""
+    return block if block.ndim == 1 else block.mT
+
+
+def hidden_mean(params, x: np.ndarray) -> np.ndarray:
+    """E[h|x] of a (V,) vector or of (..., N, V) rows, row-major, from the package's mean."""
+    with np.errstate(over="ignore"):
+        return _rows(hidden_conditional_mean(params, visible_block(x)))
+
+
+def visible_mean(params, h: np.ndarray) -> np.ndarray:
+    """E[x|h] of an (H,) vector or of (..., N, H) rows, row-major, from the package's mean."""
+    with np.errstate(over="ignore"):
+        return _rows(visible_conditional_mean(params, hidden_block(h)))
+
+
+def log_marginal(params, x: np.ndarray):
+    """``log_unnormalized_marginal`` of a (V,) vector or of (..., N, V) rows."""
+    return log_unnormalized_marginal(params, visible_block(x))
+
+
+def set_gradient(batch: RunBatch, r: int, grad: GradientEstimate) -> None:
+    """Write ``grad`` into run r's gradient, in theta's layout [[db, 0], [dW, dc]]."""
+    batch.grad[r] = 0.0
+    batch.grad[r, 1:, :-1], batch.grad[r, 0, :-1], batch.grad[r, 1:, -1] = grad.dW, grad.db, grad.dc
+
+
 def apply_update_one(params: RbmParams, grad: GradientEstimate, config: TrainingConfig) -> RbmParams:
     """``apply_update`` on a one-run batch: the parameters after one step along ``grad``."""
     batch = RunBatch([params], np.zeros((1, params.num_visible)), [np.random.default_rng(0)])
-    batch.dW[0], batch.db[0, 0], batch.dc[0, 0] = grad.dW, grad.db, grad.dc
+    set_gradient(batch, 0, grad)
     apply_update(batch, config)
     return batch.params(0)
 
@@ -96,22 +146,20 @@ def _draw_per_run(mean: np.ndarray, rngs, out: np.ndarray) -> np.ndarray:
 
 def train_epoch_per_round(batch: RunBatch, config: TrainingConfig) -> None:
     """``train_epoch`` with each round's draws taken from every run's
-    generator, hidden then visible, into arrays of its own."""
-    X, rngs = batch.X, batch.rngs
-    h = np.empty((len(rngs), X.shape[0], batch.num_hidden))
-    x = np.empty((len(rngs), X.shape[0], batch.num_visible))
+    generator, hidden then visible, unit by unit, into blocks of its own,
+    and the gradient as the difference of its two products."""
+    rngs, (N, V), H = batch.rngs, batch.X.shape, batch.num_hidden
+    h_data, h_model = np.ones((2, len(rngs), H + 1, N))
+    h, x = np.ones((len(rngs), H + 1, N)), np.ones((len(rngs), V + 1, N))
     with np.errstate(over="ignore"):
-        h_data = h_mean = hidden_conditional_mean(batch, X)
+        h_data[:, 1:] = h_mean = hidden_conditional_mean(batch, visible_block(batch.X))
         for k in range(config.n):
             if k:
                 h_mean = hidden_conditional_mean(batch, x)
-            _draw_per_run(h_mean, rngs, h)
-            _draw_per_run(visible_conditional_mean(batch, h), rngs, x)
-        h_model = hidden_conditional_mean(batch, x)
-    np.matmul(h_data.mT, X, out=batch.dW)
-    batch.dW -= np.matmul(h_model.mT, x)
-    batch.db[:, 0] = batch.X_count - x.sum(axis=1)  # bit counts: exact in any order
-    np.matmul(np.ones(X.shape[0]), h_data - h_model, out=batch.dc[:, 0])
+            _draw_per_run(h_mean, rngs, h[:, 1:])
+            _draw_per_run(visible_conditional_mean(batch, h), rngs, x[:, :-1])
+        h_model[:, 1:] = hidden_conditional_mean(batch, x)
+    np.subtract(h_data @ batch.X1, h_model @ x.mT, out=batch.grad)
     apply_update(batch, config)
 
 
@@ -141,6 +189,12 @@ class GibbsChain:
         return self.visibles[-1]
 
 
+def unit_major_uniforms(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Uniforms for a (K,) vector or (N, K) rows, drawn unit by unit as the
+    package draws a layer's: uniform j*N + n goes to unit j of row n."""
+    return rng.random(shape[::-1]).T
+
+
 def run_gibbs_chain_per_round(
     params: RbmParams, x1: np.ndarray, n: int, rng: np.random.Generator
 ) -> GibbsChain:
@@ -148,19 +202,18 @@ def run_gibbs_chain_per_round(
     its hidden and then its visible samples, one generator call each, and
     computing every conditional mean.  It also takes a batch of start
     vectors, drawing each round's N*H hidden uniforms and then its N*V
-    visible ones, and returns every sample: it is the CD-n chain of
-    ``measure_full_chain`` and ``cd_gradient``."""
+    visible ones, each layer's unit by unit, and returns every sample: it
+    is the CD-n chain of ``measure_full_chain`` and ``cd_gradient``."""
     x = x1 = np.asarray(x1, dtype=np.float64)
     hiddens, visibles = [], []
-    with np.errstate(over="ignore"):
-        for k in range(n):
-            h_mean = hidden_conditional_mean(params, x)
-            if k == 0:
-                h1_mean = h_mean
-            hiddens.append(sample_bernoulli(h_mean, rng.random(h_mean.shape)))
-            x_mean = visible_conditional_mean(params, hiddens[-1])
-            x = sample_bernoulli(x_mean, rng.random(x_mean.shape))
-            visibles.append(x)
+    for k in range(n):
+        h_mean = hidden_mean(params, x)
+        if k == 0:
+            h1_mean = h_mean
+        hiddens.append(sample_bernoulli(h_mean, unit_major_uniforms(rng, h_mean.shape)))
+        x_mean = visible_mean(params, hiddens[-1])
+        x = sample_bernoulli(x_mean, unit_major_uniforms(rng, x_mean.shape))
+        visibles.append(x)
     return GibbsChain(x1=x1, h1_mean=h1_mean, hiddens=np.stack(hiddens), visibles=np.stack(visibles))
 
 
@@ -208,8 +261,8 @@ def energy(params: RbmParams, x: np.ndarray, h: np.ndarray):
     """
     x = np.asarray(x, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    _check_last_dim(x, params.num_visible, "x")
-    _check_last_dim(h, params.num_hidden, "h")
+    if x.shape[-1:] != (params.num_visible,) or h.shape[-1:] != (params.num_hidden,):
+        raise DimensionMismatchError(f"x {x.shape} and h {h.shape} do not match the model")
     interaction = np.einsum("...j,ji,...i->...", h, params.W, x)
     val = -(x @ params.b) - (h @ params.c) - interaction
     return float(val) if np.ndim(val) == 0 else val
@@ -217,7 +270,7 @@ def energy(params: RbmParams, x: np.ndarray, h: np.ndarray):
 
 def unnormalized_marginal(params: RbmParams, x: np.ndarray):
     """sum_h e^{-E(x, h)}; exponentiation of the canonical log form."""
-    return np.exp(log_unnormalized_marginal(params, x))
+    return np.exp(log_marginal(params, x))
 
 
 @dataclass
@@ -251,8 +304,7 @@ def reconstruction_log_prob(params: RbmParams, x: np.ndarray) -> float:
     """log P(x | E[h|x]) for one data vector: -sum_i softplus((1 - 2 x_i) z_i)
     with z = b + W^T E[h|x]."""
     x = np.asarray(x, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        z = params.b + hidden_conditional_mean(params, x) @ params.W
+    z = params.b + hidden_mean(params, x) @ params.W
     return -float(np.sum(softplus((1.0 - 2.0 * x) * z)))
 
 
@@ -261,15 +313,14 @@ def mean_reconstruction_log_prob(params: RbmParams, X: np.ndarray, h_mean: np.nd
     E[h|X] computed when it is not given."""
     X = np.asarray(X, dtype=np.float64)
     if h_mean is None:
-        with np.errstate(over="ignore"):
-            h_mean = hidden_conditional_mean(params, X)
-    return criteria.mean_reconstruction_log_prob(params, np.ascontiguousarray(1.0 - 2.0 * X.T), h_mean)
+        h_mean = hidden_mean(params, X)
+    return criteria.mean_reconstruction_log_prob(params, np.ascontiguousarray(2.0 * X.T - 1.0), hidden_block(h_mean))
 
 
 def exact_log_likelihood(params: RbmParams, data: Dataset) -> float:
     """Total data log-likelihood with the exact partition function."""
     lz = log_partition(params)
-    return float(np.sum(log_unnormalized_marginal(params, data.matrix())) - len(data) * lz)
+    return float(np.sum(log_marginal(params, data.matrix())) - len(data) * lz)
 
 
 def xi_probe(
@@ -287,9 +338,7 @@ def xi_probe(
         h_s = 1.0 - chain.h1_mean
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown probe variant {variant!r}")
-    with np.errstate(over="ignore"):
-        y = visible_conditional_mean(params, h_s)
-    return XiProbe(variant=variant, y=y)
+    return XiProbe(variant=variant, y=visible_mean(params, h_s))
 
 
 def log_xi(params: RbmParams, data: Dataset, probes: list[XiProbe]) -> float:
@@ -304,8 +353,8 @@ def log_xi(params: RbmParams, data: Dataset, probes: list[XiProbe]) -> float:
         )
     Y = np.stack([p.y for p in probes])
     return float(
-        np.sum(log_unnormalized_marginal(params, data.matrix()))
-        - np.sum(log_unnormalized_marginal(params, Y))
+        np.sum(log_marginal(params, data.matrix()))
+        - np.sum(log_marginal(params, Y))
     )
 
 
@@ -315,7 +364,7 @@ def enumerate_binary_vectors(num_bits: int) -> np.ndarray:
         raise EnumerationInfeasibleError(
             f"refusing to materialize 2^{num_bits} binary vectors"
         )
-    return _binary_block(num_bits, 0, 1 << num_bits)
+    return _binary_block(num_bits, 0, 1 << num_bits)[:-1].T
 
 
 def log_partition_larger_layer(params: RbmParams) -> float:
@@ -325,7 +374,7 @@ def log_partition_larger_layer(params: RbmParams) -> float:
     through the model with its layers swapped, otherwise."""
     if params.num_hidden > params.num_visible:
         params = RbmParams(params.W.T, params.c, params.b)
-    return float(logsumexp(log_unnormalized_marginal(params, enumerate_binary_vectors(params.num_visible))))
+    return float(logsumexp(log_marginal(params, enumerate_binary_vectors(params.num_visible))))
 
 
 def exact_gradient(params: RbmParams, data: Dataset) -> GradientEstimate:
@@ -335,12 +384,11 @@ def exact_gradient(params: RbmParams, data: Dataset) -> GradientEstimate:
     visible state by its exact probability.
     """
     X_all = enumerate_binary_vectors(params.num_visible)
-    log_w = log_unnormalized_marginal(params, X_all)
+    log_w = log_marginal(params, X_all)
     prob = np.exp(log_w - logsumexp(log_w))
     X = data.matrix()
-    with np.errstate(over="ignore"):
-        H_all = hidden_conditional_mean(params, X_all)
-        H_data = hidden_conditional_mean(params, X)
+    H_all = hidden_mean(params, X_all)
+    H_data = hidden_mean(params, X)
     count = X.shape[0]
     return GradientEstimate(
         dW=H_data.T @ X / count - (H_all * prob[:, None]).T @ X_all,
@@ -365,8 +413,7 @@ def cd_gradient(
     chain = run_gibbs_chain_per_round(params, x1, n, rng)
     h_pos = chain.h1_mean
     x_neg = chain.x_last
-    with np.errstate(over="ignore"):
-        h_neg = hidden_conditional_mean(params, x_neg)
+    h_neg = hidden_mean(params, x_neg)
     grad = GradientEstimate(
         dW=np.outer(h_pos, x1) - np.outer(h_neg, x_neg),
         db=x1 - x_neg,
@@ -401,22 +448,20 @@ def measure_full_chain(
     """The snapshot of ``experiment._measure``, computed from the whole
     CD-n chain and with fresh arrays throughout.  The data marginal takes
     X's hidden pre-activation from ``hidden_conditional_mean``, as the
-    snapshot does: its own product W.X^T may round differently in the last
-    bit."""
+    snapshot does: its own product theta.[X^T; 1] may round differently in
+    the last bit."""
     count = X.shape[0]
     chain = run_gibbs_chain_per_round(params, X, config.training.n, rng)
-    h_random = rng.random((count, params.num_hidden))
+    h_random = unit_major_uniforms(rng, (count, params.num_hidden))
 
     pre = np.empty((params.num_hidden, count))
     with np.errstate(over="ignore"):
-        hidden_conditional_mean(params, X, pre=pre)
-    lum_x = log_unnormalized_marginal(params, X, pre=pre)
+        hidden_conditional_mean(params, visible_block(X), pre=pre)
+    lum_x = log_unnormalized_marginal(params, visible_block(X), pre=pre)
     log_um_x = np.sum(lum_x)
 
     def probe_total(h_s: np.ndarray) -> float:
-        with np.errstate(over="ignore"):
-            Y = visible_conditional_mean(params, h_s)
-        return float(np.sum(lum_x - log_unnormalized_marginal(params, Y)))
+        return float(np.sum(lum_x - log_marginal(params, visible_mean(params, h_s))))
 
     log_xi_random = probe_total(h_random)
     log_xi_complement = probe_total(1.0 - chain.h1)

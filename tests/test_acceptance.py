@@ -25,7 +25,7 @@ from cdmonitor.experiment import (
     generate_samples,
     run_experiment,
 )
-from cdmonitor.rbm import RbmParams, log_unnormalized_marginal
+from cdmonitor.rbm import RbmParams
 from cdmonitor.training import TrainingConfig
 
 import oracles
@@ -33,6 +33,7 @@ from reference import (
     XiProbe,
     exact_gradient,
     exact_log_likelihood,
+    log_marginal,
     log_partition_larger_layer,
     log_xi,
     train_params_to_epoch,
@@ -105,7 +106,7 @@ def lse_run0_models(lse_sweep):
 
 def training_set_mass(params, X):
     """Exact probability the model assigns to the (distinct) rows of X."""
-    log_p = log_unnormalized_marginal(params, X) - log_partition(params)
+    log_p = log_marginal(params, X) - log_partition(params)
     return float(np.exp(log_p).sum())
 
 
@@ -418,7 +419,8 @@ def replay_probes(config, run_index, params, snapshot, X):
 
     Each measurement draws, in order, the n Gibbs rounds of chains started
     at the data (N*H hidden then N*V visible uniforms per round) and then
-    the N*H random-hidden uniforms, from the third of the run's spawned
+    the N*H random-hidden uniforms, each layer's unit by unit (uniform
+    j*N + n goes to unit j of sample n), from the third of the run's spawned
     substreams; earlier measurements are skipped by drawing theirs.
     """
     (N, V), H, n = X.shape, params.num_hidden, config.training.n
@@ -428,9 +430,9 @@ def replay_probes(config, run_index, params, snapshot, X):
         rng.random(n * N * (H + V) + N * H)
     x, hiddens = X, []
     for _ in range(n):
-        hiddens.append((rng.random((N, H)) < sigmoid(x @ params.W.T + params.c)).astype(np.float64))
-        x = (rng.random((N, V)) < sigmoid(hiddens[-1] @ params.W + params.b)).astype(np.float64)
-    h_random = rng.random((N, H))
+        hiddens.append((rng.random((H, N)).T < sigmoid(x @ params.W.T + params.c)).astype(np.float64))
+        x = (rng.random((V, N)).T < sigmoid(hiddens[-1] @ params.W + params.b)).astype(np.float64)
+    h_random = rng.random((H, N)).T
     return {
         "log_xi_random": sigmoid(h_random @ params.W + params.b),
         "log_xi_complement": sigmoid((1.0 - hiddens[0]) @ params.W + params.b),

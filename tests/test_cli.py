@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import cdmonitor.cli as cli
+import cdmonitor.experiment as experiment
 from cdmonitor.cli import (
     ConfigError,
     build_parser,
@@ -29,6 +31,12 @@ from cdmonitor.experiment import (
     write_params_file,
 )
 from cdmonitor.training import init_params
+
+
+def kill_own_worker(config, run_indices, X):
+    """A ``run_single`` whose process dies at once, as a killed pool worker
+    does (module level, so that the pool can pickle it)."""
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def write_config(tmp_path, **overrides):
@@ -323,6 +331,25 @@ class TestTrainCommand:
         config = write_config(tmp_path)
         rc = main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_lost_worker_exits_3_naming_the_runs_in_the_pool(self, tmp_path, monkeypatch, capfd):
+        # both runs' batches were in the pool when a worker died
+        monkeypatch.setattr(experiment, "run_single", kill_own_worker)
+        config = write_config(tmp_path)
+        rc = main(["train", "--config", str(config), "--out", str(tmp_path / "o"), "--jobs", "2"])
+        err = capfd.readouterr().err
+        assert rc == 3
+        assert err.splitlines() == ["error: a worker process ended abruptly while the pool held runs [0, 1]"]
+
+    def test_interrupt_exits_130(self, tmp_path, monkeypatch, capfd):
+        def interrupted(config, run_indices, X):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "run_single", interrupted)
+        config = write_config(tmp_path)
+        rc = main(["train", "--config", str(config), "--out", str(tmp_path / "o"), "--jobs", "1"])
+        assert rc == 130
+        assert capfd.readouterr().err.splitlines() == ["interrupted"]
 
 
 class TestSampleCommand:

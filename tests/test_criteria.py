@@ -11,13 +11,7 @@ from cdmonitor.criteria import (
     log_partition,
 )
 from cdmonitor.datasets import Dataset, generate_bars_and_stripes, generate_labeled_shifter
-from cdmonitor.rbm import (
-    RbmParams,
-    Workspace,
-    hidden_conditional_mean,
-    log_unnormalized_marginal,
-    visible_conditional_mean,
-)
+from cdmonitor.rbm import RbmParams, Workspace, log_unnormalized_marginal
 from cdmonitor.training import RunBatch
 
 import oracles
@@ -27,10 +21,15 @@ from reference import (
     enumerate_binary_vectors,
     exact_gradient,
     exact_log_likelihood,
+    hidden_block,
+    hidden_mean,
+    log_marginal,
     log_partition_larger_layer,
     log_xi,
     mean_reconstruction_log_prob,
     reconstruction_log_prob,
+    visible_block,
+    visible_mean,
     xi_probe,
     zero_params,
 )
@@ -137,7 +136,7 @@ class TestXiProbe:
         p = tiny_params()
         chain = GibbsChain(
             x1=np.array([1.0, 0.0]),
-            h1_mean=hidden_conditional_mean(p, np.array([1.0, 0.0])),
+            h1_mean=hidden_mean(p, np.array([1.0, 0.0])),
             hiddens=np.array([[1.0, 1.0]]),
             visibles=np.array([[0.0, 0.0]]),
         )
@@ -162,7 +161,7 @@ class TestXiProbe:
         p = tiny_params()
         chain = GibbsChain(
             x1=np.array([1.0, 0.0]),
-            h1_mean=hidden_conditional_mean(p, np.array([1.0, 0.0])),
+            h1_mean=hidden_mean(p, np.array([1.0, 0.0])),
             hiddens=np.array([[1.0, 0.0]]),
             visibles=np.array([[1.0, 1.0]]),
         )
@@ -177,7 +176,7 @@ class TestXiProbe:
         p = tiny_params()
         chain = GibbsChain(
             x1=np.array([1.0, 0.0]),
-            h1_mean=hidden_conditional_mean(p, np.array([1.0, 0.0])),
+            h1_mean=hidden_mean(p, np.array([1.0, 0.0])),
             hiddens=np.array([[0.0, 0.0]]),
             visibles=np.array([[0.0, 0.0]]),
         )
@@ -185,20 +184,20 @@ class TestXiProbe:
         b = xi_probe(p, chain, XiVariant.RANDOM_HIDDEN, np.random.default_rng(11))
         np.testing.assert_array_equal(a.y, b.y)
         h_s = np.random.default_rng(11).random(2)
-        np.testing.assert_array_equal(a.y, visible_conditional_mean(p, h_s))
+        np.testing.assert_array_equal(a.y, visible_mean(p, h_s))
 
     def test_complement_mean_h(self):
         p = tiny_params()
         x1 = np.array([1.0, 0.0])
         chain = GibbsChain(
             x1=x1,
-            h1_mean=hidden_conditional_mean(p, x1),
+            h1_mean=hidden_mean(p, x1),
             hiddens=np.array([[0.0, 0.0]]),
             visibles=np.array([[0.0, 0.0]]),
         )
         probe = xi_probe(p, chain, XiVariant.COMPLEMENT_MEAN_H, np.random.default_rng(0))
         hbar = oracles.prob_h_given_x(oracles.TINY_W, oracles.TINY_B, oracles.TINY_C, list(x1))
-        np.testing.assert_allclose(probe.y, visible_conditional_mean(p, 1.0 - hbar), rtol=1e-10)
+        np.testing.assert_allclose(probe.y, visible_mean(p, 1.0 - hbar), rtol=1e-10)
 
     def test_probe_validates_range(self):
         with pytest.raises(ValueError):
@@ -285,13 +284,11 @@ class TestLogPartition:
         # 17 bits exceeds one chunk; compare against unchunked logsumexp
         from scipy.special import logsumexp
 
-        from cdmonitor.rbm import log_unnormalized_marginal
-
         rng = np.random.default_rng(8)
         W = 0.3 * rng.standard_normal((17, 3))
         p = RbmParams(W, 0.3 * rng.standard_normal(3), 0.3 * rng.standard_normal(17))
         states = enumerate_binary_vectors(3)
-        direct = logsumexp(log_unnormalized_marginal(p, states))
+        direct = logsumexp(log_marginal(p, states))
         assert log_partition(p) == pytest.approx(float(direct), rel=1e-12)
 
 
@@ -378,9 +375,9 @@ class TestStackedForms:
         assert got.tolist() == [log_partition(p) for p in models]
 
     def test_log_partition_takes_a_large_stack_in_groups(self):
-        # 3 models of 2^13 hidden states x 16 visible units exceed
-        # _STACK_ELEMENTS together, so their block's temporaries are sized
-        # for groups of 2 runs
+        # 3 models of 2^13 hidden states x 16 product rows (15 visible
+        # units and the always-on one) exceed _STACK_ELEMENTS together, so
+        # their block's temporaries are sized for groups of 2 runs
         sizes = []
 
         class RecordingWorkspace(Workspace):
@@ -388,7 +385,7 @@ class TestStackedForms:
                 sizes.append(math.prod(shape))
                 return super().__call__(name, shape)
 
-        models, batch = model_stack(16, 13)
+        models, batch = model_stack(15, 13)
         got = log_partition(batch, work=RecordingWorkspace())
         assert got.tolist() == [log_partition(p) for p in models]
         assert max(sizes) == _STACK_ELEMENTS == 2 * 2**13 * 16
@@ -403,10 +400,10 @@ class TestStackedForms:
         rng = np.random.default_rng(10)
         X = (rng.random((5, 16)) < 0.5).astype(np.float64)
         Y = X if shared_rows else rng.random((3, 5, 16))
-        got = log_unnormalized_marginal(batch, Y)
+        got = log_marginal(batch, Y)
         assert got.shape == (3, 5)
         for r, p in enumerate(models):
-            np.testing.assert_array_equal(got[r], log_unnormalized_marginal(p, Y if shared_rows else Y[r]))
+            np.testing.assert_array_equal(got[r], log_marginal(p, Y if shared_rows else Y[r]))
         means = mean_reconstruction_log_prob(batch, X)
         assert means.tolist() == [mean_reconstruction_log_prob(p, X) for p in models]
         for mean, p in zip(means, models):
@@ -430,8 +427,7 @@ class TestStackedForms:
         rng = np.random.default_rng(11)
         X = (rng.random((N, V)) < 0.5).astype(np.float64)
         batch = RunBatch(models, X, [rng] * 3)
-        with np.errstate(over="ignore"):
-            h = hidden_conditional_mean(batch, X)
+        h = hidden_block(hidden_mean(batch, X))
         means = criteria.mean_reconstruction_log_prob(batch, batch.signs, h)
         for r, p in enumerate(models):
             mean = criteria.mean_reconstruction_log_prob(p, batch.signs, h[r])
@@ -453,11 +449,10 @@ class TestStackedForms:
         rng = np.random.default_rng(12)
         X = (rng.random((5, 16)) < 0.5).astype(np.float64)
         batch = RunBatch(models, X, [rng] * 3)
-        with np.errstate(over="ignore"):
-            h = hidden_conditional_mean(batch, X)
+        h = hidden_block(hidden_mean(batch, X))
         results = [
-            log_unnormalized_marginal(batch, X, work),
-            log_unnormalized_marginal(batch, rng.random((3, 5, 16)), work),
+            log_unnormalized_marginal(batch, batch.XT1, work),
+            log_unnormalized_marginal(batch, visible_block(rng.random((3, 5, 16))), work),
             criteria.mean_reconstruction_log_prob(batch, batch.signs, h, work),
             log_partition(batch, work=work),
             rbm._softplus_sum(rng.standard_normal((3, 8, 5)), work),

@@ -30,24 +30,21 @@ from cdmonitor.experiment import (
     write_params_file,
     write_run_csv,
 )
-from cdmonitor.rbm import (
-    RbmParams,
-    Workspace,
-    log_unnormalized_marginal,
-    run_gibbs_chain,
-    sample_bernoulli,
-    visible_conditional_mean,
-)
+from cdmonitor.rbm import RbmParams, Workspace, run_gibbs_chain, sample_bernoulli
 from cdmonitor.training import RunBatch, TrainingConfig, init_params
 
 import oracles
 from reference import (
     generate_samples_per_sample,
+    log_marginal,
     run_gibbs_chain_per_round,
     split_csv,
     measure_full_chain,
     measure_one,
     train_params_to_epoch,
+    unit_major_uniforms,
+    visible_block,
+    visible_mean,
     zero_params,
 )
 from test_training import count_calls
@@ -177,7 +174,7 @@ class TestRunExperiment:
             updates["n"] += 1
             if updates["n"] == 30:
                 assert len(batch.rngs) == 2
-                batch.dW[1, 0, 0] = np.nan
+                batch.grad[1, 1, 0] = np.nan
             return real(batch, config)
 
         monkeypatch.setattr(training, "apply_update", poison_run_1)
@@ -199,7 +196,7 @@ class TestRunExperiment:
         def poison_all(batch, config):
             updates["n"] += 1
             if updates["n"] == 60:
-                batch.dW[:, 0, 0] = np.nan
+                batch.grad[:, 1, 0] = np.nan
             return real(batch, config)
 
         monkeypatch.setattr(training, "apply_update", poison_all)
@@ -245,7 +242,7 @@ class TestRunExperiment:
         calls = count_calls(monkeypatch, "hidden_conditional_mean")
         shared = sweep_bytes("shared", list(run_experiment(cfg)))
         # states 0 to 59 are each trained from and state 60 is measured
-        assert calls.count((30, 16)) == epochs + 1
+        assert calls.count((17, 30)) == epochs + 1  # of [X^T; 1]
         assert shared == unshared
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -274,37 +271,38 @@ class TestMeasure:
     @pytest.mark.parametrize("n", [1, 3])
     def test_hidden_mean_computed_once_per_gibbs_round(self, monkeypatch, n):
         # the snapshot reads only round 1 of its chain, so it computes one
-        # E[h|X] for any n, from one X.W^T product, whichever function
-        # makes it; the data marginal, the complement_mean_h probe and the
-        # reconstruction monitor reuse it
+        # E[h|X] for any n, from one product of the hidden mean's operand
+        # with [X^T; 1], whichever function makes it; the data marginal, the
+        # complement_mean_h probe and the reconstruction monitor reuse it
         cfg = tiny_bs_config(
             training=TrainingConfig(n=n, learning_rate=0.01, epochs=100, measure_every=50),
             variants_enabled=tuple(XiVariant),
         )
         params = init_params(16, 8, np.random.default_rng(5), 0.01)
         X = experiment.build_dataset(cfg).matrix()
-        products, matmul = [], np.matmul
+        products, matmul, XT1 = [], np.matmul, visible_block(X)
 
         def counted(a, b, *args, **kwargs):
-            if isinstance(a, np.ndarray) and np.shares_memory(a, X) and np.shape(b)[-2:] == (16, 8):
-                products.append(np.shape(b))
+            if np.shape(a)[-2:] == (8, 17) and np.shape(b) == XT1.shape and np.array_equal(b, XT1):
+                products.append(np.shape(a))
             return matmul(a, b, *args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", counted)
         record = measure_one(params, X, cfg, np.random.default_rng(6), epoch=0)
         assert record.log_xi_complement_mean_h is not None
-        assert products == [(1, 16, 8)]
+        assert products == [(1, 8, 17)]
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_one_draw_per_stacked_snapshot(self, monkeypatch, n):
-        # round 1's hidden draws of every run in the batch, in one call
+        # round 1's hidden draws of every run in the batch, in one call, over
+        # unit-major (R, H, N) uniforms
         calls = count_calls(monkeypatch, "sample_bernoulli")
         cfg = tiny_bs_config(training=TrainingConfig(n=n, learning_rate=0.01, epochs=100, measure_every=50))
         X = experiment.build_dataset(cfg).matrix()
         params = [init_params(16, 8, np.random.default_rng(s), 0.01) for s in range(3)]
         batch = RunBatch(params, X, [np.random.default_rng(0) for _ in params])
         experiment._measure(batch, cfg, [np.random.default_rng(10 + r) for r in range(3)], epoch=0)
-        assert calls == [(3, 30, 8)]
+        assert calls == [(3, 8, 30)]
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("dataset", ["bs", "lse"])
@@ -372,7 +370,7 @@ class TestMeasure:
         record = measure_one(params, X, cfg, np.random.default_rng(0), epoch=epoch)
         replay = np.random.default_rng(0)
         chain = run_gibbs_chain_per_round(params, X, cfg.training.n, replay)
-        h_random = replay.random((len(X), cfg.hidden))
+        h_random = unit_major_uniforms(replay, (len(X), cfg.hidden))
         log_mx = oracles.log_marginal_weights_ld(params.W, params.b, params.c, X)
         totals_errors = []
         for metric, h_s in (
@@ -380,11 +378,10 @@ class TestMeasure:
             ("log_xi_complement", 1.0 - chain.h1),
             ("log_xi_complement_mean_h", 1.0 - chain.h1_mean),
         ):
-            with np.errstate(over="ignore"):
-                Y = visible_conditional_mean(params, h_s)
+            Y = visible_mean(params, h_s)
             want = np.sum(log_mx - oracles.log_marginal_weights_ld(params.W, params.b, params.c, Y))
             assert abs(getattr(record, metric) - want) <= 1e-14 * abs(want), metric
-            totals = np.sum(log_unnormalized_marginal(params, X)) - np.sum(log_unnormalized_marginal(params, Y))
+            totals = np.sum(log_marginal(params, X)) - np.sum(log_marginal(params, Y))
             totals_errors.append(float(abs(totals - want) / abs(want)))
         if epoch == 50:
             assert max(totals_errors) > 1e-14

@@ -7,18 +7,20 @@ labeled-shifter CD-2 config with all three probe variants enabled, so the
 
 A change to any digest means the program's output bytes changed.  That is
 allowed only as a deliberate re-baseline, with the reason recorded in
-CHANGES.md.  The last one re-pinned the run CSV, ``averaged.csv`` and
-``peaks.txt`` digests, once: every per-sample sum of softplus terms (the
-data and probe marginals, log Z's enumeration blocks and the
-reconstruction term) became the log of a bounded product over
-pre-activations formed unit-major, which moves the last bits of the
-monitored columns.  The training trajectory is untouched, so the params
-and ``config_resolved.json`` digests held.  The one before re-pinned every
-digest but the six ``config_resolved.json`` ones: the visible-to-hidden
-products began to read a contiguous copy of W^T and an epoch's ``dc``
-became a product with ones, which move the last bits of the training
-trajectory that the thresholded training draws carry on through the rest
-of a run.
+CHANGES.md.  The last one re-pinned every digest but the six
+``config_resolved.json`` ones, once: each run's parameters became one
+(H+1, V+1) matrix [[b, 0], [W, c]] with an always-on unit per layer, so
+every conditional mean became one product with its bias inside the sum
+(it was added after), the gradient's dc became the difference of two
+sums (it was the sum of the differences), and the uniforms of a training
+round and of a snapshot's round 1 go to units unit by unit (j*N + n)
+rather than sample by sample.  These move the training trajectory and
+the monitored columns.  The sampler draws in the same order, and on the
+two models ``tests/test_cli.py`` samples no draw moved, so its two
+``sample`` digests held, as did the ``dataset`` ones.  The one
+before re-pinned the run CSV, ``averaged.csv`` and ``peaks.txt`` digests:
+every per-sample sum of softplus terms became the log of a bounded
+product over pre-activations formed unit-major.
 
 The digests were taken with numpy 2.4.6 and OpenBLAS 0.3.31
 (scipy-openblas, x86_64); another BLAS build may round a matrix product

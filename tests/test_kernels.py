@@ -28,11 +28,16 @@ from cdmonitor.training import RunBatch, TrainingConfig, init_params, train_epoc
 
 import oracles
 from reference import (
+    hidden_block,
+    hidden_mean,
+    log_marginal,
     mean_reconstruction_log_prob,
     measure_one,
     run_gibbs_chain_per_round,
     softplus,
     train_epoch_one,
+    visible_block,
+    visible_mean,
     zero_params,
 )
 
@@ -58,9 +63,7 @@ def oracle_recon_mean(params, X):
 class TestSaturation:
     def test_conditional_means_are_exactly_zero_and_one_at_800(self):
         p = saturated_params()
-        with np.errstate(over="ignore"):
-            h = hidden_conditional_mean(p, binary_rows(5, 4))
-            x = visible_conditional_mean(p, binary_rows(5, 3))
+        h, x = hidden_mean(p, binary_rows(5, 4)), visible_mean(p, binary_rows(5, 3))
         np.testing.assert_array_equal(h, np.tile([0.0, 1.0, 0.0], (5, 1)))
         np.testing.assert_array_equal(x, np.tile([1.0, 0.0, 1.0, 0.0], (5, 1)))
 
@@ -81,68 +84,84 @@ class TestSaturation:
         np.testing.assert_array_equal(got, [800.0, 0.0, 1600.0, np.log(2.0)])
 
 
-def old_route_means(holder, x, h):
-    """The conditional means by the direct route, the reference for the
-    negated-bias one: the bias added to the product, the sum negated, then
-    exp, +1 and reciprocal.  Returns E[h|x], E[x|h] and x's hidden
-    pre-activation, row-major."""
-
-    def sigmoid(z):
-        np.negative(z, out=z)
-        with np.errstate(over="ignore"):
-            np.exp(z, out=z)
-        z += 1.0
-        return np.reciprocal(z, out=z)
-
-    pre = np.matmul(x, holder.WT) + holder.c
-    return sigmoid(pre.copy()), sigmoid(np.matmul(h, holder.W) + holder.b), pre
-
-
-def assert_means_match_the_old_route(holder, x, h):
-    """Both means bit for bit; for rows, x's unit-major ``pre`` equal up to
-    the sign of zero; and the marginal from the new ``pre``, from none and
-    from the old route's pre-activation bit for bit."""
-    want_h, want_x, want_pre = old_route_means(holder, x, h)
-    unit_major = want_pre[:, None] if x.ndim == 1 else want_pre.mT
-    pre = np.empty(unit_major.shape) if x.ndim > 1 else None
+def assert_means_match_the_oracles(holder, X, Hs, enumerated=None):
+    """For every model of ``holder`` (one, or a stack whose models are
+    compared one at a time): the means of the rows of X (N, V) and Hs (N,
+    H), given as blocks, the data marginal from ``pre`` and from none, and
+    log Z, each against ``oracles`` to rtol 1e-12, and the stack's values
+    bit for bit those of each model alone.  ``pre`` is the negated product
+    with the negated operand, bit for bit.  ``enumerated`` rows of the
+    means, all by default, are held to the scalar enumerations, and the
+    visible mean only when that enumeration is small (V <= 8)."""
+    theta = holder.theta.reshape(-1, *holder.theta.shape[-2:])
+    stacked = holder.theta.ndim == 3
+    Xb, Hb = visible_block(X), hidden_block(Hs)
+    pre = np.empty((*holder.theta.shape[:-2], holder.num_hidden, len(X)))
     with np.errstate(over="ignore"):
-        assert hidden_conditional_mean(holder, x, pre=pre).tobytes() == want_h.tobytes()
-        assert visible_conditional_mean(holder, h).tobytes() == want_x.tobytes()
-    want = np.asarray(log_unnormalized_marginal(holder, x, pre=np.ascontiguousarray(unit_major)))
-    assert np.asarray(log_unnormalized_marginal(holder, x)).tobytes() == want.tobytes()
-    if pre is not None:
-        np.testing.assert_array_equal(pre, unit_major)
-        assert log_unnormalized_marginal(holder, x, pre=pre).tobytes() == want.tobytes()
+        h_mean = hidden_conditional_mean(holder, Xb, pre=pre)
+        x_mean = visible_conditional_mean(holder, Hb)
+    assert pre.tobytes() == np.negative(np.matmul(holder.neg_hidden, Xb)).tobytes()
+    from_pre = log_unnormalized_marginal(holder, Xb, pre=pre)
+    direct, lz = log_unnormalized_marginal(holder, Xb), log_partition(holder)
+    for r, t in enumerate(theta):
+        one = RbmParams(t[1:, :-1], t[0, :-1], t[1:, -1])
+        W, b, c = one.W.tolist(), one.b.tolist(), one.c.tolist()
+        at = (lambda v: v[r]) if stacked else (lambda v: v)
+        if stacked:
+            with np.errstate(over="ignore"):
+                assert at(h_mean).tobytes() == hidden_conditional_mean(one, Xb).tobytes()
+                assert at(x_mean).tobytes() == visible_conditional_mean(one, Hb).tobytes()
+            assert at(direct).tobytes() == np.asarray(log_unnormalized_marginal(one, Xb)).tobytes()
+            assert at(lz) == log_partition(one)
+        rows = slice(enumerated)
+        want = [oracles.prob_h_given_x(W, b, c, x) for x in X[rows].tolist()]
+        np.testing.assert_allclose(at(h_mean).T[rows], want, rtol=1e-12)
+        if len(b) <= 8:
+            want = [oracles.prob_x_given_h(W, b, c, h) for h in Hs[rows].tolist()]
+            np.testing.assert_allclose(at(x_mean).T[rows], want, rtol=1e-12)
+        want = oracles.log_marginal_weights_np(one.W, one.b, one.c, X)
+        np.testing.assert_allclose(at(from_pre), want, rtol=1e-12)
+        np.testing.assert_allclose(at(direct), want, rtol=1e-12)
+        assert at(lz) == pytest.approx(oracles.log_partition_chunked_np(one.W, one.b, one.c), rel=1e-12)
 
 
 class TestNegatedBiases:
-    """The means subtract the product from the negated biases, -c - x.W^T,
-    which is -(x.W^T + c) bit for bit: rounding is symmetric in sign."""
-
-    @staticmethod
-    def params_with_exact_zeros(V=7, H=6):
-        # hidden units 0-1 and visible units 0-1 saturate at +-800; units 2-3
-        # of each layer cancel exactly on the first of the rows; the rest
-        # are random
-        rng = np.random.default_rng(11)
-        W = rng.normal(0.0, 2.0, (H, V))
-        X, Hs = binary_rows(6, V, seed=1), binary_rows(6, H, seed=2)
-        b, c = rng.normal(size=V), rng.normal(size=H)
-        b[:2], c[:2] = (800.0, -800.0), (-800.0, 800.0)
-        b[2:4], c[2:4] = -(Hs @ W)[0, 2:4], -(X @ W.T.copy())[0, 2:4]
-        return RbmParams(W, b, c), X, Hs
+    """Every conditional mean is one product of a negated operand of theta
+    with the other layer's block, the negated pre-activation with its bias
+    in it (see ``rbm``); the means, the marginal, log Z and an epoch's
+    gradient match ``oracles``."""
 
     def test_one_model_on_vectors_and_rows(self):
-        params, X, Hs = self.params_with_exact_zeros()
-        _, _, pre = old_route_means(params, X, Hs)
-        assert (pre[0, 2:4] == 0.0).all() and (np.abs(pre[:, :2]) > 790.0).all()
-        assert ((Hs @ params.W + params.b)[0, 2:4] == 0.0).all()
-        assert_means_match_the_old_route(params, X[0], Hs[0])
-        assert_means_match_the_old_route(params, X, Hs)
+        rng = np.random.default_rng(11)
+        params = RbmParams(*oracles.random_params(rng, 7, 6, scale=1.5))
+        X, Hs = binary_rows(6, 7, seed=1), binary_rows(6, 6, seed=2)
+        assert_means_match_the_oracles(params, X, Hs)
+        # a vector [x; 1] or [1; h], with pre of the mean's shape (H,)
+        W, b, c = (a.tolist() for a in (params.W, params.b, params.c))
+        pre = np.empty(6)
+        got = hidden_conditional_mean(params, visible_block(X[0]), pre=pre)
+        np.testing.assert_allclose(got, oracles.prob_h_given_x(W, b, c, X[0]), rtol=1e-12)
+        np.testing.assert_allclose(pre, params.c + params.W @ X[0], rtol=1e-12)
+        want = math.log(oracles.marginal_weight(W, b, c, X[0].tolist()))
+        assert log_unnormalized_marginal(params, visible_block(X[0]), pre=pre) == pytest.approx(want, rel=1e-12)
+        got = visible_conditional_mean(params, hidden_block(Hs[0]))
+        np.testing.assert_allclose(got, oracles.prob_x_given_h(W, b, c, Hs[0]), rtol=1e-12)
 
     @pytest.mark.parametrize("params", [zero_params(7, 6), saturated_params(7, 6), saturated_params(7, 6, -800.0)])
     def test_all_zero_and_saturated_models(self, params):
-        assert_means_match_the_old_route(params, binary_rows(5, 7), binary_rows(5, 6, seed=3))
+        # W = 0: every pre-activation is its bias exactly, every mean 0.5,
+        # exactly 0 or exactly 1
+        X, Hs = binary_rows(5, 7), binary_rows(5, 6, seed=3)
+        pre = np.empty((6, 5))
+        with np.errstate(over="ignore"):
+            h_mean = hidden_conditional_mean(params, visible_block(X), pre=pre)
+            x_mean = visible_conditional_mean(params, hidden_block(Hs))
+            np.testing.assert_array_equal(h_mean, np.tile(1.0 / (1.0 + np.exp(-params.c)), (5, 1)).T)
+            np.testing.assert_array_equal(x_mean, np.tile(1.0 / (1.0 + np.exp(-params.b)), (5, 1)).T)
+        np.testing.assert_array_equal(pre, np.tile(params.c, (5, 1)).T)
+        want = X @ params.b + softplus(params.c).sum()
+        np.testing.assert_allclose(log_unnormalized_marginal(params, visible_block(X), pre=pre), want, rtol=1e-12)
+        np.testing.assert_allclose(log_unnormalized_marginal(params, visible_block(X)), want, rtol=1e-12)
 
     def test_stacked_bs_runs_after_updates(self):
         X = generate_bars_and_stripes().matrix()
@@ -150,10 +169,27 @@ class TestNegatedBiases:
         batch = RunBatch(params, X, [np.random.default_rng(30 + s) for s in range(3)])
         for _ in range(4):
             train_epoch(batch, TrainingConfig(learning_rate=0.05, weight_decay=0.001))
-        hiddens = binary_rows(3 * 30, 8, seed=4).reshape(3, 30, 8)
-        assert_means_match_the_old_route(batch, X, hiddens)
-        assert_means_match_the_old_route(batch, binary_rows(3 * 30, 16, seed=5).reshape(3, 30, 16), hiddens)
+        assert_means_match_the_oracles(batch, X, binary_rows(30, 8, seed=4), enumerated=3)
 
+    def test_epoch_gradient_matches_the_oracles(self):
+        # with learning rate 1 and no decay, the step is the gradient:
+        # sum_n E[h|X_n] [X_n, 1] - E[h|x_n] [x_n, 1], with [1; .] rows for
+        # the biases, at the draws x the epoch leaves in its visible block
+        X = generate_bars_and_stripes().matrix()
+        params = [init_params(16, 8, np.random.default_rng(s), 0.3) for s in range(2)]
+        batch = RunBatch(params, X, [np.random.default_rng(40 + s) for s in range(2)])
+        before = [batch.params(r) for r in range(2)]
+        train_epoch(batch, TrainingConfig(learning_rate=1.0, weight_decay=0.0))
+        for r, p in enumerate(before):
+            W, b, c = p.W.tolist(), p.b.tolist(), p.c.tolist()
+            x = batch.visible[r, :-1].T
+            want = np.zeros((9, 17))
+            for data, model in zip(X.tolist(), x.tolist()):
+                want[:, :] += np.outer(np.r_[1.0, oracles.prob_h_given_x(W, b, c, data)], np.r_[data, 1.0])
+                want[:, :] -= np.outer(np.r_[1.0, oracles.prob_h_given_x(W, b, c, model)], np.r_[model, 1.0])
+            assert batch.grad[r, 0, -1] == 0.0
+            np.testing.assert_allclose(batch.grad[r], want, rtol=1e-12, atol=1e-12)
+            assert batch.grad[r, 0, :-1].tobytes() == want[0, :-1].tobytes()  # db: bit counts, exact
 
 class TestNoOverflowWarnings:
     """Batch operations on fully saturated models warn about nothing."""
@@ -237,7 +273,7 @@ class TestRowSum:
         p = RbmParams(rng.normal(0.0, 0.05, (1500, 3)), rng.normal(0.0, 1.0, 3), rng.normal(0.0, 0.1, 1500))
         X = binary_rows(8, 3, seed=1)
         want = X @ p.b + softplus(X @ p.W.T + p.c).sum(axis=-1)
-        np.testing.assert_allclose(log_unnormalized_marginal(p, X), want, rtol=1e-12)
+        np.testing.assert_allclose(log_marginal(p, X), want, rtol=1e-12)
         states = np.array(list(np.ndindex(2, 2, 2)), dtype=np.float64)
         logs = states @ p.b + softplus(states @ p.W.T + p.c).sum(axis=-1)
         assert log_partition(p) == pytest.approx(np.logaddexp.reduce(logs), rel=1e-12)

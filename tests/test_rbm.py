@@ -121,7 +121,7 @@ class TestUnnormalizedMarginal:
         # probe vectors are conditional means, not samples
         p = tiny_params()
         y = np.array([0.3, 0.8])
-        val = log_unnormalized_marginal(p, y)
+        val = log_unnormalized_marginal(p, np.r_[y, 1.0])
         pre = p.c + p.W @ y
         expected = p.b @ y + np.sum(np.log1p(np.exp(pre)))
         assert val == pytest.approx(expected, rel=1e-12)
@@ -129,43 +129,45 @@ class TestUnnormalizedMarginal:
     def test_log_domain_stable_for_large_preactivations(self):
         V, H = 3, 4
         big = RbmParams(np.zeros((H, V)), np.full(V, 700.0), np.full(H, 700.0))
-        assert np.isfinite(log_unnormalized_marginal(big, np.ones(V)))
+        assert np.isfinite(log_unnormalized_marginal(big, np.ones(V + 1)))
         small = RbmParams(np.zeros((H, V)), np.full(V, -700.0), np.full(H, -700.0))
-        assert np.isfinite(log_unnormalized_marginal(small, np.ones(V)))
+        assert np.isfinite(log_unnormalized_marginal(small, np.ones(V + 1)))
 
     def test_rows_of_more_dimensions_than_the_model_rejected(self):
-        # one model takes (V,) or (N, V) rows; (R, N, V) rows need a stack of R
+        # one model takes a (V+1,) vector or a (V+1, N) block; (R, V+1, N)
+        # blocks need a stack of R
         p = RbmParams(*oracles.random_params(np.random.default_rng(4), 6, 3))
-        with pytest.raises(DimensionMismatchError, match=r"\(V,\), \(N, V\) or.*\(R, N, V\)"):
-            log_unnormalized_marginal(p, np.zeros((3, 4, 6)))
+        with pytest.raises(DimensionMismatchError, match=r"\(V\+1,\), \(V\+1, N\) or.*\(R, V\+1, N\)"):
+            log_unnormalized_marginal(p, np.zeros((3, 7, 4)))
 
 
 class TestConditionals:
     def test_all_zero_params_give_half(self):
         p = zero_params(6, 4)
-        np.testing.assert_array_equal(hidden_conditional_mean(p, np.ones(6)), np.full(4, 0.5))
-        np.testing.assert_array_equal(visible_conditional_mean(p, np.ones(4)), np.full(6, 0.5))
+        # [x; 1] and [1; h] carry each layer's always-on unit
+        np.testing.assert_array_equal(hidden_conditional_mean(p, np.ones(7)), np.full(4, 0.5))
+        np.testing.assert_array_equal(visible_conditional_mean(p, np.ones(5)), np.full(6, 0.5))
 
     def test_saturation_without_overflow(self):
         p = RbmParams(np.zeros((3, 2)), np.zeros(2), np.full(3, 40.0))
-        m = hidden_conditional_mean(p, np.ones(2))
+        m = hidden_conditional_mean(p, np.ones(3))
         assert np.all(np.abs(m - 1.0) <= 1e-15)
 
         neg = RbmParams(np.full((2, 3), -30.0), np.zeros(3), np.zeros(2))
-        v = visible_conditional_mean(neg, np.ones(2))
+        v = visible_conditional_mean(neg, np.ones(3))
         assert np.all(v <= 1e-15)
 
     def test_hidden_mean_matches_enumeration(self):
         p = tiny_params()
         x = [1.0, 0.0]
         expected = oracles.prob_h_given_x(oracles.TINY_W, oracles.TINY_B, oracles.TINY_C, x)
-        np.testing.assert_allclose(hidden_conditional_mean(p, np.array(x)), expected, rtol=1e-10)
+        np.testing.assert_allclose(hidden_conditional_mean(p, np.array(x + [1.0])), expected, rtol=1e-10)
 
     def test_visible_mean_matches_enumeration(self):
         p = tiny_params()
         h = [1.0, 1.0]
         expected = oracles.prob_x_given_h(oracles.TINY_W, oracles.TINY_B, oracles.TINY_C, h)
-        np.testing.assert_allclose(visible_conditional_mean(p, np.array(h)), expected, rtol=1e-10)
+        np.testing.assert_allclose(visible_conditional_mean(p, np.array([1.0] + h)), expected, rtol=1e-10)
 
     def test_conditional_factorization(self):
         # P(h|x) from the joint equals the product of per-unit Bernoullis
@@ -173,15 +175,30 @@ class TestConditionals:
         W, b, c = oracles.random_params(rng, 4, 3)
         p = RbmParams(W, b, c)
         x = [1.0, 0.0, 1.0, 1.0]
-        means = hidden_conditional_mean(p, np.array(x))
+        means = hidden_conditional_mean(p, np.array(x + [1.0]))
         for h in oracles.all_bits(3):
             joint = oracles.joint_prob_of_h_given_x(W, b, c, x, h)
             factorized = np.prod([m if bit else 1 - m for m, bit in zip(means, h)])
             assert joint == pytest.approx(factorized, rel=1e-10)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            visible_conditional_mean(tiny_params(), np.zeros(3))
+        # a vector without the always-on unit, or rows given row-major
+        for mean in (hidden_conditional_mean, visible_conditional_mean):
+            for v in (np.zeros(2), np.zeros(4), np.zeros((4, 2))):
+                with pytest.raises(DimensionMismatchError, match="always-on unit"):
+                    mean(tiny_params(), v)
+
+    def test_pre_of_a_vector(self):
+        # pre of a vector [x; 1] is the (H,) pre-activation c + Wx, which
+        # the marginal then takes in place of its own
+        p = RbmParams(*oracles.random_params(np.random.default_rng(3), 4, 3))
+        x = np.array([1.0, 0.0, 1.0, 1.0, 1.0])
+        pre = np.empty(3)
+        hidden_conditional_mean(p, x, pre=pre)
+        np.testing.assert_allclose(pre, p.c + p.W @ x[:4], rtol=1e-12)
+        assert log_unnormalized_marginal(p, x, pre=pre) == pytest.approx(log_unnormalized_marginal(p, x), rel=1e-12)
+        with pytest.raises(ValueError):
+            hidden_conditional_mean(p, x, pre=np.empty((3, 1)))
 
 
 class TestSampleBernoulli:
@@ -326,7 +343,8 @@ class TestGibbsChain:
         p = RbmParams(*oracles.random_params(np.random.default_rng(8), 5, 3))
         got = run_gibbs_chain(p, np.zeros(5), 6, np.random.default_rng(9))
         assert {name for name, _, _ in seen} == {"hidden_conditional_mean", "visible_conditional_mean"}
-        assert all(dtype == bool and shape in {(3,), (5,)} for _, dtype, shape in seen)
+        # [x; 1] and [1; h], with their always-on units
+        assert all(dtype == bool and shape in {(4,), (6,)} for _, dtype, shape in seen)
         want = run_gibbs_chain_per_round(p, np.zeros(5), 6, np.random.default_rng(9)).visibles
         assert got.tobytes() == want.tobytes()
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from reference import (
     apply_update_one,
     cd_gradient,
     exact_gradient,
+    set_gradient,
     train_epoch_one,
     train_epoch_per_round,
     zero_params,
@@ -139,8 +141,9 @@ class TestApplyUpdate:
             params, zero, TrainingConfig(learning_rate=0.01, weight_decay=0.001)
         )
         np.testing.assert_allclose(out.W, params.W * (1 - 1e-5), rtol=1e-15)
-        np.testing.assert_array_equal(out.b, params.b)
-        np.testing.assert_array_equal(out.c, params.c)
+        # decay touches theta's W block only: the biases keep their bits
+        assert out.b.tobytes() == params.b.tobytes() and out.c.tobytes() == params.c.tobytes()
+        assert_theta_invariants(out)
 
     def test_unit_gradient_on_scalar_model(self):
         params = zero_params(1, 1)
@@ -162,7 +165,7 @@ class TestApplyUpdate:
         config = TrainingConfig(learning_rate=0.1, weight_decay=0.01)
         batch = RunBatch(params, np.zeros((1, 3)), [rng] * 3)
         for r, g in enumerate(grads):
-            batch.dW[r], batch.db[r, 0], batch.dc[r, 0] = g.dW, g.db, g.dc
+            set_gradient(batch, r, g)
         with pytest.raises(NonFiniteParameterError, match="update produced non-finite") as info:
             apply_update(batch, config)
         assert info.value.runs == (1,)
@@ -177,8 +180,8 @@ def reference_epoch(params, X, config):
     """Scalar-loop re-implementation of one full-batch epoch.
 
     Consumes uniforms in the same order as the library (per Gibbs round:
-    the N*H hidden draws, then the N*V visible draws) but performs every
-    piece of arithmetic with explicit Python loops.
+    the N*H hidden draws, then the N*V visible draws, each layer's unit by
+    unit) but performs every piece of arithmetic with explicit Python loops.
     """
     rng = np.random.default_rng(9001)
     N, V = X.shape
@@ -190,13 +193,13 @@ def reference_epoch(params, X, config):
 
     x_cur = [list(row) for row in X]
     for _ in range(config.n):
-        u_h = rng.random((N, H))
+        u_h = rng.random((H, N)).T
         h = [[0.0] * H for _ in range(N)]
         for s in range(N):
             for j in range(H):
                 pre = c[j] + sum(W[j][i] * x_cur[s][i] for i in range(V))
                 h[s][j] = 1.0 if u_h[s][j] < sigmoid(pre) else 0.0
-        u_x = rng.random((N, V))
+        u_x = rng.random((V, N)).T
         nxt = [[0.0] * V for _ in range(N)]
         for s in range(N):
             for i in range(V):
@@ -283,7 +286,7 @@ class TestTrainEpoch:
         expected = np.outer(
             oracles.prob_h_given_x(W, b, c, x), np.array(x)
         )
-        got = np.outer(hidden_conditional_mean(params, np.array(x)), np.array(x))
+        got = np.outer(hidden_conditional_mean(params, np.array(x + [1.0])), np.array(x))
         np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -297,12 +300,13 @@ class TestTrainEpoch:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_every_draw_goes_through_sample_bernoulli(self, monkeypatch, n):
-        # a hidden and a visible draw per Gibbs round, whatever the batch
+        # a hidden and a visible draw per Gibbs round, whatever the batch,
+        # over unit-major (R, H, N) and (R, V, N) uniforms
         calls = count_calls(monkeypatch, "sample_bernoulli")
         params = [init_params(16, 8, np.random.default_rng(s), 0.01) for s in range(3)]
         batch = RunBatch(params, generate_bars_and_stripes().matrix(), [np.random.default_rng(s) for s in range(3)])
         train_epoch(batch, TrainingConfig(n=n))
-        assert calls == [(3, 30, 8), (3, 30, 16)] * n
+        assert calls == [(3, 8, 30), (3, 16, 30)] * n
 
     def test_empty_dataset_rejected(self):
         data = Dataset(name="empty", samples=np.zeros((0, 2), dtype=np.uint8))
@@ -326,80 +330,75 @@ class TestTrainEpoch:
         np.testing.assert_array_equal(a.c, b.c)
 
 
-def assert_contiguous_transpose(holder):
-    """``holder.WT`` is W^T bit for bit, as a C-contiguous array of its own."""
-    assert holder.WT.flags.c_contiguous and not np.shares_memory(holder.WT, holder.W)
-    assert holder.WT.shape == holder.W.mT.shape
-    assert holder.WT.tobytes() == np.ascontiguousarray(holder.W.mT).tobytes()
-
-
-def assert_negated_biases(holder):
-    """``holder.neg_b`` and ``neg_c`` are -b and -c bit for bit, in arrays
-    of their own."""
-    for neg, bias in ((holder.neg_b, holder.b), (holder.neg_c, holder.c)):
-        assert neg.shape == bias.shape and not np.shares_memory(neg, bias)
-        assert neg.tobytes() == np.negative(bias).tobytes()
+def assert_theta_invariants(holder):
+    """``holder.theta``'s corner is exactly 0, and ``neg_hidden`` and
+    ``neg_visible`` are -theta[..., 1:, :] and -theta[..., :, :V]^T bit for
+    bit, as read-only C-contiguous arrays of their own."""
+    theta = holder.theta
+    assert (theta[..., 0, -1] == 0.0).all()
+    wanted = (np.negative(theta[..., 1:, :]), np.ascontiguousarray(np.negative(theta[..., :-1].mT)))
+    for operand, want in zip((holder.neg_hidden, holder.neg_visible), wanted):
+        assert operand.flags.c_contiguous and not operand.flags.writeable
+        assert not np.shares_memory(operand, theta)
+        assert operand.shape == want.shape and operand.tobytes() == want.tobytes()
 
 
 class TestRunBatch:
     def test_transpose_copy_after_construction_and_select(self):
+        # neg_visible is theta's visible columns transposed and negated
         params = [init_params(16, 8, np.random.default_rng(s), 0.3) for s in range(3)]
         batch = RunBatch(params, generate_bars_and_stripes().matrix(), [np.random.default_rng(s) for s in range(3)])
-        assert_contiguous_transpose(batch)
-        assert_negated_biases(batch)
+        assert_theta_invariants(batch)
         train_epoch(batch, TrainingConfig(learning_rate=0.05))
         chosen = batch.select([2, 0])
-        assert_contiguous_transpose(chosen)
-        assert_negated_biases(chosen)
-        np.testing.assert_array_equal(chosen.WT[0], batch.W[2].T)
-        np.testing.assert_array_equal(chosen.neg_c[0], -batch.c[2])
-        # one array holds both negated biases: the update refreshes it in one pass
-        assert np.shares_memory(chosen.neg_b, chosen.neg_bias) and np.shares_memory(chosen.neg_c, chosen.neg_bias)
+        assert_theta_invariants(chosen)
+        assert_theta_invariants(batch.params(2))
+        np.testing.assert_array_equal(chosen.neg_visible[0], -batch.theta[2, :, :-1].T)
+        np.testing.assert_array_equal(chosen.neg_hidden[1], -batch.theta[0, 1:])
 
     def test_transpose_copy_after_every_update(self):
-        # the update refreshes WT and the negated biases even when it
-        # raises: the other runs go on
+        # the update refreshes both negated operands even when it raises:
+        # the other runs go on
         params = [init_params(16, 8, np.random.default_rng(s), 0.3) for s in range(3)]
         batch = RunBatch(params, generate_bars_and_stripes().matrix(), [np.random.default_rng(s) for s in range(3)])
         config = TrainingConfig(learning_rate=0.05, weight_decay=0.001)
         for _ in range(3):
             train_epoch(batch, config)
-            assert_contiguous_transpose(batch)
-            assert_negated_biases(batch)
-        batch.grad[:] = np.random.default_rng(7).normal(size=batch.grad.shape)
-        batch.grad[1, 5] = np.inf
+            assert_theta_invariants(batch)
+        rng = np.random.default_rng(7)
+        for r in range(3):
+            set_gradient(batch, r, GradientEstimate(*oracles.random_params(rng, 16, 8)))
+        batch.grad[1, 5, 3] = np.inf
         with pytest.raises(NonFiniteParameterError) as info:
             apply_update(batch, config)
         assert info.value.runs == (1,)
-        assert_contiguous_transpose(batch)
-        assert_negated_biases(batch)
+        assert (batch.theta[:, 0, -1] == 0.0).all()
+        np.testing.assert_array_equal(batch.neg_hidden, -batch.theta[:, 1:])
+        np.testing.assert_array_equal(batch.neg_visible, -batch.theta[:, :, :-1].mT)
 
     def test_transpose_copy_of_params_read_from_a_file(self, tmp_path):
         path = tmp_path / "params.txt"
         experiment.write_params_file(path, init_params(19, 10, np.random.default_rng(1), 0.5))
-        assert_contiguous_transpose(experiment.read_params_file(path))
-        assert_negated_biases(experiment.read_params_file(path))
+        assert_theta_invariants(experiment.read_params_file(path))
 
     def test_parameters_cannot_be_written_in_place(self):
-        # every x.W^T product reads WT and every mean the negated biases, so
-        # a write to W, b or c outside apply_update would leave them stale:
-        # RbmParams and a RunBatch's W, b and c are read-only, and RbmParams
-        # copies what it is given
+        # every mean reads a negated operand, so a write to theta outside
+        # apply_update would leave them stale: RbmParams and a RunBatch's
+        # operands are read-only, and RbmParams copies what it is given
         W = np.random.default_rng(2).normal(size=(8, 16))
         params = RbmParams(W, np.zeros(16), np.zeros(8))
         W[0, 0] = 1.0
         assert params.W[0, 0] != 1.0
         batch = RunBatch([params], generate_bars_and_stripes().matrix(), [np.random.default_rng(0)])
-        held = (params.W, params.b, params.c, params.WT, params.neg_b, params.neg_c)
-        for array in (*held, batch.W, batch.b, batch.c):
+        held = (params.W, params.b, params.c, params.theta, params.neg_hidden, params.neg_visible)
+        for array in (*held, batch.neg_hidden, batch.neg_visible, batch.X1, batch.XT1, batch.weights):
             with pytest.raises(ValueError, match="read-only"):
                 array[..., 0] = np.nan
         assert np.isfinite(batch.theta).all()
-        batch.grad[:] = 1.0
+        set_gradient(batch, 0, GradientEstimate(np.ones((8, 16)), np.ones(16), np.ones(8)))
         apply_update(batch, TrainingConfig(learning_rate=0.5))
-        assert batch.W[0, 0, 0] == params.W[0, 0] + 0.5
-        assert_contiguous_transpose(batch)
-        assert_negated_biases(batch)
+        assert batch.theta[0, 1, 0] == params.W[0, 0] + 0.5
+        assert_theta_invariants(batch)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_stacked_runs_match_runs_trained_alone_bit_for_bit(self, n):
@@ -439,10 +438,37 @@ class TestRunBatch:
 
     def test_bytes_per_run_counts_the_batch_arrays(self):
         batch = RunBatch([zero_params(16, 8)] * 3, np.zeros((30, 16)), [None] * 3)
-        arrays = (batch.theta, batch.grad, batch.WT, batch.neg_bias, batch.h_data, batch.h_model,
-                  batch.x_mean, batch.draws, batch.decay, batch.finite)
+        arrays = (batch.theta, batch.grad, batch.product, batch.neg_hidden, batch.neg_visible, batch.h_data,
+                  batch.x_mean.base, batch.draws, batch.finite)
         assert sum(a.nbytes for a in arrays) == 3 * RunBatch.bytes_per_run(30, 16, 8)
-        assert np.shares_memory(batch.h, batch.draws) and np.shares_memory(batch.x, batch.draws)
+        assert np.shares_memory(batch.h_model, batch.x_mean)
+        for view in (batch.hidden, batch.visible, batch.uniforms):
+            assert np.shares_memory(view, batch.draws)
+        # the ones rows of the draws and the hidden blocks, and the uniforms between
+        assert (batch.hidden[:, 0] == 1.0).all() and (batch.visible[:, -1] == 1.0).all()
+        assert (batch.h_data[:, 0] == 1.0).all()
+        assert batch.uniforms.shape == (3, 30 * 24) and batch.uniforms[0].flags.c_contiguous
+        # a batch of BATCH_BYTES stacks 14 bs runs, and one lse run alone
+        assert experiment.BATCH_BYTES // RunBatch.bytes_per_run(30, 16, 8) == 14
+        assert experiment.BATCH_BYTES // RunBatch.bytes_per_run(768, 19, 10) == 0
+
+    def test_warm_lse_epoch_peaks_below_16_kb(self):
+        # every conditional mean is a product and three in-place passes over
+        # the batch's buffers: no broadcast operand, whose buffered loop
+        # would allocate up to about 64 KB a pass
+        X = experiment.build_dataset(experiment.default_config("lse")).matrix()
+        batch = RunBatch([init_params(19, 10, np.random.default_rng(0), 0.01)], X, [np.random.default_rng(1)])
+        config = TrainingConfig(learning_rate=0.001, weight_decay=0.001)
+        for _ in range(3):
+            train_epoch(batch, config)
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                train_epoch(batch, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
     def test_select_keeps_the_chosen_runs_and_generators(self):
         params = [init_params(4, 2, np.random.default_rng(s), 0.1) for s in range(3)]
@@ -452,12 +478,15 @@ class TestRunBatch:
         np.testing.assert_array_equal(batch.params(1).W, params[2].W)
 
     def test_parameters_are_views_of_one_row_per_run(self):
+        # run r's theta is [[b, 0], [W, c]]
         batch = RunBatch([zero_params(4, 2)] * 2, np.zeros((1, 4)), [None, None])
-        batch.theta[1] = np.arange(batch.theta.shape[1])
-        np.testing.assert_array_equal(batch.W[1].ravel(), np.arange(8))
-        np.testing.assert_array_equal(batch.b[1, 0], [8, 9, 10, 11])
-        np.testing.assert_array_equal(batch.c[1, 0], [12, 13])
-        assert not batch.W[0].any()
+        assert batch.theta.shape == (2, 3, 5)
+        batch.theta[1] = np.arange(15).reshape(3, 5)
+        params = batch.params(1)
+        np.testing.assert_array_equal(params.W, [[5, 6, 7, 8], [10, 11, 12, 13]])
+        np.testing.assert_array_equal(params.b, [0, 1, 2, 3])
+        np.testing.assert_array_equal(params.c, [9, 14])
+        assert not batch.theta[0].any()
 
     def test_rejects_mismatched_inputs(self):
         with pytest.raises(ValueError):
