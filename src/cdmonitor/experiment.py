@@ -277,10 +277,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Iterator[RunResul
     The runs are split into ``jobs`` contiguous groups, each cut into
     RunBatches of at most BATCH_BYTES, and ``run_single`` runs each batch:
     in this process at one worker, in a process pool otherwise.  The pool
-    stays: it is lse's only parallelism, and on two cores it shortens the
-    10000-epoch bs preset from 3.4 s at ``jobs`` 1 to 2.8 s at ``jobs`` 2,
-    though on a 2000-epoch bs sweep its start-up cancels the gain
-    (0.89-0.95 s at 2 against 0.81-0.86 s at 1).  The pool is handed one
+    stays: it is lse's only parallelism, and on two cores it shortens a
+    long bs sweep too (README "Performance").  The pool is handed one
     batch per worker, and the next batch as each batch's results are
     yielded, so no more batches are in it than it has workers and none
     waits in its queue, where a shutdown cannot cancel it: closing the
@@ -384,11 +382,9 @@ def generate_samples(
     ``burn_in`` rounds, then emits every ``thin``-th visible sample.  It runs
     in segments of ``_SEGMENT_ROUNDS`` rounds, burn-in included, each one
     ``run_gibbs_chain`` call that draws its rounds' uniforms at once.  The
-    segments share the chain's two caches, E[x|h] per hidden draw and
-    E[h|x] per visible one, each keyed by the bool draw's bytes, so each
-    state's mean is computed once per call, up to the chain's bound of
-    ``rbm._CACHED_MEANS`` = 2048 states per cache (about 1.35 MB for both
-    at H = 14, V = 19).  Each segment's draws come back as 0.0 and 1.0.
+    segments share that function's two caches of conditional means, so
+    each stored state's mean is computed once per call.  Each segment's
+    draws come back as 0.0 and 1.0.
     The samples are those of one long chain that computes every mean, bit
     for bit, while one segment is held at a time, whatever the burn-in.
     Returns a (count, V) float matrix of 0s and 1s.

@@ -93,8 +93,7 @@ class Workspace:
     block).  It holds scratch only: no function returns a workspace array.
     Blocks such as the (10, 16, 256) enumeration block of a stack of 10 bs
     models lie above glibc's mmap threshold, so a new one per call would be
-    mapped and faulted in every time (133 page faults a snapshot, which
-    then took 1.4 times as long, on a 2-vCPU VM).
+    mapped and faulted in every time.
     """
 
     def __init__(self) -> None:
@@ -196,9 +195,21 @@ def _check_units(v: np.ndarray, size: int, what: str) -> None:
     """Raise unless v's unit axis (the last for a vector, else -2) has ``size`` units."""
     if v.ndim < 1 or v.shape[-2 if v.ndim > 1 else -1] != size:
         raise DimensionMismatchError(
-            f"{what} has shape {v.shape}, expected ({size},) or ({size}, N): "
-            f"unit-major, with the layer's always-on unit"
+            f"{what} has shape {v.shape}, expected ({size},), ({size}, N) or, for a stack, "
+            f"(..., {size}, N): unit-major, with the layer's always-on unit"
         )
+
+
+def _product(operand: np.ndarray, v, out: np.ndarray | None, what: str) -> np.ndarray:
+    """operand times v, into ``out`` if given, once ``_check_units`` passes
+    v (named ``what``).  One model times one vector without ``out`` is
+    ``operand.dot(v)`` on v as it comes, such as the sampler's bool draw:
+    np.matmul's cblas_dgemv and bits, without its set-up or np.asarray."""
+    v = np.asarray(v)
+    _check_units(v, operand.shape[-1], what)
+    if out is None and operand.ndim == 2 and v.ndim == 1:
+        return operand.dot(v)
+    return np.matmul(operand, np.asarray(v, dtype=np.float64), out=out)
 
 
 def _item(v):
@@ -290,9 +301,7 @@ def hidden_conditional_mean(
     sigmoid(c_j + (Wx)_j), written into ``out`` if given.  Given ``pre``
     too, an array of the result's shape, the pre-activation c + Wx is
     written into it."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_units(x, params.neg_hidden.shape[-1], "x")
-    z = np.matmul(params.neg_hidden, x, out=out)
+    z = _product(params.neg_hidden, x, out, "x")
     if pre is not None:
         np.negative(z, out=pre)
     return _sigmoid_of_negated(z)
@@ -302,9 +311,7 @@ def visible_conditional_mean(params, h: np.ndarray, out: np.ndarray | None = Non
     """E[x|h] of a hidden block [1; h^T], (..., H+1, N), as an (..., V, N)
     block, or of a vector [1; h] as a (V,) vector: component i is
     sigmoid(b_i + (W^T h)_i), written into ``out`` if given."""
-    h = np.asarray(h, dtype=np.float64)
-    _check_units(h, params.neg_visible.shape[-1], "h")
-    return _sigmoid_of_negated(np.matmul(params.neg_visible, h, out=out))
+    return _sigmoid_of_negated(_product(params.neg_visible, h, out, "h"))
 
 
 def sample_bernoulli(mean, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -324,9 +331,9 @@ def sample_bernoulli(mean, u: np.ndarray, out: np.ndarray | None = None) -> np.n
 
 # States each of run_gibbs_chain's two caches holds: E[x|h] for the first
 # _CACHED_MEANS hidden states the chain visits and E[h|x] for the first
-# _CACHED_MEANS visible ones.  Every hidden state of a model with H <= 11
-# fits, and both caches together take about 1.35 MB at H = 14, V = 19,
-# about 330 B a state (measured with tracemalloc).
+# _CACHED_MEANS visible ones.  All hidden states fit for H <= 11.  Both
+# take about 1.4 MB at H = 14, V = 19: about 340 B a state for its bool
+# key, its mean and the dict slot (measured with tracemalloc).
 _CACHED_MEANS = 2048
 
 
@@ -359,18 +366,15 @@ def run_gibbs_chain(
     visits at most 2^10 = 1024 hidden states, and one on a bs model trained
     2000 epochs visits under 1800 visible states.  So ``means`` maps the
     ``tobytes()`` of the bool draw h (H bytes) to the mean
-    ``visible_conditional_mean`` returned for h,
-    ``hidden_means`` maps the bool x's (V bytes) to the mean
-    ``hidden_conditional_mean`` returned for x, and a round whose h
-    or x is there thresholds the stored mean.  Each stored mean comes from
-    that call on the same 0/1 vector, so the draws are bit for bit those of
-    a chain that computes every mean.  Successive calls may share the
-    dicts; without them, the call keeps its own.  Each dict stores the
-    first _CACHED_MEANS = 2048 states the chain visits, about 330 B each at
-    H = 14, V = 19 (the key, an (H,) or (V,) array and the dict slot), so
-    the two take about 1.35 MB.  Past that a new state's mean is computed
-    as a new array on each visit, and not stored.  The overflow of
-    saturated sigmoids is silenced once around all rounds.
+    ``visible_conditional_mean`` returned for h, ``hidden_means`` maps the
+    bool x's (V bytes) to the mean ``hidden_conditional_mean`` returned for
+    x, and a round whose h or x is there thresholds the stored mean.  Each
+    stored mean comes from that call on the same 0/1 vector, so the draws
+    are bit for bit those of a chain that computes every mean.  Successive
+    calls may share the dicts; without them, the call keeps its own.  Each
+    dict stores the first ``_CACHED_MEANS`` states the chain visits; past
+    that a new state's mean is computed on each visit, and not stored.  The
+    overflow of saturated sigmoids is silenced once around all rounds.
     """
     if n < 1:
         raise ValueError(f"chain length n must be >= 1, got {n}")

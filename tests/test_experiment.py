@@ -728,10 +728,9 @@ class TestGenerateSamples:
 
     def test_cache_memory_is_bounded(self):
         # 20000 rounds at H = 14, V = 16 visit about 11200 hidden and 16600
-        # visible states, which would take about 8.9 MB of cached means; the
-        # two caches stop at 2048 states each, of about 320 B each (bool key,
-        # mean and dict slot, measured with tracemalloc), about 1.3 MB in
-        # all, next to the 640 KB of samples
+        # visible states, far more than the two caches' rbm._CACHED_MEANS
+        # states each (whose comment gives their memory); the bound is
+        # 2 MiB for the caches next to the 640 KB of samples
         params = self.diffuse_params(14)
         tracemalloc.start()
         try:

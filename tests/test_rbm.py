@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cdmonitor import rbm
 from cdmonitor.rbm import (
@@ -15,11 +17,28 @@ from cdmonitor.rbm import (
 
 import oracles
 from reference import energy, run_gibbs_chain_per_round, unnormalized_marginal, zero_params
+from test_roundtrips import PROPERTY
 from test_training import count_calls
 
 
 def tiny_params():
     return RbmParams(np.array(oracles.TINY_W), np.array(oracles.TINY_B), np.array(oracles.TINY_C))
+
+
+@st.composite
+def model_and_draws(draw):
+    """One random model, a share of whose entries are +-800, which saturate
+    every unit they reach, and a 0/1 [x; 1] and [1; h] for it, as bool.
+    Drawn from a seed, so a failing example shrinks in a few steps."""
+    V, H = draw(st.integers(1, 20)), draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W, b, c = (rng.uniform(-4.0, 4.0, shape) for shape in ((H, V), V, H))
+    for a in (W, b, c):
+        saturated = rng.random(a.shape) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+        a[saturated] = np.copysign(800.0, a[saturated])
+    x, h = np.ones(V + 1, dtype=bool), np.ones(H + 1, dtype=bool)
+    x[:V], h[1:] = rng.random(V) < 0.5, rng.random(H) < 0.5
+    return RbmParams(W, b, c), x, h
 
 
 class TestRbmParams:
@@ -182,11 +201,34 @@ class TestConditionals:
             assert joint == pytest.approx(factorized, rel=1e-10)
 
     def test_dimension_mismatch(self):
-        # a vector without the always-on unit, or rows given row-major
+        # a vector without the always-on unit, rows given row-major, or a
+        # stack of such blocks; the message names every form taken
+        expected = r"expected \(3,\), \(3, N\) or, for a stack, \(\.\.\., 3, N\): .*always-on unit"
         for mean in (hidden_conditional_mean, visible_conditional_mean):
-            for v in (np.zeros(2), np.zeros(4), np.zeros((4, 2))):
-                with pytest.raises(DimensionMismatchError, match="always-on unit"):
+            assert mean(tiny_params(), np.zeros((2, 3, 4))).shape == (2, 2, 4)
+            for v in (np.zeros(2), np.zeros(4), np.zeros((4, 2)), np.zeros((2, 4, 2))):
+                with pytest.raises(DimensionMismatchError, match=expected):
                     mean(tiny_params(), v)
+
+    @PROPERTY
+    @given(model_and_draws(), st.sampled_from([bool, np.float64, np.int64]))
+    def test_vector_means_are_matmul_on_floats_bit_for_bit(self, drawn, dtype):
+        # one model times one vector is ndarray.dot on the vector as given;
+        # its bits are those of np.matmul on the float vector, for saturated
+        # units too, and into out or with pre alike
+        params, x, h = drawn
+        with np.errstate(over="ignore"):
+            for mean, operand, v in (
+                (hidden_conditional_mean, params.neg_hidden, x),
+                (visible_conditional_mean, params.neg_visible, h),
+            ):
+                want = np.reciprocal(np.exp(np.matmul(operand, v.astype(np.float64))) + 1.0)
+                assert mean(params, v.astype(dtype)).tobytes() == want.tobytes()
+                out = np.empty(len(want))
+                assert mean(params, v.astype(dtype), out=out) is out and out.tobytes() == want.tobytes()
+            pre = np.empty(params.num_hidden)
+            hidden_conditional_mean(params, x.astype(dtype), pre=pre)
+        assert pre.tobytes() == np.negative(np.matmul(params.neg_hidden, x.astype(np.float64))).tobytes()
 
     def test_pre_of_a_vector(self):
         # pre of a vector [x; 1] is the (H,) pre-activation c + Wx, which
@@ -325,8 +367,8 @@ class TestGibbsChain:
         assert calls == [(3,), (5,)] * n
 
     def test_means_take_the_bool_draws(self, monkeypatch):
-        # the chain hands its bool x and h to the public means uncast; their
-        # np.asarray makes the float 0/1 vector a cast would
+        # the chain hands its bool x and h to the public means uncast, which
+        # multiply them as given (see the bit-for-bit vector means test)
         seen = []
 
         def recording(name):
