@@ -23,8 +23,6 @@ from .datasets import Dataset, generate_bars_and_stripes, generate_labeled_shift
 from .rbm import (
     NonFiniteParameterError,
     RbmParams,
-    Workspace,
-    fresh,
     hidden_conditional_mean,
     log_unnormalized_marginal,
     run_gibbs_chain,
@@ -138,7 +136,6 @@ def _measure(
     config: ExperimentConfig,
     rngs: Sequence[np.random.Generator],
     epoch: int,
-    work=fresh,
 ) -> list[MetricsRecord]:
     """Snapshot all monitored quantities of every run in ``batch`` at its
     current parameters, on its training matrix X; run r draws its probes
@@ -161,27 +158,23 @@ def _measure(
     X's hidden pre-activation is computed once: round 1's hidden mean and
     the data marginal both read it.  That mean, E[h|X], is written into
     ``batch.h_data`` and marked current, so the next ``train_epoch`` takes
-    it as its positive phase, bit for bit what it would compute.  Every
-    probe h_s is a hidden block [1; h_s^T] and its reconstruction a
-    visible block [E[x|h_s]^T; 1], in the layout of ``rbm``.  Each ratio
-    diagnostic is the sum over samples of log p~(x_n) - log p~(y_n), not
-    the difference of the two totals, most of which would cancel.  The
-    snapshot enters ``np.errstate(over="ignore")`` once, around all of its
-    calls (see ``rbm``).
+    it as its positive phase, bit for bit what it would compute.  Round 1's
+    draws go to ``batch.h_model``, every probe h_s to ``batch.hidden`` =
+    [1; h_s^T] and its reconstruction to ``batch.visible`` = [E[x|h_s]^T;
+    1], ones rows kept.  Each ratio diagnostic is the sum over samples of
+    log p~(x_n) - log p~(y_n), not the difference of the two totals, most
+    of which would cancel.  The snapshot enters ``np.errstate(over="ignore")``
+    once, around all of its calls (see ``rbm``).
 
     The runs are measured as one stacked program on (R, ·, N) arrays, read
     from the batch's parameters in place; every per-run value has the bits
-    the run's snapshot has alone.  ``work`` is a ``Workspace`` for every
-    block-sized temporary, so a batch's snapshots after its first allocate
+    the run's snapshot has alone.  Every other block-sized temporary comes
+    from ``batch.work``, so a batch's snapshots after its first allocate
     no block; the marginals and sums come back as arrays of their own.
     """
-    count, num_visible = batch.X.shape
-    num_hidden = batch.num_hidden
-    h1 = work("measure.h1", (len(rngs), num_hidden, count))
-    probe = work("measure.probe", (len(rngs), num_hidden + 1, count))
-    Y = work("measure.y", (len(rngs), num_visible + 1, count))
-    probe[:, 0] = Y[:, -1] = 1.0
-    skipped = count * num_visible + (config.training.n - 1) * count * (num_hidden + num_visible)
+    count = batch.X.shape[0]
+    h1, probe, Y, work = batch.h_model, batch.hidden, batch.visible, batch.work
+    skipped = config.training.n * batch.uniforms.shape[-1] - h1[0].size
     for rng, u, u_probe in zip(rngs, h1, probe[:, 1:], strict=True):
         rng.random(out=u)
         rng.bit_generator.advance(skipped)
@@ -234,10 +227,9 @@ def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarr
     )
     results = [RunResult(seed=config.base_seed + k, series=[], final_params=None) for k in run_indices]
     live = list(range(len(run_indices)))  # the batch's runs, as positions in run_indices
-    work = Workspace()
 
     def snapshot(epoch: int) -> None:
-        measured = _measure(batch, config, [streams[i][2] for i in live], epoch, work)
+        measured = _measure(batch, config, [streams[i][2] for i in live], epoch)
         for i, record in zip(live, measured):
             results[i].series.append(record)
 
@@ -364,8 +356,8 @@ def detect_peak(series: list[MetricsRecord], metric: str, window: int = 1) -> Pe
     return PeakReport(epoch_of_max=series[i].epoch, max_value=float(smoothed[i]))
 
 
-# Rounds of the sampler's chain run per run_gibbs_chain call: its uniforms
-# and draws for a bs or lse model take about 50 KB.
+# Rounds of the sampler's chain run per run_gibbs_chain call: a segment
+# holds its float uniforms (49 KB on bs, 59 KB on lse) and bool draws (5 KB).
 _SEGMENT_ROUNDS = 256
 
 
@@ -383,11 +375,11 @@ def generate_samples(
     in segments of ``_SEGMENT_ROUNDS`` rounds, burn-in included, each one
     ``run_gibbs_chain`` call that draws its rounds' uniforms at once.  The
     segments share that function's two caches of conditional means, so
-    each stored state's mean is computed once per call.  Each segment's
-    draws come back as 0.0 and 1.0.
-    The samples are those of one long chain that computes every mean, bit
-    for bit, while one segment is held at a time, whatever the burn-in.
-    Returns a (count, V) float matrix of 0s and 1s.
+    each stored state's mean is computed once per call.  The samples are
+    those of one long chain that computes every mean, bit for bit, while
+    one segment is held at a time, whatever the burn-in.  Returns a
+    (count, V) float matrix of 0s and 1s, cast from the chain's bool draws
+    as they are copied in.
 
     On a well-trained model the chain mixes slowly, so its thinned draws
     are correlated: on bs run 0 at epoch 9700, at burn-in 1000 and thin
@@ -401,7 +393,8 @@ def generate_samples(
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     if thin < 1:
         raise ValueError(f"thin must be >= 1, got {thin}")
-    x = sample_bernoulli(0.5, rng.random(params.num_visible))
+    x = np.ones(params.num_visible + 1, dtype=bool)
+    sample_bernoulli(0.5, rng.random(params.num_visible), out=x[:-1])
     samples = np.empty((count, params.num_visible))
     total = burn_in + count * thin
     done = emitted = 0  # rounds run and samples emitted so far
@@ -411,7 +404,7 @@ def generate_samples(
         visibles = run_gibbs_chain(params, x, rounds, rng, means, hidden_means)
         # the next sample is the visible draw of round burn_in + (emitted + 1) * thin
         picked = visibles[burn_in + (emitted + 1) * thin - 1 - done :: thin]
-        samples[emitted : emitted + len(picked)] = picked
+        samples[emitted : emitted + len(picked)] = picked[:, :-1]
         emitted += len(picked)
         done += rounds
         x = visibles[-1].copy()

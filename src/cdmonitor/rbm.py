@@ -338,17 +338,11 @@ _CACHED_MEANS = 2048
 
 
 def run_gibbs_chain(
-    params: RbmParams,
-    x1: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    means: dict | None = None,
-    hidden_means: dict | None = None,
+    params: RbmParams, x: np.ndarray, n: int, rng: np.random.Generator, means: dict, hidden_means: dict
 ) -> np.ndarray:
-    """Run n rounds of block Gibbs sampling from one visible vector x1 of
-    shape (V,) and 0s and 1s; returns the visible draws x_2, ..., x_{n+1}
-    as an (n, V) float array of 0s and 1s.  Any other x1 raises before a
-    uniform is drawn.
+    """Run n rounds of block Gibbs sampling from one visible state, a bool
+    [x; 1] of shape (V+1,); returns the visible draws x_2, ..., x_{n+1} as
+    the rows of an (n, V+1) bool array [x; 1].
 
     Each round draws a binary h from P(h|x) and then a binary x from P(x|h);
     conditional means are never substituted for samples inside the chain.
@@ -357,11 +351,10 @@ def run_gibbs_chain(
     draw gives, in the same order (a round's H hidden, then its V visible
     ones).  Each round thresholds its slice with ``sample_bernoulli`` into
     bool buffers holding the always-on units, an (H+1,) [1; h] and row k
-    of an (n, V+1) [x; 1], which go to the means as they are; the draws
-    are cast to float once, on return.
+    of the returned draws, which go to the means as they are.
 
     E[x|h] depends only on the binary draw h, and E[h|x] only on the
-    vector x the round starts from (x1, then the previous visible draw).
+    state x the round starts from (x, then the previous visible draw).
     A chain revisits both: one of 51000 rounds on an lse model (H = 10)
     visits at most 2^10 = 1024 hidden states, and one on a bs model trained
     2000 epochs visits under 1800 visible states.  So ``means`` maps the
@@ -371,23 +364,12 @@ def run_gibbs_chain(
     x, and a round whose h or x is there thresholds the stored mean.  Each
     stored mean comes from that call on the same 0/1 vector, so the draws
     are bit for bit those of a chain that computes every mean.  Successive
-    calls may share the dicts; without them, the call keeps its own.  Each
-    dict stores the first ``_CACHED_MEANS`` states the chain visits; past
-    that a new state's mean is computed on each visit, and not stored.  The
-    overflow of saturated sigmoids is silenced once around all rounds.
+    calls may share the dicts, each of which stores the first
+    ``_CACHED_MEANS`` states the chain visits; past that a new state's mean
+    is computed on each visit, and not stored.  The overflow of saturated
+    sigmoids is silenced once around all rounds.
     """
-    if n < 1:
-        raise ValueError(f"chain length n must be >= 1, got {n}")
-    x1 = np.asarray(x1, dtype=np.float64)
     H, V = params.num_hidden, params.num_visible
-    if x1.shape != (V,):
-        raise DimensionMismatchError(f"x1 has shape {x1.shape}, expected ({V},)")
-    x = np.ones(V + 1, dtype=bool)
-    np.equal(x1, 1.0, out=x[:V])
-    if not (x[:V] | (x1 == 0.0)).all():
-        raise ValueError("x1 must hold only 0s and 1s")
-    means = {} if means is None else means
-    hidden_means = {} if hidden_means is None else hidden_means
     uniforms = rng.random((n, H + V))
     h = np.ones(H + 1, dtype=bool)
     h_draw = h[1:]
@@ -409,4 +391,4 @@ def run_gibbs_chain(
                     means[key] = x_mean
             key = sample_bernoulli(x_mean, u_x, out=x_draw).tobytes()
             x = x_next
-    return visibles[:, :V].astype(np.float64)
+    return visibles

@@ -23,6 +23,7 @@ from .rbm import (
     DimensionMismatchError,
     NonFiniteParameterError,
     RbmParams,
+    Workspace,
     _negate_operands,
     hidden_conditional_mean,
     sample_bernoulli,
@@ -90,7 +91,9 @@ class RunBatch:
     one buffer: a round thresholds each before it writes the other.
     ``h_data_current`` is True while ``h_data`` holds E[h|X] at the current
     parameters, as a snapshot leaves it for the next epoch's positive
-    phase; ``apply_update`` clears it.
+    phase; ``apply_update`` clears it.  Between epochs a snapshot borrows
+    ``h_model``, ``hidden`` and ``visible``, which an epoch writes before it
+    reads, and its scratch is ``work``, the batch's own ``Workspace``.
     """
 
     def __init__(self, params: Sequence[RbmParams], X: np.ndarray, rngs: Sequence[np.random.Generator]) -> None:
@@ -125,6 +128,7 @@ class RunBatch:
         self.hidden, self.visible = self.draws[:, : H + 1], self.draws[:, H + 1 :]
         self.uniforms = self.draws.reshape(R, -1)[:, N:-N]
         self.finite = np.empty(self.theta.shape, dtype=bool)
+        self.work = Workspace()
         for a in (self.X1, self.XT1, self.weights, self.neg_hidden, self.neg_visible):
             a.setflags(write=False)
 

@@ -16,8 +16,9 @@ of the Gibbs chain, the sampler and an epoch's draws
 call per draw, as the package did before it drew all of a chain's
 uniforms in one call.  The chain also takes a batch of start vectors,
 computes every visible mean and keeps all of its samples in a
-``GibbsChain``; the package's chain is the sampler's, from one start
-vector, with a cache of visible means, returning the visible draws.
+``GibbsChain``; the package's chain is the sampler's, from one bool
+[x; 1] start state, with caches of both means, returning the visible
+draws as bool [x; 1] rows.
 Unlike ``oracles.py`` they share code with the package: agreement shows
 that the batched paths combine the primitives correctly, not that the
 primitives themselves are right.  The energy, the
@@ -55,7 +56,7 @@ from cdmonitor.experiment import ExperimentConfig, ExperimentError, _measure, bu
 from cdmonitor.rbm import (
     DimensionMismatchError,
     RbmParams,
-    fresh,
+    Workspace,
     hidden_conditional_mean,
     log_unnormalized_marginal,
     sample_bernoulli,
@@ -89,6 +90,11 @@ def hidden_block(h: np.ndarray) -> np.ndarray:
     block = np.ones((*rows.shape[:-2], rows.shape[-1] + 1, rows.shape[-2]))
     block[..., 1:, :] = rows.mT
     return block[..., 0] if h.ndim == 1 else block
+
+
+def chain_start(x) -> np.ndarray:
+    """The bool [x; 1] start state ``rbm.run_gibbs_chain`` takes, of a 0/1 (V,) vector."""
+    return visible_block(x).astype(bool)
 
 
 def _rows(block: np.ndarray) -> np.ndarray:
@@ -237,11 +243,14 @@ def measure_one(
     config: ExperimentConfig,
     rng: np.random.Generator,
     epoch: int,
-    work=fresh,
+    work: Workspace | None = None,
 ) -> MetricsRecord:
-    """``_measure`` on a one-run batch: the run's record."""
+    """``_measure`` on a one-run batch, with ``work`` installed as the
+    batch's workspace if given: the run's record."""
     batch = RunBatch([params], X, [np.random.default_rng(0)])
-    (record,) = _measure(batch, config, [rng], epoch, work)
+    if work is not None:
+        batch.work = work
+    (record,) = _measure(batch, config, [rng], epoch)
     return record
 
 

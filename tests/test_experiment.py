@@ -329,7 +329,7 @@ class TestMeasure:
     @pytest.mark.parametrize("dataset", ["bs", "lse"])
     def test_stacked_snapshot_is_each_run_s_full_chain_snapshot(self, n, dataset):
         # three runs with different parameters, measured together twice
-        # through one workspace: each run's record has the bits of its
+        # through the batch's workspace: each run's record has the bits of its
         # full-chain snapshot alone, and each generator ends where drawing
         # that run's whole chain and probe uniforms leaves it
         cfg = default_config(
@@ -342,9 +342,8 @@ class TestMeasure:
         params = [init_params(V, H, np.random.default_rng(r), std) for r, std in enumerate((0.01, 1.0, 2.5))]
         batch = RunBatch(params, X, [np.random.default_rng(0) for _ in params])
         rngs, twins, oracle_rngs = ([np.random.default_rng(30 + r) for r in range(3)] for _ in range(3))
-        work = Workspace()
         for epoch in (0, 50):
-            got = experiment._measure(batch, cfg, rngs, epoch, work)
+            got = experiment._measure(batch, cfg, rngs, epoch)
             assert got == [measure_full_chain(p, X, cfg, g, epoch) for p, g in zip(params, oracle_rngs)]
             for rng, twin in zip(rngs, twins):
                 twin.random(n * N * (H + V) + N * H)
@@ -388,10 +387,11 @@ class TestMeasure:
 
     @pytest.mark.parametrize("dataset, runs", [("bs", 10), ("lse", 1)])
     def test_second_snapshot_allocates_no_array(self, dataset, runs):
-        # every block-sized temporary comes from the workspace, which hands
-        # the second snapshot only arrays it handed the first, though the
-        # marginal serves the data and log_partition's blocks in different
-        # shapes; the per-sample sums and totals are new arrays each call
+        # every block-sized temporary comes from the batch's workspace, which
+        # hands the second snapshot only arrays it handed the first, though
+        # the marginal serves the data and log_partition's blocks in
+        # different shapes; the per-sample sums and totals are new arrays
+        # each call
         handed_out = []
 
         class RecordingWorkspace(Workspace):
@@ -404,12 +404,33 @@ class TestMeasure:
         params = [init_params(X.shape[1], cfg.hidden, np.random.default_rng(r), 0.5) for r in range(runs)]
         batch = RunBatch(params, X, [np.random.default_rng(0)] * runs)
         rngs = [np.random.default_rng(40 + r) for r in range(runs)]
-        work = RecordingWorkspace()
-        experiment._measure(batch, cfg, rngs, 0, work)
+        batch.work = RecordingWorkspace()
+        experiment._measure(batch, cfg, rngs, 0)
         first = len(handed_out)
-        experiment._measure(batch, cfg, rngs, 50, work)
+        experiment._measure(batch, cfg, rngs, 50)
         assert len(handed_out) == 2 * first
         assert {id(a) for a in handed_out[first:]} <= {id(a) for a in handed_out[:first]}
+
+    def test_warm_measured_run_peak_memory(self):
+        # the snapshot draws and reconstructs its probes in the batch's own
+        # blocks and takes its scratch from the batch's workspace, so a warm
+        # lse run measured every epoch with every probe peaks under 1.65 MB
+        # (about 1.53 MB; separate h1, probe and Y blocks add 0.25 MB)
+        cfg = default_config(
+            "lse",
+            num_runs=1,
+            training=TrainingConfig(epochs=3, measure_every=1),
+            variants_enabled=tuple(XiVariant),
+        )
+        X = experiment.build_dataset(cfg).matrix()
+        experiment.run_single(cfg, [0], X)  # fills the cache of enumerated states
+        tracemalloc.start()
+        try:
+            experiment.run_single(cfg, [0], X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_650_000
 
 
 class TestBatchPlan:
@@ -491,15 +512,37 @@ class TestBatchPlan:
 
 
 class TestTrainParamsToEpoch:
-    def test_full_horizon_matches_run_final_params(self):
-        # measurement draws come from a separate stream, so re-training
-        # without measuring lands on bit-identical parameters
-        cfg = tiny_bs_config(num_runs=1)
+    @staticmethod
+    def assert_replay_matches(cfg):
         (result,) = run_experiment(cfg)
         replay = train_params_to_epoch(cfg, 0, cfg.training.epochs)
         np.testing.assert_array_equal(replay.W, result.final_params.W)
         np.testing.assert_array_equal(replay.b, result.final_params.b)
         np.testing.assert_array_equal(replay.c, result.final_params.c)
+
+    def test_full_horizon_matches_run_final_params(self):
+        # measurement draws come from a separate stream, so re-training
+        # without measuring lands on bit-identical parameters
+        self.assert_replay_matches(tiny_bs_config(num_runs=1))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            tiny_bs_config(num_runs=1, training=TrainingConfig(n=2, epochs=100, measure_every=1)),
+            default_config(
+                "lse",
+                num_runs=1,
+                training=TrainingConfig(epochs=10, measure_every=1),
+                variants_enabled=tuple(XiVariant),
+            ),
+        ],
+        ids=["bs-cd2", "lse"],
+    )
+    def test_measured_every_epoch_matches_run_final_params(self, cfg):
+        # a snapshot borrows the batch's draws and hidden means between
+        # epochs, h_model among them, which CD-2 also uses inside an epoch:
+        # a run measured every epoch still lands on its unmeasured replay
+        self.assert_replay_matches(cfg)
 
     def test_epoch_out_of_range(self):
         with pytest.raises(ValueError):
@@ -650,10 +693,11 @@ class TestGenerateSamples:
         params = RbmParams(rng.normal(size=(8, 16)), rng.normal(size=16), rng.normal(size=8))
         got = generate_samples(params, count, burn_in, thin, np.random.default_rng(3))
         full_rng = np.random.default_rng(3)
-        x0 = sample_bernoulli(0.5, full_rng.random(16))
-        visibles = run_gibbs_chain(params, x0, burn_in + count * thin, full_rng)
-        want = visibles[[burn_in + thin * k - 1 for k in range(1, count + 1)]]
-        np.testing.assert_array_equal(got, want)
+        x0 = np.ones(17, dtype=bool)
+        sample_bernoulli(0.5, full_rng.random(16), out=x0[:-1])
+        visibles = run_gibbs_chain(params, x0, burn_in + count * thin, full_rng, {}, {})
+        want = visibles[[burn_in + thin * k - 1 for k in range(1, count + 1)], :-1].astype(np.float64)
+        assert got.tobytes() == want.tobytes()
 
     SEGMENT = experiment._SEGMENT_ROUNDS
 

@@ -28,6 +28,7 @@ from cdmonitor.training import RunBatch, TrainingConfig, init_params, train_epoc
 
 import oracles
 from reference import (
+    chain_start,
     hidden_block,
     hidden_mean,
     log_marginal,
@@ -203,15 +204,16 @@ class TestNoOverflowWarnings:
     def test_gibbs_chain(self):
         # the hidden draw is always (0, 1, 0), the visible one (1, 0, 1, 0)
         means = {}
-        visibles = run_gibbs_chain(saturated_params(), binary_rows(1, 4)[0], 3, np.random.default_rng(0), means)
+        start = chain_start(binary_rows(1, 4)[0])
+        visibles = run_gibbs_chain(saturated_params(), start, 3, np.random.default_rng(0), means, {})
         assert list(means) == [np.array([0, 1, 0], dtype=bool).tobytes()]
-        np.testing.assert_array_equal(visibles, np.tile([1.0, 0.0, 1.0, 0.0], (3, 1)))
+        np.testing.assert_array_equal(visibles, np.tile([True, False, True, False, True], (3, 1)))
 
     def test_gibbs_chain_keeps_one_hidden_mean_per_visible_state(self):
         # the rounds start from x1 and then from (1, 0, 1, 0) every time
         x1 = np.array([0.0, 1.0, 1.0, 0.0])
         hidden_means = {}
-        run_gibbs_chain(saturated_params(), x1, 4, np.random.default_rng(0), hidden_means=hidden_means)
+        run_gibbs_chain(saturated_params(), chain_start(x1), 4, np.random.default_rng(0), {}, hidden_means)
         assert list(hidden_means) == [x1.astype(bool).tobytes(), np.array([1, 0, 1, 0], dtype=bool).tobytes()]
         assert all(m.tolist() == [0.0, 1.0, 0.0] for m in hidden_means.values())
 
@@ -285,8 +287,10 @@ def test_gibbs_chain_consumes_n_rounds_of_h_plus_v_uniforms(batch):
     # reference's, the CD-n chain measure_full_chain draws
     n, V, H = 4, 5, 3
     rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-    x1 = np.zeros((*batch, V))
-    (run_gibbs_chain_per_round if batch else run_gibbs_chain)(zero_params(V, H), x1, n, rng)
+    if batch:
+        run_gibbs_chain_per_round(zero_params(V, H), np.zeros((*batch, V)), n, rng)
+    else:
+        run_gibbs_chain(zero_params(V, H), chain_start(np.zeros(V)), n, rng, {}, {})
     twin.random(n * int(np.prod(batch)) * (H + V))
     assert rng.bit_generator.state == twin.bit_generator.state
 

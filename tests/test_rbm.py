@@ -16,7 +16,7 @@ from cdmonitor.rbm import (
 )
 
 import oracles
-from reference import energy, run_gibbs_chain_per_round, unnormalized_marginal, zero_params
+from reference import chain_start, energy, run_gibbs_chain_per_round, unnormalized_marginal, zero_params
 from test_roundtrips import PROPERTY
 from test_training import count_calls
 
@@ -298,40 +298,25 @@ class TestSampleBernoulli:
 
 
 class TestGibbsChain:
-    """The sampler's single-vector chain; the batched chain is the reference's."""
+    """The sampler's single-vector chain, from a bool [x; 1] start state;
+    the batched chain is the reference's."""
 
     def test_saturated_hidden_units(self):
         # every hidden draw is all ones, so the chain caches one visible mean
         p = RbmParams(np.zeros((3, 4)), np.zeros(4), np.full(3, 50.0))
         means = {}
-        run_gibbs_chain(p, np.zeros(4), 5, np.random.default_rng(3), means)
+        run_gibbs_chain(p, chain_start([0, 0, 0, 0]), 5, np.random.default_rng(3), means, {})
         assert list(means) == [np.ones(3, dtype=bool).tobytes()]
 
     def test_length_contract(self):
-        p = tiny_params()
-        visibles = run_gibbs_chain(p, np.array([1.0, 0.0]), 1, np.random.default_rng(4))
-        assert visibles.shape == (1, 2)
-        with pytest.raises(ValueError):
-            run_gibbs_chain(p, np.array([1.0, 0.0]), 0, np.random.default_rng(4))
-
-    @pytest.mark.parametrize("shape", [(3, 2), (1, 2), (3,), ()])
-    def test_start_must_be_one_visible_vector(self, shape):
-        rng = np.random.default_rng(4)
-        with pytest.raises(DimensionMismatchError):
-            run_gibbs_chain(tiny_params(), np.zeros(shape), 2, rng)
-        assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
-
-    @pytest.mark.parametrize("x1", [[0.5, 0.0], [1.0, 2.0], [-1.0, 0.0], [np.nan, 1.0]])
-    def test_start_must_be_binary(self, x1):
-        rng = np.random.default_rng(4)
-        with pytest.raises(ValueError, match="0s and 1s"):
-            run_gibbs_chain(tiny_params(), np.array(x1), 2, rng)
-        assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+        visibles = run_gibbs_chain(tiny_params(), chain_start([1, 0]), 1, np.random.default_rng(4), {}, {})
+        assert visibles.shape == (1, 3)
 
     def test_samples_are_binary(self):
-        p = tiny_params()
-        visibles = run_gibbs_chain(p, np.array([1.0, 0.0]), 7, np.random.default_rng(5))
-        assert np.isin(visibles, (0.0, 1.0)).all()
+        # bool [x; 1] rows, the always-on unit set in each
+        visibles = run_gibbs_chain(tiny_params(), chain_start([1, 0]), 7, np.random.default_rng(5), {}, {})
+        assert visibles.dtype == bool
+        assert visibles[:, -1].all()
 
     def test_one_step_transition_distribution(self):
         # empirical P(x2 | x1) vs the enumerated kernel, total variation <= 0.02
@@ -363,7 +348,7 @@ class TestGibbsChain:
     def test_every_draw_goes_through_sample_bernoulli(self, monkeypatch, n):
         calls = count_calls(monkeypatch, "sample_bernoulli")
         p = RbmParams(*oracles.random_params(np.random.default_rng(8), 5, 3))
-        run_gibbs_chain(p, np.zeros(5), n, np.random.default_rng(9))
+        run_gibbs_chain(p, chain_start(np.zeros(5)), n, np.random.default_rng(9), {}, {})
         assert calls == [(3,), (5,)] * n
 
     def test_means_take_the_bool_draws(self, monkeypatch):
@@ -383,18 +368,18 @@ class TestGibbsChain:
         recording("hidden_conditional_mean")
         recording("visible_conditional_mean")
         p = RbmParams(*oracles.random_params(np.random.default_rng(8), 5, 3))
-        got = run_gibbs_chain(p, np.zeros(5), 6, np.random.default_rng(9))
+        got = run_gibbs_chain(p, chain_start(np.zeros(5)), 6, np.random.default_rng(9), {}, {})
         assert {name for name, _, _ in seen} == {"hidden_conditional_mean", "visible_conditional_mean"}
         # [x; 1] and [1; h], with their always-on units
         assert all(dtype == bool and shape in {(4,), (6,)} for _, dtype, shape in seen)
         want = run_gibbs_chain_per_round(p, np.zeros(5), 6, np.random.default_rng(9)).visibles
-        assert got.tobytes() == want.tobytes()
+        assert got[:, :-1].astype(np.float64).tobytes() == want.tobytes()
 
     def test_identical_seeds_identical_chains(self):
         p = tiny_params()
-        x1 = np.array([0.0, 1.0])
-        a = run_gibbs_chain(p, x1, 20, np.random.default_rng(42))
-        b = run_gibbs_chain(p, x1, 20, np.random.default_rng(42))
+        x1 = chain_start([0, 1])
+        a = run_gibbs_chain(p, x1, 20, np.random.default_rng(42), {}, {})
+        b = run_gibbs_chain(p, x1, 20, np.random.default_rng(42), {}, {})
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
@@ -403,15 +388,15 @@ class TestGibbsChain:
         # one generator call for every round's uniforms gives the doubles of
         # one call per draw, in the same order: hidden, then visible, per
         # round; a batch runs one chain per start row in turn, all of them
-        # sharing one generator and one cache of visible means
+        # sharing one generator and both caches
         rng = np.random.default_rng(21)
         p = RbmParams(*oracles.random_params(rng, 6, 4))
         x1 = rng.integers(0, 2, size=(*batch, 6)).astype(np.float64)
         got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-        means = {}
+        means, hidden_means = {}, {}
         for row in x1.reshape(-1, 6):
-            got = run_gibbs_chain(p, row, n, got_rng, means)
+            got = run_gibbs_chain(p, chain_start(row), n, got_rng, means, hidden_means)
             want = run_gibbs_chain_per_round(p, row, n, want_rng).visibles
-            assert got.shape == want.shape == (n, 6)
-            assert got.tobytes() == want.tobytes()
+            assert got.shape == (n, 7) and want.shape == (n, 6)
+            assert got[:, :-1].astype(np.float64).tobytes() == want.tobytes()
         assert got_rng.random() == want_rng.random()
