@@ -98,8 +98,7 @@ class ExperimentConfig:
 def default_config(dataset: str, **overrides) -> ExperimentConfig:
     """Desk-scale config for a dataset; keyword overrides are applied on top."""
     _, hidden, epochs = DATASET_LAYOUTS[dataset]
-    training = overrides.pop("training", None) or TrainingConfig(epochs=epochs)
-    return ExperimentConfig(dataset=dataset, hidden=hidden, training=training, **overrides)
+    return dataclasses.replace(ExperimentConfig(dataset, hidden, TrainingConfig(epochs=epochs)), **overrides)
 
 
 @dataclass
@@ -256,18 +255,17 @@ def run_single(config: ExperimentConfig, run_indices: Sequence[int], X: np.ndarr
     return results
 
 
-# Per-run training memory one RunBatch may hold, about one core's L2
-# cache: a batch of bs runs (30 samples) stacks up to 14 runs, while one
-# lse run (768 samples) alone exceeds it and trains unstacked, since
-# stacking its larger arrays gained nothing.
-BATCH_BYTES = 1 << 18
+# A RunBatch stacks max(1, BATCH_SAMPLES // N) runs of an N-sample training
+# set: 14 bs runs (30 samples), while an lse run (768 samples) trains
+# alone, since stacking lse runs added memory and no steady speed.
+BATCH_SAMPLES = 448
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Iterator[RunResult]:
     """Execute all runs of a sweep, yielding their results in run-index order.
 
     The runs are split into ``jobs`` contiguous groups, each cut into
-    RunBatches of at most BATCH_BYTES, and ``run_single`` runs each batch:
+    RunBatches sized by BATCH_SAMPLES, and ``run_single`` runs each batch:
     in this process at one worker, in a process pool otherwise.  The pool
     stays: it is lse's only parallelism, and on two cores it shortens a
     long bs sweep too (README "Performance").  The pool is handed one
@@ -281,7 +279,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Iterator[RunResul
     output.
     """
     X = build_dataset(config).matrix()
-    size = max(1, BATCH_BYTES // RunBatch.bytes_per_run(*X.shape, config.hidden))
+    size = max(1, BATCH_SAMPLES // len(X))
     runs, workers = config.num_runs, max(1, min(jobs, config.num_runs))
     groups = [range(w * runs // workers, (w + 1) * runs // workers) for w in range(workers)]
     batches = [group[start : start + size] for group in groups for start in range(0, len(group), size)]

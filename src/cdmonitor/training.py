@@ -86,14 +86,14 @@ class RunBatch:
     round's N*(H+V) uniforms fill the rows between, unit by unit, where
     the round's samples replace them; ``uniforms`` (R, N*(H+V)) views
     those rows of each run as one contiguous row.  ``h_data`` (R, H+1, N)
-    is [1; E[h|X]^T], round 1's mean and the positive phase.  ``h_model``
-    (R, H, N), later rounds' hidden means, and ``x_mean`` (R, V, N) share
-    one buffer: a round thresholds each before it writes the other.
-    ``h_data_current`` is True while ``h_data`` holds E[h|X] at the current
-    parameters, as a snapshot leaves it for the next epoch's positive
-    phase; ``apply_update`` clears it.  Between epochs a snapshot borrows
-    ``h_model``, ``hidden`` and ``visible``, which an epoch writes before it
-    reads, and its scratch is ``work``, the batch's own ``Workspace``.
+    is [1; E[h|X]^T], round 1's mean and the positive phase; ``h_model``
+    (R, H, N) holds later rounds' hidden means and ``x_mean`` (R, V, N) the
+    visible ones.  ``h_data_current`` is True while ``h_data`` holds E[h|X]
+    at the current parameters, as a snapshot leaves it for the next epoch's
+    positive phase; ``apply_update`` clears it.  Between epochs a snapshot
+    borrows ``h_model``, ``hidden`` and ``visible``, which an epoch writes
+    before it reads, and its scratch is ``work``, the batch's own
+    ``Workspace``.
     """
 
     def __init__(self, params: Sequence[RbmParams], X: np.ndarray, rngs: Sequence[np.random.Generator]) -> None:
@@ -122,8 +122,7 @@ class RunBatch:
         self.neg_hidden, self.neg_visible = (a.view() for a in self._operands)
         self.h_data = np.ones((R, H + 1, N))
         self.h_data_current = False
-        means = np.empty(R * max(H, V) * N)
-        self.h_model, self.x_mean = means[: R * H * N].reshape(R, H, N), means[: R * V * N].reshape(R, V, N)
+        self.h_model, self.x_mean = np.empty((R, H, N)), np.empty((R, V, N))
         self.draws = np.ones((R, H + V + 2, N))
         self.hidden, self.visible = self.draws[:, : H + 1], self.draws[:, H + 1 :]
         self.uniforms = self.draws.reshape(R, -1)[:, N:-N]
@@ -131,14 +130,6 @@ class RunBatch:
         self.work = Workspace()
         for a in (self.X1, self.XT1, self.weights, self.neg_hidden, self.neg_visible):
             a.setflags(write=False)
-
-    @staticmethod
-    def bytes_per_run(N: int, V: int, H: int) -> int:
-        """Memory one run adds to a batch on an (N, V) training matrix with H
-        hidden units: its ``theta``, ``grad``, ``product``, negated operands,
-        the epoch's workspace and the bool ``finite``."""
-        P = (H + 1) * (V + 1)
-        return 8 * (3 * P + H * (V + 1) + V * (H + 1) + (H + 1 + max(H, V) + H + V + 2) * N) + P
 
     def params(self, r: int) -> RbmParams:
         """A copy of run r's parameters."""

@@ -91,6 +91,12 @@ class TestExperimentConfig:
             default_config("mnist")
         assert str(raised.value) == "dataset must be one of ['bs', 'lse'], got 'mnist'"
 
+    def test_default_config_applies_its_overrides(self):
+        training = TrainingConfig(epochs=7)
+        cfg = default_config("lse", hidden=12, training=training, num_runs=3)
+        assert (cfg.dataset, cfg.hidden, cfg.training, cfg.num_runs) == ("lse", 12, training, 3)
+        assert (default_config("lse").hidden, default_config("lse").training) == (10, TrainingConfig(epochs=20000))
+
     def test_required_variants(self):
         with pytest.raises(ValueError):
             tiny_bs_config(variants_enabled=(XiVariant.RANDOM_HIDDEN,))
@@ -488,9 +494,9 @@ class TestBatchPlan:
     )
     def test_plan(self, calls, dataset, runs, jobs, batches):
         # jobs contiguous groups (at most one per run), each cut into batches
-        # of BATCH_BYTES: a bs group is one batch, an lse batch one run; the
-        # pool holds one batch per worker, and is handed the next as each
-        # batch's results are read
+        # of BATCH_SAMPLES // N runs: a bs group is one batch, an lse batch
+        # one run; the pool holds one batch per worker, and is handed the
+        # next as each batch's results are read
         cfg = default_config(dataset, num_runs=runs)
         results = list(run_experiment(cfg, jobs=jobs))
         assert calls["batches"] == batches
@@ -499,6 +505,10 @@ class TestBatchPlan:
         full = min(workers, len(batches))
         assert calls["held"] == ([] if jobs == 1 else [*range(1, full + 1), *[full] * (len(batches) - full)])
         assert [r.seed for r in results] == [cfg.base_seed + k for k in range(runs)]
+
+    def test_plan_does_not_depend_on_the_hidden_size(self, calls):
+        list(run_experiment(default_config("bs", num_runs=10, hidden=64)))
+        assert calls["batches"] == [list(range(10))]
 
     def test_closing_early_leaves_no_worker(self):
         cfg = default_config(
