@@ -106,22 +106,17 @@ def mean_reconstruction_log_prob(params: RbmParams, signs: np.ndarray, h_mean: n
 
 def _binary_block(num_bits: int, start: int, stop: int) -> np.ndarray:
     """States start..stop-1 of the full 2^num_bits enumeration as the
-    unit-major block [s^T; 1], (num_bits+1, rows) and C-contiguous; bit j
-    of state k is row j of column k."""
+    read-only unit-major block [s^T; 1], (num_bits+1, rows) and
+    C-contiguous; bit j of state k is row j of column k."""
     idx = np.arange(start, stop, dtype=np.uint64)
     block = np.ones((num_bits + 1, stop - start))
     np.bitwise_and(idx >> np.arange(num_bits, dtype=np.uint64)[:, None], 1, out=block[:-1], casting="unsafe")
+    block.setflags(write=False)
     return block
 
 
-@functools.lru_cache(maxsize=1)
-def _all_states(num_bits: int) -> np.ndarray:
-    """The whole 2^num_bits enumeration as one read-only block, kept for the
-    next call.  Only enumerations of one block (at most _CHUNK_BITS bits) are
-    cached, so the cache holds at most 2^16 states."""
-    states = _binary_block(num_bits, 0, 1 << num_bits)
-    states.setflags(write=False)
-    return states
+# log_partition's state blocks
+_cached_block = functools.lru_cache(maxsize=1)(_binary_block)
 
 
 def _logsumexp(v: np.ndarray) -> np.ndarray:
@@ -133,22 +128,24 @@ def _logsumexp(v: np.ndarray) -> np.ndarray:
 
 
 def log_partition(params: RbmParams, work=fresh):
-    """log Z by exhaustive enumeration over the smaller layer: the log-sum-exp
-    of ``log_unnormalized_marginal`` over its states, which sums the other
-    layer out in closed form.  The hidden layer (on a tie too) goes through
-    the model with its layers swapped, whose theta is theta^T with both
-    axes reversed, [[c', 0], [W'^T, b']] for c, W and b with their units in
-    reverse order: its marginal at h is c.h + sum_i softplus(b_i + (W^T
-    h)_i), and the reversal only renames the states enumerated.  The
-    states come as unit-major blocks [s^T; 1] of M states.  Enumeration
-    runs in fixed-order blocks so the reduction is bit-reproducible; a
-    layer that fits one block reuses its states from the previous call.  A
-    stack of R models gives a new (R,) array, each model's blocks reduced
-    along the last axis as one model's are; the models go through in groups
-    small enough that a block's temporaries hold at most _STACK_ELEMENTS
-    values, or one model's block.  More than ENUMERATION_LIMIT_BITS units
-    in the smaller layer raise ``EnumerationInfeasibleError``.  ``work`` is
-    a ``Workspace`` for the per-block temporaries.
+    """log Z by exhaustive enumeration over the smaller layer (the hidden
+    one on a tie): the log-sum-exp of ``log_unnormalized_marginal`` over
+    its states, which sums the other layer out in closed form.  The hidden
+    layer goes through the model with its layers swapped, theta^T with both
+    axes reversed, whose marginal at h is c.h + sum_i softplus(b_i + (W^T
+    h)_i); the reversal only renames the states enumerated.
+
+    One model gives a float, and a stack of R models a new (R,) array of
+    each model's own bits.  The states come in read-only unit-major blocks
+    [s^T; 1] of at most 2^_CHUNK_BITS states, each built once per call and
+    reduced in a fixed order; the models go through each block in groups
+    whose temporaries hold at most _STACK_ELEMENTS values, or one model's
+    block.  The last block built stays cached for the next call: the whole
+    enumeration at _CHUNK_BITS bits or fewer, else 2^16 states (13.6 MB at
+    25 bits; no shipped workload enumerates more than 10).  More than
+    ENUMERATION_LIMIT_BITS units in the smaller layer raise
+    ``EnumerationInfeasibleError``.  ``work`` is a ``Workspace`` for the
+    per-block temporaries.
     """
     theta = params.theta
     if params.num_hidden <= params.num_visible:
@@ -159,21 +156,13 @@ def log_partition(params: RbmParams, work=fresh):
             f"the smaller layer has {bits} units, exact enumeration capped at "
             f"{ENUMERATION_LIMIT_BITS}"
         )
-    total = 1 << bits
+    models = theta.reshape(-1, *theta.shape[-2:])
     block = 1 << min(bits, _CHUNK_BITS)
-
-    def enumerate_blocks(model):
-        partials = []
-        for start in range(0, total, block):
-            states = _all_states(bits) if block == total else _binary_block(bits, start, start + block)
-            partials.append(_logsumexp(log_unnormalized_marginal(model, states, work)))
-        # one block's partial is already log Z: log-sum-exp of one value returns it
-        return partials[0] if len(partials) == 1 else _logsumexp(np.stack(partials, axis=-1))
-
     group = max(1, _STACK_ELEMENTS // (block * theta.shape[-2]))
-    if theta.ndim == 2 or len(theta) <= group:
-        return _item(enumerate_blocks(theta))
-    lz = np.empty(len(theta))
-    for g in range(0, len(theta), group):
-        lz[g : g + group] = enumerate_blocks(theta[g : g + group])
-    return lz
+    lz = np.empty((len(models), (1 << bits) // block))  # each block's log-sum-exp per model
+    for k in range(lz.shape[1]):
+        states = _cached_block(bits, k * block, (k + 1) * block)
+        for g in range(0, len(models), group):
+            lz[g : g + group, k] = _logsumexp(log_unnormalized_marginal(models[g : g + group], states, work))
+    # one block's log-sum-exp is already log Z
+    return _item((lz[:, 0] if lz.shape[1] == 1 else _logsumexp(lz)).reshape(theta.shape[:-2]))

@@ -274,7 +274,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Iterator[RunResul
     waits in its queue, where a shutdown cannot cancel it: closing the
     iterator early waits only for the batches running then.  The pool is
     shut down on every way out; a worker that ends abruptly breaks it and
-    raises WorkerLostError, naming the runs in the pool then.  A run's
+    raises WorkerLostError, naming the runs in the pool then.  The workers
+    ignore SIGINT, so a Ctrl-C is one KeyboardInterrupt in this process,
+    which ends the workers before it propagates.  A run's
     result does not depend on its batch or worker, so ``jobs`` changes no
     output.
     """
@@ -287,9 +289,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Iterator[RunResul
         for batch in batches:
             yield from run_single(config, batch, X)
         return
+    import multiprocessing
+    import signal
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # costly to import; only sweeps use it
 
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
     running = []  # (batch, future) of each batch in the pool, in order
     try:
         for k, batch in enumerate(batches):
@@ -302,6 +306,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Iterator[RunResul
     except BrokenExecutor:
         lost = [r for batch, _ in running for r in batch]
         raise WorkerLostError(f"a worker process ended abruptly while the pool held runs {lost}") from None
+    except KeyboardInterrupt:
+        for worker in multiprocessing.active_children():  # so the shutdown waits for no batch
+            worker.terminate()
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -8,6 +8,8 @@ import re
 import signal
 import subprocess
 import sys
+import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,24 @@ def kill_own_worker(config, run_indices, X):
     """A ``run_single`` whose process dies at once, as a killed pool worker
     does (module level, so that the pool can pickle it)."""
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def interrupt_batch_0(config, run_indices, X):
+    """A ``run_single`` interrupted at once in batch [0], whose other
+    batches outlast any test (module level, so that the pool can pickle
+    it)."""
+    if run_indices[0] == 0:
+        raise KeyboardInterrupt
+    time.sleep(60)
+
+
+def _group_alive(pgid):
+    """Whether any process is left in process group ``pgid``."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def write_config(tmp_path, **overrides):
@@ -350,6 +370,72 @@ class TestTrainCommand:
         rc = main(["train", "--config", str(config), "--out", str(tmp_path / "o"), "--jobs", "1"])
         assert rc == 130
         assert capfd.readouterr().err.splitlines() == ["interrupted"]
+
+    def test_interrupt_at_two_jobs_ends_the_running_batch(self, tmp_path, monkeypatch, capfd):
+        # batch [0]'s interrupt reaches run_experiment while batch [1] runs:
+        # the sweep ends its worker rather than wait a minute for it
+        monkeypatch.setattr(experiment, "run_single", interrupt_batch_0)
+        config = write_config(tmp_path)
+        start = time.monotonic()
+        rc = main(["train", "--config", str(config), "--out", str(tmp_path / "o"), "--jobs", "2"])
+        assert time.monotonic() - start < 30
+        assert rc == 130
+        assert capfd.readouterr().err.splitlines() == ["interrupted"]
+
+    def test_ctrl_c_with_a_waiting_worker_exits_130(self, tmp_path):
+        # a Ctrl-C reaches the whole process group while one worker runs
+        # batch [1] and the other, done with batch [0], waits for a task:
+        # neither prints a traceback, and none outlives the sweep
+        script = textwrap.dedent(
+            """
+            import pathlib, sys, time
+            import cdmonitor.experiment as experiment
+            from cdmonitor.cli import main
+
+            marker = pathlib.Path(sys.argv[1])
+            real_run_single = experiment.run_single
+
+            def run_single(config, run_indices, X):
+                if run_indices[0] == 0:
+                    results = real_run_single(config, run_indices, X)
+                    marker.with_suffix(".run0").touch()
+                    return results
+                while not marker.with_suffix(".run0").exists():
+                    time.sleep(0.01)
+                marker.touch()
+                time.sleep(120)
+
+            experiment.run_single = run_single
+            sys.exit(main(sys.argv[2:]))
+            """
+        )
+        src = str(Path(cli.__file__).parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        marker = tmp_path / "marker"
+        argv = ["train", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o"), "--jobs", "2"]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(marker), *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not marker.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert marker.exists(), proc.poll()
+            time.sleep(0.1)  # the idle worker is back in its wait for a task
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 130
+            assert err.splitlines() == ["interrupted"]
+            deadline = time.monotonic() + 10
+            while _group_alive(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _group_alive(proc.pid)
+        finally:
+            if _group_alive(proc.pid):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
 
 
 class TestSampleCommand:

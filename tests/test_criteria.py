@@ -374,6 +374,22 @@ class TestStackedForms:
         assert got.shape == (3,)
         assert got.tolist() == [log_partition(p) for p in models]
 
+    def test_log_partition_builds_each_block_once(self, monkeypatch):
+        # 17 bits are two blocks of 2^16 states, and the 3 models go through
+        # each block one at a time: 6 marginals on the same 2 state arrays
+        states = []
+        marginal = criteria.log_unnormalized_marginal
+
+        def recorded(theta, x, work):
+            states.append(x)
+            return marginal(theta, x, work)
+
+        monkeypatch.setattr(criteria, "log_unnormalized_marginal", recorded)
+        _, batch = model_stack(18, 17)
+        log_partition(batch)
+        assert len(states) == 6
+        assert len({id(x) for x in states}) == 2
+
     def test_log_partition_takes_a_large_stack_in_groups(self):
         # 3 models of 2^13 hidden states x 16 product rows (15 visible
         # units and the always-on one) exceed _STACK_ELEMENTS together, so

@@ -464,7 +464,7 @@ class TestBatchPlan:
                 return self.value
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 calls["pools"].append(max_workers)
                 self.max_workers, self.held = max_workers, 0
 
