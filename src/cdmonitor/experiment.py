@@ -155,15 +155,16 @@ def _measure(
     round-1 uniforms become draws in one ``sample_bernoulli`` call.
 
     X's hidden pre-activation is computed once: round 1's hidden mean and
-    the data marginal both read it.  That mean, E[h|X], is written into
-    ``batch.h_data`` and marked current, so the next ``train_epoch`` takes
-    it as its positive phase, bit for bit what it would compute.  Round 1's
-    draws go to ``batch.h_model``, every probe h_s to ``batch.hidden`` =
-    [1; h_s^T] and its reconstruction to ``batch.visible`` = [E[x|h_s]^T;
-    1], ones rows kept.  Each ratio diagnostic is the sum over samples of
-    log p~(x_n) - log p~(y_n), not the difference of the two totals, most
-    of which would cancel.  The snapshot enters ``np.errstate(over="ignore")``
-    once, around all of its calls (see ``rbm``).
+    the data marginal both read it.  That mean is written whole, [1;
+    E[h|X]^T], into ``batch.h_data`` and marked current, so the next
+    ``train_epoch`` takes it as its positive phase, bit for bit what it
+    would compute.  Round 1's draws go to rows 1: of ``batch.h_model``,
+    every probe h_s to ``batch.hidden`` = [1; h_s^T] and its reconstruction
+    to ``batch.visible`` = [E[x|h_s]^T; 1], ones rows kept.  Each ratio
+    diagnostic is the sum over samples of log p~(x_n) - log p~(y_n), not
+    the difference of the two totals, most of which would cancel.  The
+    snapshot enters ``np.errstate(over="ignore")`` once, around all of its
+    calls (see ``rbm``).
 
     The runs are measured as one stacked program on (R, ·, N) arrays, read
     from the batch's parameters in place; every per-run value has the bits
@@ -172,7 +173,7 @@ def _measure(
     no block; the marginals and sums come back as arrays of their own.
     """
     count = batch.X.shape[0]
-    h1, probe, Y, work = batch.h_model, batch.hidden, batch.visible, batch.work
+    h1, probe, Y, work = batch.h_model[:, 1:], batch.hidden, batch.visible, batch.work
     skipped = config.training.n * batch.uniforms.shape[-1] - h1[0].size
     for rng, u, u_probe in zip(rngs, h1, probe[:, 1:], strict=True):
         rng.random(out=u)
@@ -188,7 +189,7 @@ def _measure(
         return np.sum(lum_x - log_unnormalized_marginal(batch, Y, work), axis=-1)
 
     with np.errstate(over="ignore"):
-        h1_mean = hidden_conditional_mean(batch, batch.XT1, out=batch.h_data[:, 1:], pre=pre)
+        h1_mean = hidden_conditional_mean(batch, batch.XT1, out=batch.h_data, pre=pre)[:, 1:]
         batch.h_data_current = True
         sample_bernoulli(h1_mean, h1)
         lum_x = log_unnormalized_marginal(batch, batch.XT1, work, pre)

@@ -1,61 +1,55 @@
 """Binary restricted Boltzmann machine: parameters, exact per-configuration
 quantities, and block Gibbs sampling.
 
-The model assigns a configuration (x, h) of binary visible units x and binary
-hidden units h the energy
-
-    E(x, h) = -b.x - c.h - h.W.x
-
-with weights W of shape (hidden, visible) and biases b (visible), c (hidden).
-Because the layers are conditionally independent given each other, both
-P(h|x) and P(x|h) factorize into per-unit sigmoids, and the hidden layer can
-be summed out in closed form.
+A configuration (x, h) of binary visible units x and binary hidden units h
+has the energy E(x, h) = -b.x - c.h - h.W.x, with weights W (hidden,
+visible) and biases b (visible) and c (hidden).  P(h|x) and P(x|h)
+factorize into per-unit sigmoids, and the hidden layer sums out in closed
+form.
 
 Layout.  Each layer has an always-on unit whose weights are the other
-layer's biases, so a model is one (H+1, V+1) matrix
-
-    theta = [[b, 0],
-             [W, c]]
-
-with the hidden always-on unit as row 0 and the visible one as column V;
-the corner theta[0, V] is exactly 0.  A layer enters a product unit-major
-with its always-on unit: visible states as [x^T; 1], (V+1, N), or [x; 1]
-for one state, hidden states as [1; h^T], (H+1, N), or [1; h].  Beside
-theta, each parameter holder keeps the means' negated operands as
-read-only C-contiguous arrays of their own: ``neg_hidden`` = -theta[1:],
-(H, V+1), and ``neg_visible`` = -theta[:, :V]^T, (V, H+1).  A conditional
-mean is one product of an operand with the other layer's block, the
-negated pre-activation with its bias in it, then exp, +1 and reciprocal,
-giving an (H, N) or (V, N) block, or an (H,) or (V,) vector.  An operand
-whose unit axis (the last for a vector, else axis -2) is not the layer's
-size plus one raises ``DimensionMismatchError`` before any product.
+layer's biases, so a model is one (H+1, V+1) matrix theta = [[b, 0], [W,
+c]]: the hidden always-on unit is row 0, the visible one column V, and the
+corner is exactly 0.  A layer enters a product unit-major with its
+always-on unit: visible states as [x^T; 1] (V+1, N) or [x; 1], hidden
+states as [1; h^T] (H+1, N) or [1; h].  Beside theta, each parameter
+holder keeps the means' negated operands, read-only and of their own:
+``hidden_operand`` (H+1, V+1), whose rows 1: are -theta[1:] and whose row
+0, the hidden always-on unit's, is [0, ..., 0, -64]; ``neg_hidden``, the
+view of its rows 1:; and ``neg_visible`` = -theta[:, :V]^T (V, H+1).  A
+conditional mean is one product of an operand with the other layer's
+block, the negated pre-activation with its bias in it, then exp, +1 and
+reciprocal.  On a block whose always-on unit is 1, the always-on row's
+negated pre-activation is exactly -64, and 1/(1 + e^-64) is exactly 1.0:
+e^-64 is a normal double below half an ulp of 1 (see
+``_sigmoid_of_negated``).  So a hidden mean taken with ``hidden_operand``
+is the whole block [1; E[h|x]^T], its ones row included.  A block whose
+unit axis (the last for a vector, else axis -2) is not the layer's size
+plus one raises ``DimensionMismatchError`` before any product.
 
 Stacks.  Every operation but the sampler's Gibbs chain also takes a stack
-of R models in place of one (theta (R, H+1, V+1), ``neg_hidden`` (R, H,
-V+1), ``neg_visible`` (R, V, H+1), as ``training.RunBatch`` holds them),
-with blocks shared by all models or one per model, and gives (R, ·, N)
-results; a single ``RbmParams`` is the case without R.  numpy multiplies
-such stacks one model's matrix at a time, so a stacked model computes the
-bits each of its models computes alone.
+of R models in place of one (theta (R, H+1, V+1) and its operands, as
+``training.RunBatch`` holds them), with blocks shared by all models or one
+per model, and gives (R, ·, N) results.  numpy multiplies a stack one
+model's matrix at a time, so a stacked model computes the bits each of its
+models computes alone; and rows 1: of a block taken with
+``hidden_operand`` have the bits of the block taken with ``neg_hidden``
+(tests check both on the BLAS the golden digests were taken with).
 
 Bits.  Rounding to nearest is symmetric in sign, so a product with a
-negated operand is the negated product bit for bit.  Where a negated
-pre-activation exceeds 709.78, its exp overflows to inf and the mean is
-exactly 0, the intended saturated value.  numpy reports the overflow; the
-means do not silence it, but every batch operation that calls them (a
-Gibbs chain, an epoch, a snapshot) enters ``np.errstate(over="ignore")``
-once around all of its calls.  No other snapshot step exponentiates a
-positive value.
+negated operand is the negated product bit for bit.  A mean is exactly 0
+where its exp overflows (see ``_sigmoid_of_negated``); numpy reports the
+overflow, and every batch operation (a Gibbs chain, an epoch, a snapshot)
+silences it once, with ``np.errstate(over="ignore")`` around all of its
+calls.  No other snapshot step exponentiates a positive value.
 
-Sums.  The monitored quantities (the marginal, and through it the ratio
-diagnostics and log Z, and the reconstruction term) are per-sample sums of
-softplus terms over units.  ``_softplus_sum`` takes each as the log of a
-product of factors in (1, 2] down the rows of a unit-major (..., K, N)
-block, whose relative error is at most gamma_K for K units.  The kernels
-take an ``out`` array, and the composite quantities take their block-sized
-scratch from a ``Workspace`` and return arrays of their own, so that a
-batch operation repeated on the same shapes allocates no block after its
-first call.
+Sums.  Every per-sample sum of softplus terms over units (the marginal,
+and through it the ratio diagnostics and log Z, and the reconstruction
+term) is ``_softplus_sum``, with relative error at most gamma_K for K
+units.  The kernels take an ``out`` array, and the composite quantities
+take their block-sized scratch from a ``Workspace`` and return arrays of
+their own, so that a batch operation repeated on the same shapes
+allocates no block after its first call.
 """
 
 from __future__ import annotations
@@ -133,11 +127,26 @@ def _sigmoid_of_negated(z: np.ndarray) -> np.ndarray:
     return np.reciprocal(z, out=z)
 
 
-def _negate_operands(theta: np.ndarray, neg_hidden: np.ndarray, neg_visible: np.ndarray) -> None:
-    """Write -theta[..., 1:, :] into ``neg_hidden`` and -theta[..., :, :V]^T
-    into ``neg_visible``: the operands of the hidden and visible means."""
-    np.negative(theta[..., 1:, :], out=neg_hidden)
+# The hidden always-on unit's negated pre-activation (see the module docstring).
+_ALWAYS_ON = -64.0
+
+
+def _negate_operands(theta: np.ndarray, hidden_operand: np.ndarray, neg_visible: np.ndarray) -> None:
+    """Write -theta[..., 1:, :] into rows 1: of ``hidden_operand`` and
+    -theta[..., :, :V]^T into ``neg_visible``: the operands of the hidden
+    and visible means.  Row 0 of ``hidden_operand`` is left as it is."""
+    np.negative(theta[..., 1:, :], out=hidden_operand[..., 1:, :])
     np.negative(theta[..., :-1].mT, out=neg_visible)
+
+
+def _new_operands(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New ``hidden_operand`` (..., H+1, V+1) and ``neg_visible`` (..., V,
+    H+1) arrays of theta, row 0 of the first [0, ..., 0, _ALWAYS_ON]."""
+    *stack, rows, cols = theta.shape
+    hidden_operand, neg_visible = np.zeros((*stack, rows, cols)), np.empty((*stack, cols - 1, rows))
+    hidden_operand[..., 0, -1] = _ALWAYS_ON
+    _negate_operands(theta, hidden_operand, neg_visible)
+    return hidden_operand, neg_visible
 
 
 @dataclass(eq=False)
@@ -148,10 +157,11 @@ class RbmParams:
     unit j.  b: visible bias, length visible.  c: hidden bias, length hidden.
     All entries must be finite at all times, including mid-training.
     ``theta`` is the (H+1, V+1) matrix [[b, 0], [W, c]] the values given are
-    copied into, and W, b and c are views of it; ``neg_hidden`` and
-    ``neg_visible`` are the negated operands the conditional means read
-    (see the module docstring).  All six are read-only, so that none can
-    go stale; new parameters are a new ``RbmParams``.
+    copied into, and W, b and c are views of it; ``hidden_operand``, its
+    view ``neg_hidden`` and ``neg_visible`` are the negated operands the
+    conditional means read (see the module docstring).  All seven are
+    read-only, so that none can go stale; new parameters are a new
+    ``RbmParams``.
     ``==`` is identity: an elementwise comparison of arrays has no truth value.
     """
 
@@ -159,6 +169,7 @@ class RbmParams:
     b: np.ndarray
     c: np.ndarray
     theta: np.ndarray = field(init=False, repr=False)
+    hidden_operand: np.ndarray = field(init=False, repr=False)
     neg_hidden: np.ndarray = field(init=False, repr=False)
     neg_visible: np.ndarray = field(init=False, repr=False)
 
@@ -176,10 +187,10 @@ class RbmParams:
         theta[0, :-1], theta[1:, :-1], theta[1:, -1] = b, W, c
         if not np.isfinite(theta).all():
             raise NonFiniteParameterError("parameters contain NaN or Inf")
-        self.neg_hidden, self.neg_visible = np.empty((c.size, b.size + 1)), np.empty((b.size, c.size + 1))
-        _negate_operands(theta, self.neg_hidden, self.neg_visible)
-        for a in (theta, self.neg_hidden, self.neg_visible):
+        self.hidden_operand, self.neg_visible = _new_operands(theta)
+        for a in (theta, self.hidden_operand, self.neg_visible):
             a.setflags(write=False)
+        self.neg_hidden = self.hidden_operand[1:]
         self.theta, self.W, self.b, self.c = theta, theta[1:, :-1], theta[0, :-1], theta[1:, -1]
 
     @property
@@ -298,13 +309,28 @@ def hidden_conditional_mean(
 ) -> np.ndarray:
     """E[h|x] of a visible block [x^T; 1], (..., V+1, N), as an (..., H, N)
     block, or of a vector [x; 1] as an (H,) vector: component j is
-    sigmoid(c_j + (Wx)_j), written into ``out`` if given.  Given ``pre``
-    too, an array of the result's shape, the pre-activation c + Wx is
-    written into it."""
-    z = _product(params.neg_hidden, x, out, "x")
+    sigmoid(c_j + (Wx)_j), written into ``out`` if given.  An ``out`` of
+    H+1 units gets and returns the whole block [1; E[h|x]^T], row 0
+    exactly 1.0 and rows 1: the bits of the H-row result: one product with
+    ``hidden_operand`` for a stack, or, where rows 1: of ``out`` are
+    contiguous (one model), ``neg_hidden``'s product there and a row of
+    ones.  Every other call reads ``neg_hidden``.  Given ``pre`` too, an
+    (..., H, N) or (H,) array, the pre-activation c + Wx is written into it."""
+    if out is not None and out.ndim > 1 and out.shape[-2] > params.num_hidden:
+        rows = out[..., 1:, :]
+        if rows.flags.c_contiguous:
+            # one model's rows 1: are contiguous already; the always-on row would only add work
+            out[..., 0, :] = _ONE
+            z = _product(params.neg_hidden, x, rows, "x")
+        else:
+            z = _product(params.hidden_operand, x, out, "x")
+            rows = z[..., 1:, :]
+    else:
+        z = rows = _product(params.neg_hidden, x, out, "x")
     if pre is not None:
-        np.negative(z, out=pre)
-    return _sigmoid_of_negated(z)
+        np.negative(rows, out=pre)
+    _sigmoid_of_negated(z)
+    return z if out is None else out
 
 
 def visible_conditional_mean(params, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

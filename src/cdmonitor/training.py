@@ -25,6 +25,7 @@ from .rbm import (
     RbmParams,
     Workspace,
     _negate_operands,
+    _new_operands,
     hidden_conditional_mean,
     sample_bernoulli,
     visible_conditional_mean,
@@ -70,11 +71,13 @@ class RunBatch:
 
     Layout (see ``rbm``): ``theta`` (R, H+1, V+1) stacks the runs'
     [[b, 0], [W, c]] matrices, so one scan checks all of a run's
-    parameters.  ``neg_hidden`` (R, H, V+1) and ``neg_visible`` (R, V, H+1)
-    are the negated operands the conditional means read, read-only views
-    of arrays that the batch's construction and every ``apply_update``, the
-    only writer of ``theta``, refresh.  ``grad`` holds the epoch's ascent
-    direction in theta's layout, its corner 0.  ``X1`` = [X, 1] (N, V+1),
+    parameters.  ``hidden_operand`` (R, H+1, V+1), its rows 1:
+    ``neg_hidden`` (R, H, V+1), and ``neg_visible`` (R, V, H+1) are the
+    negated operands the conditional means read, read-only views of arrays
+    that the batch's construction and every ``apply_update``, the only
+    writer of ``theta``, refresh; the always-on row [0, ..., 0, -64] of
+    ``hidden_operand`` is written once, at construction.  ``grad`` holds
+    the epoch's ascent direction in theta's layout, its corner 0.  ``X1`` = [X, 1] (N, V+1),
     ``XT1`` = [X^T; 1] (V+1, N) and ``weights``, 1 on theta's W block and 0
     elsewhere, are read-only constants; ``signs`` = 2X^T - 1 (V, N) is the
     reconstruction's.  Run r draws its chain from ``rngs[r]``.
@@ -85,12 +88,13 @@ class RunBatch:
     (R, V+1, N) is [x^T; 1], each contiguous with its ones row, and the
     round's N*(H+V) uniforms fill the rows between, unit by unit, where
     the round's samples replace them; ``uniforms`` (R, N*(H+V)) views
-    those rows of each run as one contiguous row.  ``h_data`` (R, H+1, N)
-    is [1; E[h|X]^T], round 1's mean and the positive phase; ``h_model``
-    (R, H, N) holds later rounds' hidden means and ``x_mean`` (R, V, N) the
-    visible ones.  ``h_data_current`` is True while ``h_data`` holds E[h|X]
-    at the current parameters, as a snapshot leaves it for the next epoch's
-    positive phase; ``apply_update`` clears it.  Between epochs a snapshot
+    those rows of each run as one contiguous row.  The hidden means are
+    whole [1; E[h|x]^T] blocks (see ``hidden_conditional_mean``): ``h_data``
+    (R, H+1, N) holds round 1's, E[h|X], the positive phase, and ``h_model``
+    (R, H+1, N) later rounds' and the negative phase's; ``x_mean`` (R, V,
+    N) holds the visible means.  ``h_data_current`` is True while
+    ``h_data`` holds E[h|X] at the current parameters, as a snapshot leaves
+    it for the next epoch's positive phase; ``apply_update`` clears it.  Between epochs a snapshot
     borrows ``h_model``, ``hidden`` and ``visible``, which an epoch writes
     before it reads, and its scratch is ``work``, the batch's own
     ``Workspace``.
@@ -117,19 +121,19 @@ class RunBatch:
         self.product = np.empty_like(self.theta)  # the negative phase, then the decay
         self.weights = np.zeros((H + 1, V + 1))
         self.weights[1:, :V] = 1.0
-        self._operands = np.empty((R, H, V + 1)), np.empty((R, V, H + 1))
-        _negate_operands(self.theta, *self._operands)
-        self.neg_hidden, self.neg_visible = (a.view() for a in self._operands)
-        self.h_data = np.ones((R, H + 1, N))
+        self._operands = _new_operands(self.theta)
+        self.hidden_operand, self.neg_visible = (a.view() for a in self._operands)
+        self.h_data, self.h_model = np.ones((R, H + 1, N)), np.ones((R, H + 1, N))
         self.h_data_current = False
-        self.h_model, self.x_mean = np.empty((R, H, N)), np.empty((R, V, N))
+        self.x_mean = np.empty((R, V, N))
         self.draws = np.ones((R, H + V + 2, N))
         self.hidden, self.visible = self.draws[:, : H + 1], self.draws[:, H + 1 :]
         self.uniforms = self.draws.reshape(R, -1)[:, N:-N]
         self.finite = np.empty(self.theta.shape, dtype=bool)
         self.work = Workspace()
-        for a in (self.X1, self.XT1, self.weights, self.neg_hidden, self.neg_visible):
+        for a in (self.X1, self.XT1, self.weights, self.hidden_operand, self.neg_visible):
             a.setflags(write=False)
+        self.neg_hidden = self.hidden_operand[:, 1:]
 
     def params(self, r: int) -> RbmParams:
         """A copy of run r's parameters."""
@@ -174,12 +178,9 @@ def train_epoch(batch: RunBatch, config: TrainingConfig) -> None:
     gradients accumulated over the whole training set, then a single
     update, in place.
 
-    The accumulated (summed) gradient makes an epoch's movement match a
-    full pass of per-sample updates at the same learning rate while keeping
-    the update deterministic and sample-order independent; averaging
-    instead would shrink the step by a factor of N and no learning would
-    happen at the configured rates.  Weight decay is applied once per
-    epoch, by apply_update, at its plain strength.
+    The gradient is summed over samples, not averaged, so an epoch moves
+    as far as a pass of per-sample updates at the same learning rate.
+    Weight decay is applied once per epoch, by apply_update.
 
     The whole training set advances through one shared Gibbs schedule.
     Each run draws from its own generator, per round the N*H hidden
@@ -187,21 +188,21 @@ def train_epoch(batch: RunBatch, config: TrainingConfig) -> None:
     (uniform j*N + n goes to unit j of sample n).  The per-sample estimator
     run over the dataset in order draws each sample's H then V uniforms in
     turn instead, so the two give the same step in distribution, and bit
-    for bit only when N = 1.  A round's uniforms do not depend on the
-    model, so each run draws all N*(H+V) of them with one generator call
-    into the rows of its ``batch.draws`` block between the ones rows;
-    numpy's default generator gives the same doubles that way as one call
-    per layer, and ``sample_bernoulli`` turns them into the round's draws
-    in place.
+    for bit only when N = 1.  Each run draws a round's N*(H+V) uniforms
+    with one generator call into ``batch.uniforms`` (numpy's default
+    generator gives the doubles of one call per layer), and
+    ``sample_bernoulli`` turns them into the round's draws in place.
 
     The R runs are stacked: every conditional mean, draw and product
     is one call on (R, ·, N) arrays, which numpy evaluates one run's matrix
     at a time, so each run's step has the bits it has when the run is
     trained alone, in any batch.  The chain, the gradient and the step are
-    written into the batch's buffers.  The whole gradient, dW with db and
-    dc in theta's layout, is [1; h_data^T].[X, 1] - [1; h_model^T].[x^T;
-    1]^T: its row 0 is db, bit counts, exact in any order, its column V is
-    dc, and its corner is N - N = 0.
+    written into the batch's buffers.  Each hidden mean is written whole,
+    its ones row with it; the draws threshold its rows 1:.  The whole
+    gradient, dW with db and dc in theta's layout, is [1; h_data^T].[X, 1]
+    - [1; h_model^T].[x^T; 1]^T, h_model holding the negative phase's mean:
+    its row 0 is db, bit counts, exact in any order, its column V is dc,
+    and its corner is N - N = 0.
 
     The positive phase reuses round 1's E[h|X], so a CD-n epoch computes
     n+1 hidden conditional means: one per Gibbs round and one for the
@@ -216,15 +217,14 @@ def train_epoch(batch: RunBatch, config: TrainingConfig) -> None:
             if k:
                 h_mean = hidden_conditional_mean(batch, visible, out=batch.h_model)
             elif batch.h_data_current:
-                h_mean = batch.h_data[:, 1:]
+                h_mean = batch.h_data
             else:
-                h_mean = hidden_conditional_mean(batch, batch.XT1, out=batch.h_data[:, 1:])
+                h_mean = hidden_conditional_mean(batch, batch.XT1, out=batch.h_data)
             for rng, row in zip(batch.rngs, batch.uniforms, strict=True):
                 rng.random(out=row)
-            sample_bernoulli(h_mean, hidden[:, 1:])
+            sample_bernoulli(h_mean[:, 1:], hidden[:, 1:])
             sample_bernoulli(visible_conditional_mean(batch, hidden, out=batch.x_mean), visible[:, :-1])
-        # the negative phase's mean takes the place of the last h draw
-        hidden_conditional_mean(batch, visible, out=hidden[:, 1:])
+        hidden_conditional_mean(batch, visible, out=batch.h_model)
     np.matmul(batch.h_data, batch.X1, out=batch.grad)
-    batch.grad -= np.matmul(hidden, visible.mT, out=batch.product)
+    batch.grad -= np.matmul(batch.h_model, visible.mT, out=batch.product)
     apply_update(batch, config)

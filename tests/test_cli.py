@@ -34,6 +34,8 @@ from cdmonitor.experiment import (
 )
 from cdmonitor.training import init_params
 
+from test_golden import environment
+
 
 def kill_own_worker(config, run_indices, X):
     """A ``run_single`` whose process dies at once, as a killed pool worker
@@ -121,6 +123,78 @@ class TestModuleEntryPoint:
         )
         assert usage.returncode == 2
         assert usage.stderr.startswith("usage: cdmonitor")
+
+    def run_interrupted(self, tmp_path, hook):
+        """Run ``python -m cdmonitor dataset bs OUT`` with ``hook``, source
+        that touches ``marker`` at the moment in question and then waits;
+        SIGINT the process group once the marker exists, touch
+        ``marker.sent``, and return the status and stderr once no process
+        of the group is left."""
+        script = textwrap.dedent(
+            """
+            import atexit, pathlib, runpy, sys, time
+            marker = pathlib.Path(sys.argv[1])
+
+            def wait():
+                marker.touch()
+                deadline = time.monotonic() + 60
+                while not marker.with_suffix(".sent").exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            """
+        ) + textwrap.dedent(hook) + textwrap.dedent(
+            """
+            sys.argv = ["cdmonitor", *sys.argv[2:]]
+            runpy.run_module("cdmonitor", run_name="__main__", alter_sys=True)
+            """
+        )
+        src = str(Path(cli.__file__).parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        marker = tmp_path / "marker"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(marker), "dataset", "bs", str(tmp_path / "bs.txt")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not marker.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert marker.exists(), proc.poll()
+            os.killpg(proc.pid, signal.SIGINT)
+            marker.with_suffix(".sent").touch()
+            _, err = proc.communicate(timeout=60)
+            deadline = time.monotonic() + 10
+            while _group_alive(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _group_alive(proc.pid)
+            return proc.returncode, err
+        finally:
+            if _group_alive(proc.pid):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+
+    def test_ctrl_c_while_the_cli_imports_exits_130(self, tmp_path):
+        # the entry imports the CLI, and numpy with it, inside its own
+        # KeyboardInterrupt handler, before main's is in place
+        hook = """
+            class HoldCliImport:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "cdmonitor.cli":
+                        wait()
+
+            sys.meta_path.insert(0, HoldCliImport())
+            """
+        status, err = self.run_interrupted(tmp_path, hook)
+        assert status == 130
+        assert err.splitlines() == ["interrupted"]
+        assert not (tmp_path / "bs.txt").exists()
+
+    def test_ctrl_c_after_main_returned_keeps_its_status(self, tmp_path):
+        # the hook waits during interpreter shutdown, after main returned 0
+        status, err = self.run_interrupted(tmp_path, "atexit.register(wait)")
+        assert status == 0
+        assert err == ""
+        assert len((tmp_path / "bs.txt").read_text().splitlines()) == 31
 
 
 def test_readme_cli_synopsis_names_every_option():
@@ -545,7 +619,7 @@ class TestSampleCommand:
         rc = main(["sample", "--params", str(params), "--count", "200", "--burn-in", "50",
                    "--thin", "3", "--seed", "5", "--out", str(out)])
         assert rc == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, environment()
 
 
 def _must_not_run(*args, **kwargs):

@@ -277,26 +277,32 @@ class TestMeasure:
     @pytest.mark.parametrize("n", [1, 3])
     def test_hidden_mean_computed_once_per_gibbs_round(self, monkeypatch, n):
         # the snapshot reads only round 1 of its chain, so it computes one
-        # E[h|X] for any n, from one product of the hidden mean's operand
-        # with [X^T; 1], whichever function makes it; the data marginal, the
-        # complement_mean_h probe and the reconstruction monitor reuse it
+        # E[h|X] for any n, from one product with [X^T; 1]: of the H-row
+        # operand for one run, whose rows 1: of h_data are contiguous, and
+        # of the whole operand for a stack.  No other product of [X^T; 1]
+        # with a matrix of the hidden units' rows (either operand, or
+        # theta) is made, whichever function makes it; the data marginal,
+        # the complement_mean_h probe and the reconstruction monitor reuse it
         cfg = tiny_bs_config(
             training=TrainingConfig(n=n, learning_rate=0.01, epochs=100, measure_every=50),
             variants_enabled=tuple(XiVariant),
         )
-        params = init_params(16, 8, np.random.default_rng(5), 0.01)
         X = experiment.build_dataset(cfg).matrix()
         products, matmul, XT1 = [], np.matmul, visible_block(X)
 
         def counted(a, b, *args, **kwargs):
-            if np.shape(a)[-2:] == (8, 17) and np.shape(b) == XT1.shape and np.array_equal(b, XT1):
+            if np.shape(a)[-2:] in ((8, 17), (9, 17)) and np.shape(b) == XT1.shape and np.array_equal(b, XT1):
                 products.append(np.shape(a))
             return matmul(a, b, *args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", counted)
-        record = measure_one(params, X, cfg, np.random.default_rng(6), epoch=0)
-        assert record.log_xi_complement_mean_h is not None
-        assert products == [(1, 8, 17)]
+        for runs in (1, 3):
+            params = [init_params(16, 8, np.random.default_rng(5 + r), 0.01) for r in range(runs)]
+            batch = RunBatch(params, X, [np.random.default_rng(r) for r in range(runs)])
+            products.clear()
+            records = experiment._measure(batch, cfg, [np.random.default_rng(6 + r) for r in range(runs)], epoch=0)
+            assert all(record.log_xi_complement_mean_h is not None for record in records)
+            assert products == [(runs, 8 if runs == 1 else 9, 17)]
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_one_draw_per_stacked_snapshot(self, monkeypatch, n):

@@ -28,13 +28,16 @@ differently in the last bit and so change them.  The sigmoid and the
 softplus sums use numpy's exp and log, whose SIMD code numpy picks at run
 time from the CPU: ``numpy.show_runtime()`` found X86_V3, X86_V4, AVX512_ICL and
 AVX512_SPR here.  On a CPU with other extensions these may differ in the
-last bit too.
+last bit too.  So a mismatch here, or of the two ``sample`` digests in
+``tests/test_cli.py``, names the running numpy version, BLAS and SIMD
+extensions beside these.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cdmonitor.cli import main
@@ -53,6 +56,24 @@ MEAN_H_CONFIG = {
 
 # {config name: {output file name: sha256}}, taken before any change they guard.
 GOLDEN = json.loads((Path(__file__).parent / "golden_train_sha256.json").read_text())
+
+
+def environment() -> str:
+    """The message of a digest mismatch: the running numpy version, its
+    BLAS and the SIMD extensions numpy found on this CPU, beside the ones
+    the digests were taken with (see the module docstring)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        simd = " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f)) or "none"
+    except ImportError:
+        simd = "unknown"
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return (
+        f"running numpy {np.__version__}, BLAS {blas.get('name', 'unknown')} {blas.get('version', '')}, "
+        f"SIMD extensions found: {simd}; the digests were taken with numpy 2.4.6, BLAS scipy-openblas "
+        "0.3.31.188.0, SIMD extensions found: X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+    )
 
 
 def train_digests(config_path: Path, out_dir: Path) -> dict[str, str]:
@@ -82,4 +103,4 @@ def test_golden_covers_every_preset():
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_train_outputs_match_golden(name, tmp_path):
     got = train_digests(config_path(name, tmp_path), tmp_path / "out")
-    assert got == GOLDEN[name]
+    assert got == GOLDEN[name], environment()

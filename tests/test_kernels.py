@@ -18,6 +18,7 @@ from cdmonitor.datasets import Dataset, generate_bars_and_stripes
 from cdmonitor.experiment import _measure, default_config
 from cdmonitor.rbm import (
     RbmParams,
+    _sigmoid_of_negated,
     _softplus_sum,
     hidden_conditional_mean,
     log_unnormalized_marginal,
@@ -191,6 +192,56 @@ class TestNegatedBiases:
             assert batch.grad[r, 0, -1] == 0.0
             np.testing.assert_allclose(batch.grad[r], want, rtol=1e-12, atol=1e-12)
             assert batch.grad[r, 0, :-1].tobytes() == want[0, :-1].tobytes()  # db: bit counts, exact
+
+class TestAlwaysOnRow:
+    """The hidden mean's operand carries the always-on unit's row [0, ...,
+    0, -64], so an ``out`` of H+1 units gets the whole block [1;
+    E[h|x]^T]; a one-vector mean reads the H-row operand."""
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 1e3])
+    @pytest.mark.parametrize("real", [False, True], ids=["binary", "real"])
+    @pytest.mark.parametrize("R", [1, 5, 14])
+    def test_whole_out_has_a_row_of_ones_over_the_h_row_bits(self, R, real, scale):
+        # nothing but the product rows of a large |theta| may overflow, and
+        # the always-on row neither overflows nor underflows
+        rng = np.random.default_rng(R)
+        V, H, N = 16, 8, 30
+        params = [RbmParams(*oracles.random_params(rng, V, H, scale=scale)) for _ in range(R)]
+        X = rng.random((N, V)) if real else binary_rows(N, V, seed=R)
+        Xb = visible_block(X)
+        batch = RunBatch(params, X, [None] * R)
+        errors = {"all": "raise"} if scale <= 1 else {"over": "ignore"}
+        for holder in [batch, params[0]] if R == 1 else [batch]:
+            stack = holder.theta.shape[:-2]
+            whole, rows = np.empty((*stack, H + 1, N)), np.empty((*stack, H, N))
+            pre_whole, pre_rows = np.empty((2, *stack, H, N))
+            with np.errstate(**errors):
+                assert hidden_conditional_mean(holder, Xb, out=whole, pre=pre_whole) is whole
+                hidden_conditional_mean(holder, Xb, out=rows, pre=pre_rows)
+            assert (whole[..., 0, :] == 1.0).all()
+            assert whole[..., 1:, :].tobytes() == rows.tobytes()
+            assert pre_whole.tobytes() == pre_rows.tobytes()
+        with np.errstate(**errors):
+            vector = hidden_conditional_mean(params[0], Xb[:, 0])
+            assert vector.tobytes() == _sigmoid_of_negated(params[0].neg_hidden.dot(Xb[:, 0])).tobytes()
+
+    def test_always_on_row_is_read_only_and_survives_update_and_select(self):
+        X = generate_bars_and_stripes().matrix()
+        params = [init_params(16, 8, np.random.default_rng(s), 0.3) for s in range(3)]
+        batch = RunBatch(params, X, [np.random.default_rng(10 + s) for s in range(3)])
+        for holder in (batch, params[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                holder.hidden_operand[..., 0, -1] = 0.0
+        for _ in range(3):
+            train_epoch(batch, TrainingConfig(learning_rate=0.05, weight_decay=0.001))
+        for holder in (batch, batch.select([2, 0]), batch.params(1)):
+            always_on = holder.hidden_operand[..., 0, :]
+            assert (always_on[..., :-1] == 0.0).all() and (always_on[..., -1] == -64.0).all()
+            whole = np.empty((*holder.theta.shape[:-2], 9, len(X)))
+            with np.errstate(over="ignore"):
+                hidden_conditional_mean(holder, visible_block(X), out=whole)
+            assert (whole[..., 0, :] == 1.0).all()
+
 
 class TestNoOverflowWarnings:
     """Batch operations on fully saturated models warn about nothing."""

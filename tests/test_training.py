@@ -331,16 +331,29 @@ class TestTrainEpoch:
 
 
 def assert_theta_invariants(holder):
-    """``holder.theta``'s corner is exactly 0, and ``neg_hidden`` and
-    ``neg_visible`` are -theta[..., 1:, :] and -theta[..., :, :V]^T bit for
-    bit, as read-only C-contiguous arrays of their own."""
+    """``holder.theta``'s corner is exactly 0; ``hidden_operand`` is the
+    always-on row [0, ..., 0, -64] over -theta[..., 1:, :], and
+    ``neg_visible`` is -theta[..., :, :V]^T, bit for bit, as read-only
+    C-contiguous arrays of their own; ``neg_hidden`` is the read-only view
+    of ``hidden_operand``'s rows 1:, each model's rows C-contiguous."""
     theta = holder.theta
     assert (theta[..., 0, -1] == 0.0).all()
-    wanted = (np.negative(theta[..., 1:, :]), np.ascontiguousarray(np.negative(theta[..., :-1].mT)))
-    for operand, want in zip((holder.neg_hidden, holder.neg_visible), wanted):
+    always_on = np.zeros((*theta.shape[:-2], 1, theta.shape[-1]))
+    always_on[..., -1] = -64.0
+    wanted = (
+        np.concatenate([always_on, np.negative(theta[..., 1:, :])], axis=-2),
+        np.ascontiguousarray(np.negative(theta[..., :-1].mT)),
+    )
+    for operand, want in zip((holder.hidden_operand, holder.neg_visible), wanted):
         assert operand.flags.c_contiguous and not operand.flags.writeable
         assert not np.shares_memory(operand, theta)
         assert operand.shape == want.shape and operand.tobytes() == want.tobytes()
+    rows = holder.hidden_operand[..., 1:, :]
+    neg_hidden = holder.neg_hidden
+    assert not neg_hidden.flags.writeable
+    assert neg_hidden.__array_interface__ == rows.__array_interface__
+    assert neg_hidden.strides[-2:] == (8 * theta.shape[-1], 8)
+    assert neg_hidden.tobytes() == np.negative(theta[..., 1:, :]).tobytes()
 
 
 class TestRunBatch:
@@ -390,8 +403,9 @@ class TestRunBatch:
         W[0, 0] = 1.0
         assert params.W[0, 0] != 1.0
         batch = RunBatch([params], generate_bars_and_stripes().matrix(), [np.random.default_rng(0)])
-        held = (params.W, params.b, params.c, params.theta, params.neg_hidden, params.neg_visible)
-        for array in (*held, batch.neg_hidden, batch.neg_visible, batch.X1, batch.XT1, batch.weights):
+        operands = [(h.hidden_operand, h.neg_hidden, h.neg_visible) for h in (params, batch)]
+        held = (params.W, params.b, params.c, params.theta, *operands[0], *operands[1])
+        for array in (*held, batch.X1, batch.XT1, batch.weights):
             with pytest.raises(ValueError, match="read-only"):
                 array[..., 0] = np.nan
         assert np.isfinite(batch.theta).all()
